@@ -40,7 +40,6 @@
 #include <filesystem>
 #include <future>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -53,6 +52,7 @@
 #include "common/telemetry.h"
 #include "core/baseline.h"
 #include "core/scheduler.h"
+#include "ml/serialization.h"
 #include "serve/daemon.h"
 #include "serve/protocol.h"
 #include "storage/checkpoint_store.h"
@@ -142,14 +142,15 @@ CheckpointBench RunCheckpointBench(const std::vector<std::string>& ids,
   const std::string mmap_path = (dir / "fleet.ckpt").string();
   const std::string legacy_path = (dir / "fleet_legacy.ckpt").string();
 
-  std::ostringstream body;
-  CheckpointDie(core::BaselinePredictor(15'000.0, 1.0 / tv).Save(body),
+  std::string body;
+  nextmaint::ml::ModelWriter body_writer(body);
+  CheckpointDie(core::BaselinePredictor(15'000.0, 1.0 / tv).Save(body_writer),
                 "serialize BL body");
 
   std::vector<storage::VehicleRecord> records;
   records.reserve(ids.size());
   for (const std::string& id : ids) {
-    records.push_back(storage::VehicleRecord{id, "BL", body.str()});
+    records.push_back(storage::VehicleRecord{id, "BL", body});
   }
   auto store_or = storage::CheckpointStore::Open(mmap_path);
   CheckpointDie(store_or.status(), "open segmented store");

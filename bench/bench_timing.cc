@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +25,7 @@
 #include "ml/hist_gradient_boosting.h"
 #include "ml/random_forest.h"
 #include "ml/registry.h"
+#include "ml/serialization.h"
 
 namespace {
 
@@ -178,9 +178,9 @@ std::vector<std::string> FitGridOnCore(const nextmaint::ml::Dataset& data,
                                               candidate.params, backend)
                      .MoveValueOrDie();
     if (!model->Fit(data).ok()) return {};
-    std::ostringstream out;
-    if (!model->Save(out).ok()) return {};
-    models.push_back(std::move(out).str());
+    std::string& bytes = models.emplace_back();
+    nextmaint::ml::ModelWriter writer(bytes);
+    if (!model->Save(writer).ok()) return {};
   }
   *seconds = SecondsSince(start);
   return models;

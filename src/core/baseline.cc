@@ -47,26 +47,21 @@ Result<double> AverageUtilization(const data::DailySeries& u,
 }
 
 
-Status BaselinePredictor::Save(std::ostream& out) const {
-  out.precision(17);
-  out << "nextmaint-model v1 BL\n";
-  out << "avg " << avg_utilization_s_ << "\n";
-  out << "lscale " << l_scale_ << "\n";
-  out << "end\n";
-  if (!out) return Status::IOError("BL serialization failed");
-  return Status::OK();
+void BaselinePredictor::SaveBody(ml::ModelWriter& out) const {
+  out.Line("avg", avg_utilization_s_);
+  out.Line("lscale", l_scale_);
+  out.Line("end");
 }
 
-Result<BaselinePredictor> BaselinePredictor::LoadBody(std::istream& in) {
-  std::string token;
+Result<BaselinePredictor> BaselinePredictor::LoadBody(ml::ModelReader& in) {
   double avg = 0.0, l_scale = 0.0;
-  if (!(in >> token >> avg) || token != "avg") {
+  if (!in.Expect("avg") || !in.Read(avg)) {
     return Status::DataError("BL: expected 'avg <a>'");
   }
-  if (!(in >> token >> l_scale) || token != "lscale") {
+  if (!in.Expect("lscale") || !in.Read(l_scale)) {
     return Status::DataError("BL: expected 'lscale <s>'");
   }
-  if (!(in >> token) || token != "end") {
+  if (!in.Expect("end")) {
     return Status::DataError("BL: missing end marker");
   }
   if (avg <= 0.0 || l_scale <= 0.0) {
@@ -75,7 +70,7 @@ Result<BaselinePredictor> BaselinePredictor::LoadBody(std::istream& in) {
   return BaselinePredictor(avg, l_scale);
 }
 
-Result<std::unique_ptr<ml::Regressor>> LoadAnyModel(std::istream& in) {
+Result<std::unique_ptr<ml::Regressor>> LoadAnyModel(ml::ModelReader& in) {
   NM_ASSIGN_OR_RETURN(std::string name, ml::ReadModelHeader(in));
   if (name == "BL") {
     NM_ASSIGN_OR_RETURN(BaselinePredictor model,
@@ -84,6 +79,12 @@ Result<std::unique_ptr<ml::Regressor>> LoadAnyModel(std::istream& in) {
         std::make_unique<BaselinePredictor>(std::move(model)));
   }
   return ml::LoadRegressorBody(name, in);
+}
+
+Result<std::unique_ptr<ml::Regressor>> LoadAnyModel(std::istream& in) {
+  const std::string text = ml::ReadModelText(in);
+  ml::ModelReader reader(text);
+  return LoadAnyModel(reader);
 }
 
 }  // namespace core

@@ -1,6 +1,7 @@
 #ifndef NEXTMAINT_CORE_BASELINE_H_
 #define NEXTMAINT_CORE_BASELINE_H_
 
+#include <istream>
 #include <memory>
 #include <string>
 
@@ -39,15 +40,14 @@ class BaselinePredictor final : public ml::Regressor {
   std::unique_ptr<ml::Regressor> Clone() const override {
     return std::make_unique<BaselinePredictor>(*this);
   }
-  [[nodiscard]] Status Save(std::ostream& out) const override;
-
   /// Reads a model body serialized by Save (header already consumed).
-  [[nodiscard]] static Result<BaselinePredictor> LoadBody(std::istream& in);
+  [[nodiscard]] static Result<BaselinePredictor> LoadBody(ml::ModelReader& in);
 
   double avg_utilization_s() const { return avg_utilization_s_; }
 
  protected:
   [[nodiscard]] Status FitImpl(const ml::Dataset& train) override;
+  void SaveBody(ml::ModelWriter& out) const override;
 
  private:
   double avg_utilization_s_;
@@ -55,8 +55,14 @@ class BaselinePredictor final : public ml::Regressor {
 };
 
 /// Loads any serialized model: the problem-specific BL predictor or one of
-/// the generic ml zoo (see ml/serialization.h).
-[[nodiscard]] Result<std::unique_ptr<ml::Regressor>> LoadAnyModel(std::istream& in);
+/// the generic ml zoo (see ml/serialization.h), leaving `in` just past it.
+[[nodiscard]] Result<std::unique_ptr<ml::Regressor>> LoadAnyModel(
+    ml::ModelReader& in);
+
+/// Stream adapter: consumes exactly one model from `in` (see
+/// ml::ReadModelText) and loads it.
+[[nodiscard]] Result<std::unique_ptr<ml::Regressor>> LoadAnyModel(
+    std::istream& in);
 
 /// AVG_v over the first `train_days` days of a utilization series (Eq. 5);
 /// when train_days is 0 the whole series is used. Fails when the average is

@@ -19,6 +19,7 @@
 #include "core/baseline.h"
 #include "core/dataset_builder.h"
 #include "ml/registry.h"
+#include "ml/serialization.h"
 
 namespace nextmaint {
 namespace core {
@@ -690,8 +691,8 @@ Status FleetScheduler::MaterializeModel(const std::string& id,
   // degrades only that vehicle.
   Result<std::string_view> payload = state.pending_segment.Payload();
   if (!payload.ok()) return payload.status().WithContext(id);
-  std::istringstream in{std::string(payload.ValueOrDie())};
-  Result<std::unique_ptr<ml::Regressor>> model = LoadAnyModel(in);
+  ml::ModelReader reader(payload.ValueOrDie());
+  Result<std::unique_ptr<ml::Regressor>> model = LoadAnyModel(reader);
   if (!model.ok()) return model.status().WithContext(id);
   state.model = std::move(model).ValueOrDie();
   state.pending_segment = storage::SegmentView();
@@ -707,9 +708,8 @@ Result<storage::VehicleRecord> FleetScheduler::CheckpointRecord(
   if (state.model != nullptr) {
     // Unified models are shared across vehicles; each vehicle writes its
     // own copy so checkpoints stay self-contained.
-    std::ostringstream payload;
-    NM_RETURN_NOT_OK(state.model->Save(payload).WithContext(id));
-    record.payload = std::move(payload).str();
+    ml::ModelWriter writer(record.payload);
+    NM_RETURN_NOT_OK(state.model->Save(writer).WithContext(id));
   } else {
     // Never-materialized lazy segment: copy the bytes verbatim — no parse,
     // and re-saving a lazily loaded fleet stays byte-identical.
@@ -737,14 +737,27 @@ Status FleetScheduler::WriteCheckpointPayload(std::ostream& out) const {
 
 Status FleetScheduler::SaveCheckpoint(const std::string& path) const {
   NEXTMAINT_FAILPOINT("scheduler.save_models");
-  std::vector<storage::VehicleRecord> records;
-  records.reserve(vehicles_.size());
-  for (const auto& [id, state] : vehicles_) {
-    if (state.model == nullptr && !state.pending_segment.valid()) continue;
-    NM_ASSIGN_OR_RETURN(storage::VehicleRecord record,
-                        CheckpointRecord(id, state));
-    records.push_back(std::move(record));
+  std::vector<decltype(vehicles_)::const_pointer> saved;
+  for (const auto& entry : vehicles_) {
+    const VehicleState& state = entry.second;
+    if (state.model != nullptr || state.pending_segment.valid()) {
+      saved.push_back(&entry);
+    }
   }
+  // Serialize in parallel into index-ordered slots: the records stay in
+  // map order, so the file's bytes do not depend on the thread count.
+  std::vector<storage::VehicleRecord> records(saved.size());
+  NM_RETURN_NOT_OK(ParallelFor(
+      0, saved.size(), /*grain=*/1,
+      [&](size_t chunk_begin, size_t chunk_end) -> Status {
+        for (size_t v = chunk_begin; v < chunk_end; ++v) {
+          NM_ASSIGN_OR_RETURN(records[v],
+                              CheckpointRecord(saved[v]->first,
+                                               saved[v]->second));
+        }
+        return Status::OK();
+      },
+      options_.num_threads));
   NM_ASSIGN_OR_RETURN(std::shared_ptr<storage::CheckpointStore> store,
                       storage::CheckpointStore::Open(path));
   Result<uint64_t> generation = store->SaveAll(std::move(records));
@@ -811,7 +824,7 @@ Status FleetScheduler::SaveLegacyCheckpoint(const std::string& path) const {
   return Status::OK();
 }
 
-Status FleetScheduler::ReadCheckpointPayload(std::istream& in) {
+Status FleetScheduler::ReadCheckpointPayload(std::string_view text) {
   NEXTMAINT_FAILPOINT("scheduler.load_models");
   // Parse into a staging map and commit only after the fleet-end marker:
   // a truncated or corrupt stream must not leave the scheduler half-loaded
@@ -821,8 +834,9 @@ Status FleetScheduler::ReadCheckpointPayload(std::istream& in) {
     std::string model_name;
   };
   std::map<std::string, StagedModel> staged;
-  std::string token;
-  while (in >> token) {
+  ml::ModelReader in(text);
+  for (std::string_view token = in.Token(); !token.empty();
+       token = in.Token()) {
     if (token == "fleet-end") {
       for (auto& [id, entry] : staged) {
         VehicleState& state = vehicles_.at(id);
@@ -833,10 +847,12 @@ Status FleetScheduler::ReadCheckpointPayload(std::istream& in) {
       return Status::OK();
     }
     if (token != "vehicle") {
-      return Status::DataError("expected 'vehicle', got '" + token + "'");
+      return Status::DataError("expected 'vehicle', got '" +
+                               std::string(token) + "'");
     }
-    std::string id, model_name;
-    if (!(in >> id >> model_name)) {
+    const std::string id(in.Token());
+    std::string model_name(in.Token());
+    if (model_name.empty()) {
       return Status::DataError("truncated vehicle model header");
     }
     if (vehicles_.count(id) == 0) {
@@ -859,12 +875,15 @@ Status FleetScheduler::LoadCheckpoint(const std::string& path) {
     return Status::IOError("cannot open '" + path + "' for reading");
   }
   if (format == storage::CheckpointFormat::kLegacyText) {
-    // Migration read path: eager parse of the monolithic text checkpoint.
-    std::ifstream in(path);
+    // Migration read path: eager parse of the monolithic text checkpoint,
+    // read once and walked in place.
+    std::ifstream in(path, std::ios::binary);
     if (!in) {
       return Status::IOError("cannot open '" + path + "' for reading");
     }
-    return ReadCheckpointPayload(in).WithContext(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return ReadCheckpointPayload(text.view()).WithContext(path);
   }
   // Segmented (kUnrecognized falls through too: the store reports the
   // garbage superblock as DataLoss with the detail).

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/date.h"
@@ -361,7 +362,7 @@ class FleetScheduler {
   /// format behind SaveLegacyCheckpoint and LoadCheckpoint's legacy read
   /// path).
   [[nodiscard]] Status WriteCheckpointPayload(std::ostream& out) const;
-  [[nodiscard]] Status ReadCheckpointPayload(std::istream& in);
+  [[nodiscard]] Status ReadCheckpointPayload(std::string_view text);
 
   SchedulerOptions options_;
   std::map<std::string, VehicleState> vehicles_;

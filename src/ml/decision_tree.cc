@@ -5,6 +5,7 @@
 
 #include "common/macros.h"
 #include "ml/histogram.h"
+#include "ml/serialization.h"
 
 namespace nextmaint {
 namespace ml {
@@ -164,57 +165,46 @@ int DecisionTreeRegressor::depth() const {
 }
 
 
-Status DecisionTreeRegressor::Save(std::ostream& out) const {
-  if (nodes_.empty()) {
-    return Status::FailedPrecondition("cannot save an unfitted tree");
-  }
-  out.precision(17);
-  out << "nextmaint-model v1 Tree\n";
-  out << "features " << num_features_ << "\n";
-  out << "nodes " << nodes_.size() << "\n";
+void DecisionTreeRegressor::SaveBody(ModelWriter& out) const {
+  out.Line("features", num_features_);
+  out.Line("nodes", nodes_.size());
   for (const Node& node : nodes_) {
-    out << node.left << " " << node.right << " " << node.feature << " "
-        << node.threshold << " " << node.value << "\n";
+    out.Line(node.left, node.right, node.feature, node.threshold, node.value);
   }
-  out << "end\n";
-  if (!out) return Status::IOError("tree serialization failed");
-  return Status::OK();
+  out.Line("end");
 }
 
 Result<DecisionTreeRegressor> DecisionTreeRegressor::LoadBody(
-    std::istream& in) {
-  std::string token;
+    ModelReader& in) {
   DecisionTreeRegressor model;
   size_t node_count = 0;
-  if (!(in >> token >> model.num_features_) || token != "features") {
+  if (!in.Expect("features") || !in.Read(model.num_features_)) {
     return Status::DataError("Tree: expected 'features <p>'");
   }
-  if (!(in >> token >> node_count) || token != "nodes") {
+  if (!in.Expect("nodes") || !in.Read(node_count)) {
     return Status::DataError("Tree: expected 'nodes <n>'");
   }
-  if (node_count == 0 || node_count > 50'000'000) {
+  // Five tokens per node line: a count the remaining text cannot hold is
+  // corrupt, and is rejected before it sizes the node array.
+  if (node_count == 0 || !in.CanHold(node_count, 5)) {
     return Status::DataError("Tree: implausible node count");
   }
   model.nodes_.resize(node_count);
   for (Node& node : model.nodes_) {
-    if (!(in >> node.left >> node.right >> node.feature >> node.threshold >>
-          node.value)) {
+    if (!in.Read(node.left, node.right, node.feature, node.threshold,
+                 node.value)) {
       return Status::DataError("Tree: truncated node list");
     }
   }
   // Validate child indices so a corrupt file cannot cause out-of-range
-  // traversal.
-  for (const Node& node : model.nodes_) {
-    if (node.is_leaf()) continue;
-    const auto n = static_cast<int32_t>(node_count);
-    if (node.left < 0 || node.left >= n || node.right < 0 ||
-        node.right >= n ||
-        node.feature < 0 ||
-        node.feature >= static_cast<int32_t>(model.num_features_)) {
+  // or endless traversal.
+  for (size_t i = 0; i < node_count; ++i) {
+    if (!ValidTreeNode(model.nodes_[i], i, node_count,
+                       model.num_features_)) {
       return Status::DataError("Tree: node indices out of range");
     }
   }
-  if (!(in >> token) || token != "end") {
+  if (!in.Expect("end")) {
     return Status::DataError("Tree: missing end marker");
   }
   return model;

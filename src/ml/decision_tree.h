@@ -70,10 +70,8 @@ class DecisionTreeRegressor final : public Regressor {
   std::unique_ptr<Regressor> Clone() const override {
     return std::make_unique<DecisionTreeRegressor>(*this);
   }
-  [[nodiscard]] Status Save(std::ostream& out) const override;
-
   /// Reads a model body serialized by Save (header already consumed).
-  [[nodiscard]] static Result<DecisionTreeRegressor> LoadBody(std::istream& in);
+  [[nodiscard]] static Result<DecisionTreeRegressor> LoadBody(ModelReader& in);
 
   /// Sum of squared-error reduction contributed by each feature's splits,
   /// normalized to sum to 1 (all-zeros for a single-leaf tree). The classic
@@ -93,6 +91,7 @@ class DecisionTreeRegressor final : public Regressor {
 
  protected:
   [[nodiscard]] Status FitImpl(const Dataset& train) override;
+  void SaveBody(ModelWriter& out) const override;
 
  private:
   struct Node {

@@ -8,6 +8,7 @@
 #include "common/telemetry.h"
 #include "ml/early_stopping.h"
 #include "ml/histogram.h"
+#include "ml/serialization.h"
 
 namespace nextmaint {
 namespace ml {
@@ -340,57 +341,46 @@ Result<std::vector<double>> HistGradientBoostingRegressor::PredictBatchImpl(
 }
 
 
-Status HistGradientBoostingRegressor::Save(std::ostream& out) const {
-  if (!fitted_) {
-    return Status::FailedPrecondition("cannot save an unfitted XGB model");
-  }
-  out.precision(17);
-  out << "nextmaint-model v1 XGB\n";
-  out << "base " << base_score_ << "\n";
-  out << "features " << num_features_ << "\n";
+void HistGradientBoostingRegressor::SaveBody(ModelWriter& out) const {
+  out.Line("base", base_score_);
+  out.Line("features", num_features_);
   // Resumable state: the hyper-parameters ContinueFit needs to extend the
   // ensemble after a round trip (num_iterations stays out — the resume
   // budget is the caller's extra_rounds). Readers predate this line, so
   // LoadBody treats it as optional.
-  out << "resume " << options_.learning_rate << " " << options_.max_depth
-      << " " << options_.min_samples_leaf << " " << options_.max_bins << " "
-      << options_.l2 << " " << options_.min_gain << " "
-      << options_.validation_fraction << " "
-      << options_.early_stopping_rounds << "\n";
-  out << "trees " << trees_.size() << "\n";
+  out.Line("resume", options_.learning_rate, options_.max_depth,
+           options_.min_samples_leaf, options_.max_bins, options_.l2,
+           options_.min_gain, options_.validation_fraction,
+           options_.early_stopping_rounds);
+  out.Line("trees", trees_.size());
   for (const Tree& tree : trees_) {
-    out << "nodes " << tree.size() << "\n";
+    out.Line("nodes", tree.size());
     for (const TreeNode& node : tree) {
-      out << node.left << " " << node.right << " " << node.feature << " "
-          << node.threshold << " " << node.value << "\n";
+      out.Line(node.left, node.right, node.feature, node.threshold,
+               node.value);
     }
   }
-  out << "end\n";
-  if (!out) return Status::IOError("XGB serialization failed");
-  return Status::OK();
+  out.Line("end");
 }
 
 Result<HistGradientBoostingRegressor>
-HistGradientBoostingRegressor::LoadBody(std::istream& in) {
-  std::string token;
+HistGradientBoostingRegressor::LoadBody(ModelReader& in) {
   HistGradientBoostingRegressor model;
   size_t tree_count = 0;
-  if (!(in >> token >> model.base_score_) || token != "base") {
+  if (!in.Expect("base") || !in.Read(model.base_score_)) {
     return Status::DataError("XGB: expected 'base <b>'");
   }
-  if (!(in >> token >> model.num_features_) || token != "features") {
+  if (!in.Expect("features") || !in.Read(model.num_features_)) {
     return Status::DataError("XGB: expected 'features <p>'");
   }
-  if (!(in >> token)) {
-    return Status::DataError("XGB: truncated after 'features'");
-  }
+  std::string_view token = in.Token();
   if (token == "resume") {
     // Optional resumable-state line (absent in pre-warm-start files, whose
     // models load fine but resume with default hyper-parameters).
     Options& o = model.options_;
-    if (!(in >> o.learning_rate >> o.max_depth >> o.min_samples_leaf >>
-          o.max_bins >> o.l2 >> o.min_gain >> o.validation_fraction >>
-          o.early_stopping_rounds)) {
+    if (!in.Read(o.learning_rate, o.max_depth, o.min_samples_leaf,
+                 o.max_bins, o.l2, o.min_gain, o.validation_fraction,
+                 o.early_stopping_rounds)) {
       return Status::DataError("XGB: truncated 'resume' line");
     }
     if (o.learning_rate <= 0.0 || o.min_samples_leaf < 1 ||
@@ -399,43 +389,39 @@ HistGradientBoostingRegressor::LoadBody(std::istream& in) {
         o.early_stopping_rounds < 1) {
       return Status::DataError("XGB: 'resume' values out of range");
     }
-    if (!(in >> token)) {
-      return Status::DataError("XGB: truncated after 'resume'");
-    }
+    token = in.Token();
   }
-  if (!(in >> tree_count) || token != "trees") {
+  if (token != "trees" || !in.Read(tree_count)) {
     return Status::DataError("XGB: expected 'trees <k>'");
   }
-  if (tree_count > 1'000'000) {
+  // A tree is at least 7 tokens: 'nodes <n>' and one node line.
+  if (!in.CanHold(tree_count, 7)) {
     return Status::DataError("XGB: implausible tree count");
   }
   model.trees_.reserve(tree_count);
   for (size_t t = 0; t < tree_count; ++t) {
     size_t node_count = 0;
-    if (!(in >> token >> node_count) || token != "nodes") {
+    if (!in.Expect("nodes") || !in.Read(node_count)) {
       return Status::DataError("XGB: expected 'nodes <n>'");
     }
-    if (node_count == 0 || node_count > 50'000'000) {
+    // Five tokens per node line, checked before the count sizes the tree.
+    if (node_count == 0 || !in.CanHold(node_count, 5)) {
       return Status::DataError("XGB: implausible node count");
     }
     Tree tree(node_count);
-    for (TreeNode& node : tree) {
-      if (!(in >> node.left >> node.right >> node.feature >>
-            node.threshold >> node.value)) {
+    for (size_t i = 0; i < node_count; ++i) {
+      TreeNode& node = tree[i];
+      if (!in.Read(node.left, node.right, node.feature, node.threshold,
+                   node.value)) {
         return Status::DataError("XGB: truncated node list");
       }
-      if (!node.is_leaf() &&
-          (node.left < 0 || node.left >= static_cast<int32_t>(node_count) ||
-           node.right < 0 ||
-           node.right >= static_cast<int32_t>(node_count) ||
-           node.feature < 0 ||
-           node.feature >= static_cast<int32_t>(model.num_features_))) {
+      if (!ValidTreeNode(node, i, node_count, model.num_features_)) {
         return Status::DataError("XGB: node indices out of range");
       }
     }
     model.trees_.push_back(std::move(tree));
   }
-  if (!(in >> token) || token != "end") {
+  if (!in.Expect("end")) {
     return Status::DataError("XGB: missing end marker");
   }
   model.fitted_ = true;

@@ -80,10 +80,8 @@ class HistGradientBoostingRegressor final : public Regressor {
   std::unique_ptr<Regressor> Clone() const override {
     return std::make_unique<HistGradientBoostingRegressor>(*this);
   }
-  [[nodiscard]] Status Save(std::ostream& out) const override;
-
   /// Reads a model body serialized by Save (header already consumed).
-  [[nodiscard]] static Result<HistGradientBoostingRegressor> LoadBody(std::istream& in);
+  [[nodiscard]] static Result<HistGradientBoostingRegressor> LoadBody(ModelReader& in);
 
   /// Number of trees in the fitted ensemble.
   size_t tree_count() const { return trees_.size(); }
@@ -105,6 +103,7 @@ class HistGradientBoostingRegressor final : public Regressor {
 
  protected:
   [[nodiscard]] Status FitImpl(const Dataset& train) override;
+  void SaveBody(ModelWriter& out) const override;
   /// Warm-start resume: keeps base score and fitted trees, seeds the
   /// working predictions from the existing ensemble over `train` and
   /// boosts for up to `extra_rounds` more stages (the early-stopping

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/macros.h"
+#include "ml/serialization.h"
 
 namespace nextmaint {
 namespace ml {
@@ -83,37 +84,31 @@ Result<double> LinearRegression::Predict(
 }
 
 
-Status LinearRegression::Save(std::ostream& out) const {
-  if (!fitted_) {
-    return Status::FailedPrecondition("cannot save an unfitted LR model");
-  }
-  out.precision(17);
-  out << "nextmaint-model v1 LR\n";
-  out << "weights " << weights_.size();
-  for (double w : weights_) out << " " << w;
-  out << "\nintercept " << intercept_ << "\nend\n";
-  if (!out) return Status::IOError("LR serialization failed");
-  return Status::OK();
+void LinearRegression::SaveBody(ModelWriter& out) const {
+  out.Put("weights ").Put(weights_.size());
+  for (double w : weights_) out.Put(' ').Put(w);
+  out.Put('\n');
+  out.Line("intercept", intercept_);
+  out.Line("end");
 }
 
-Result<LinearRegression> LinearRegression::LoadBody(std::istream& in) {
-  std::string token;
+Result<LinearRegression> LinearRegression::LoadBody(ModelReader& in) {
   size_t count = 0;
-  if (!(in >> token >> count) || token != "weights") {
+  if (!in.Expect("weights") || !in.Read(count)) {
     return Status::DataError("LR: expected 'weights <n>'");
   }
-  if (count > 1'000'000) {
+  if (!in.CanHold(count, 1)) {
     return Status::DataError("LR: implausible weight count");
   }
   LinearRegression model;
   model.weights_.resize(count);
   for (double& w : model.weights_) {
-    if (!(in >> w)) return Status::DataError("LR: truncated weights");
+    if (!in.Read(w)) return Status::DataError("LR: truncated weights");
   }
-  if (!(in >> token >> model.intercept_) || token != "intercept") {
+  if (!in.Expect("intercept") || !in.Read(model.intercept_)) {
     return Status::DataError("LR: expected 'intercept <b>'");
   }
-  if (!(in >> token) || token != "end") {
+  if (!in.Expect("end")) {
     return Status::DataError("LR: missing end marker");
   }
   model.fitted_ = true;

@@ -37,10 +37,8 @@ class LinearRegression final : public Regressor {
   std::unique_ptr<Regressor> Clone() const override {
     return std::make_unique<LinearRegression>(*this);
   }
-  [[nodiscard]] Status Save(std::ostream& out) const override;
-
   /// Reads a model body serialized by Save (header already consumed).
-  [[nodiscard]] static Result<LinearRegression> LoadBody(std::istream& in);
+  [[nodiscard]] static Result<LinearRegression> LoadBody(ModelReader& in);
 
   /// Fitted weights, one per feature (excluding the intercept).
   const std::vector<double>& weights() const { return weights_; }
@@ -49,6 +47,7 @@ class LinearRegression final : public Regressor {
 
  protected:
   [[nodiscard]] Status FitImpl(const Dataset& train) override;
+  void SaveBody(ModelWriter& out) const override;
 
  private:
   Options options_;

@@ -6,6 +6,7 @@
 
 #include "common/macros.h"
 #include "common/rng.h"
+#include "ml/serialization.h"
 
 namespace nextmaint {
 namespace ml {
@@ -152,37 +153,31 @@ Result<double> LinearSvr::Predict(std::span<const double> features) const {
 }
 
 
-Status LinearSvr::Save(std::ostream& out) const {
-  if (!fitted_) {
-    return Status::FailedPrecondition("cannot save an unfitted LSVR model");
-  }
-  out.precision(17);
-  out << "nextmaint-model v1 LSVR\n";
-  out << "weights " << weights_.size();
-  for (double w : weights_) out << " " << w;
-  out << "\nintercept " << intercept_ << "\nend\n";
-  if (!out) return Status::IOError("LSVR serialization failed");
-  return Status::OK();
+void LinearSvr::SaveBody(ModelWriter& out) const {
+  out.Put("weights ").Put(weights_.size());
+  for (double w : weights_) out.Put(' ').Put(w);
+  out.Put('\n');
+  out.Line("intercept", intercept_);
+  out.Line("end");
 }
 
-Result<LinearSvr> LinearSvr::LoadBody(std::istream& in) {
-  std::string token;
+Result<LinearSvr> LinearSvr::LoadBody(ModelReader& in) {
   size_t count = 0;
-  if (!(in >> token >> count) || token != "weights") {
+  if (!in.Expect("weights") || !in.Read(count)) {
     return Status::DataError("LSVR: expected 'weights <n>'");
   }
-  if (count > 1'000'000) {
+  if (!in.CanHold(count, 1)) {
     return Status::DataError("LSVR: implausible weight count");
   }
   LinearSvr model;
   model.weights_.resize(count);
   for (double& w : model.weights_) {
-    if (!(in >> w)) return Status::DataError("LSVR: truncated weights");
+    if (!in.Read(w)) return Status::DataError("LSVR: truncated weights");
   }
-  if (!(in >> token >> model.intercept_) || token != "intercept") {
+  if (!in.Expect("intercept") || !in.Read(model.intercept_)) {
     return Status::DataError("LSVR: expected 'intercept <b>'");
   }
-  if (!(in >> token) || token != "end") {
+  if (!in.Expect("end")) {
     return Status::DataError("LSVR: missing end marker");
   }
   model.fitted_ = true;

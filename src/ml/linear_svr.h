@@ -53,10 +53,8 @@ class LinearSvr final : public Regressor {
   std::unique_ptr<Regressor> Clone() const override {
     return std::make_unique<LinearSvr>(*this);
   }
-  [[nodiscard]] Status Save(std::ostream& out) const override;
-
   /// Reads a model body serialized by Save (header already consumed).
-  [[nodiscard]] static Result<LinearSvr> LoadBody(std::istream& in);
+  [[nodiscard]] static Result<LinearSvr> LoadBody(ModelReader& in);
 
   /// Weights in input-feature scale.
   const std::vector<double>& weights() const { return weights_; }
@@ -67,6 +65,7 @@ class LinearSvr final : public Regressor {
 
  protected:
   [[nodiscard]] Status FitImpl(const Dataset& train) override;
+  void SaveBody(ModelWriter& out) const override;
 
  private:
   Options options_;

@@ -7,6 +7,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
+#include "ml/serialization.h"
 
 namespace nextmaint {
 namespace ml {
@@ -341,43 +342,33 @@ Result<std::vector<double>> RandomForestRegressor::PredictBatchImpl(
 }
 
 
-Status RandomForestRegressor::Save(std::ostream& out) const {
-  if (trees_.empty()) {
-    return Status::FailedPrecondition("cannot save an unfitted RF model");
-  }
-  out.precision(17);
-  out << "nextmaint-model v1 RF\n";
+void RandomForestRegressor::SaveBody(ModelWriter& out) const {
   // Resumable state: the hyper-parameters and seed ContinueFit needs to
   // extend the forest after a round trip (num_estimators stays out — the
   // resume budget is the caller's extra_rounds). Readers predate this
   // line, so LoadBody treats it as optional.
-  out << "resume " << options_.max_depth << " " << options_.min_samples_split
-      << " " << options_.min_samples_leaf << " " << options_.max_features
-      << " " << options_.bootstrap_fraction << " " << options_.seed << " "
-      << options_.max_bins << "\n";
-  out << "trees " << trees_.size() << "\n";
+  out.Line("resume", options_.max_depth, options_.min_samples_split,
+           options_.min_samples_leaf, options_.max_features,
+           options_.bootstrap_fraction, options_.seed, options_.max_bins);
+  out.Line("trees", trees_.size());
   for (const DecisionTreeRegressor& tree : trees_) {
-    NM_RETURN_NOT_OK(tree.Save(out));
+    // A fitted forest holds only fitted trees, which always save.
+    NM_CHECK(tree.Save(out).ok());
   }
-  out << "end\n";
-  if (!out) return Status::IOError("RF serialization failed");
-  return Status::OK();
+  out.Line("end");
 }
 
 Result<RandomForestRegressor> RandomForestRegressor::LoadBody(
-    std::istream& in) {
-  std::string token;
+    ModelReader& in) {
   size_t count = 0;
   RandomForestRegressor model;
-  if (!(in >> token)) {
-    return Status::DataError("RF: truncated body");
-  }
+  std::string_view token = in.Token();
   if (token == "resume") {
     // Optional resumable-state line (absent in pre-warm-start files, whose
     // models load fine but resume with default hyper-parameters).
     Options& o = model.options_;
-    if (!(in >> o.max_depth >> o.min_samples_split >> o.min_samples_leaf >>
-          o.max_features >> o.bootstrap_fraction >> o.seed >> o.max_bins)) {
+    if (!in.Read(o.max_depth, o.min_samples_split, o.min_samples_leaf,
+                 o.max_features, o.bootstrap_fraction, o.seed, o.max_bins)) {
       return Status::DataError("RF: truncated 'resume' line");
     }
     if (o.min_samples_split < 1 || o.min_samples_leaf < 1 ||
@@ -385,27 +376,27 @@ Result<RandomForestRegressor> RandomForestRegressor::LoadBody(
         o.max_bins < 2 || o.max_bins > 65535) {
       return Status::DataError("RF: 'resume' values out of range");
     }
-    if (!(in >> token)) {
-      return Status::DataError("RF: truncated after 'resume'");
-    }
+    token = in.Token();
   }
-  if (!(in >> count) || token != "trees") {
+  if (token != "trees" || !in.Read(count)) {
     return Status::DataError("RF: expected 'trees <k>'");
   }
-  if (count == 0 || count > 1'000'000) {
+  // An embedded tree is at least 13 tokens: its header, 'features <p>',
+  // 'nodes <n>', one node line and 'end'.
+  if (count == 0 || !in.CanHold(count, 13)) {
     return Status::DataError("RF: implausible tree count");
   }
   model.trees_.reserve(count);
   for (size_t t = 0; t < count; ++t) {
-    std::string magic, version, name;
-    if (!(in >> magic >> version >> name) || name != "Tree") {
+    Result<std::string> name = ReadModelHeader(in);
+    if (!name.ok() || name.ValueOrDie() != "Tree") {
       return Status::DataError("RF: expected embedded tree header");
     }
     NM_ASSIGN_OR_RETURN(DecisionTreeRegressor tree,
                         DecisionTreeRegressor::LoadBody(in));
     model.trees_.push_back(std::move(tree));
   }
-  if (!(in >> token) || token != "end") {
+  if (!in.Expect("end")) {
     return Status::DataError("RF: missing end marker");
   }
   return model;

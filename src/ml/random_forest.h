@@ -60,10 +60,8 @@ class RandomForestRegressor final : public Regressor {
   std::unique_ptr<Regressor> Clone() const override {
     return std::make_unique<RandomForestRegressor>(*this);
   }
-  [[nodiscard]] Status Save(std::ostream& out) const override;
-
   /// Reads a model body serialized by Save (header already consumed).
-  [[nodiscard]] static Result<RandomForestRegressor> LoadBody(std::istream& in);
+  [[nodiscard]] static Result<RandomForestRegressor> LoadBody(ModelReader& in);
 
   /// Mean impurity-based feature importances across the trees (normalized
   /// to sum to 1; zeros when every tree is a stump).
@@ -89,6 +87,7 @@ class RandomForestRegressor final : public Regressor {
 
  protected:
   [[nodiscard]] Status FitImpl(const Dataset& train) override;
+  void SaveBody(ModelWriter& out) const override;
   /// Warm-start resume: appends `extra_rounds` trees bootstrapped from the
   /// grown training set. The continuation draws bootstrap samples and tree
   /// seeds from Rng(seed ^ golden_ratio * tree_count()), so the appended

@@ -3,6 +3,7 @@
 #include "common/failpoints.h"
 #include "common/macros.h"
 #include "common/telemetry.h"
+#include "ml/serialization.h"
 
 namespace nextmaint {
 namespace ml {
@@ -44,6 +45,25 @@ Status Regressor::ContinueFitImpl(const Dataset& /*train*/,
                                   int /*extra_rounds*/) {
   return Status::InvalidArgument(name() +
                                  " does not support warm-start training");
+}
+
+Status Regressor::Save(ModelWriter& out) const {
+  if (!is_fitted()) {
+    return Status::FailedPrecondition("cannot save an unfitted " + name() +
+                                      " model");
+  }
+  out.Line(kModelMagic, kModelVersion, name());
+  SaveBody(out);
+  return Status::OK();
+}
+
+Status Regressor::Save(std::ostream& out) const {
+  std::string text;
+  ModelWriter writer(text);
+  NM_RETURN_NOT_OK(Save(writer));
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  if (!out) return Status::IOError(name() + " serialization failed");
+  return Status::OK();
 }
 
 Result<std::vector<double>> Regressor::PredictBatch(const Matrix& x) const {

@@ -2,7 +2,6 @@
 #define NEXTMAINT_ML_REGRESSOR_H_
 
 #include <functional>
-#include <istream>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -18,6 +17,9 @@
 
 namespace nextmaint {
 namespace ml {
+
+class ModelReader;
+class ModelWriter;
 
 /// Flat hyper-parameter assignment used by the grid-search machinery.
 /// Every tunable of every model is expressible as a double (integer
@@ -77,11 +79,19 @@ class Regressor {
   virtual std::unique_ptr<Regressor> Clone() const = 0;
 
   /// Serializes the fitted model to a line-oriented text format that
-  /// ml::LoadRegressor (or core::LoadAnyModel for BL) can read back.
-  /// Fails with FailedPrecondition on unfitted models.
-  virtual Status Save(std::ostream& out) const = 0;
+  /// ml::LoadRegressor (or core::LoadAnyModel for BL) can read back: the
+  /// "nextmaint-model v1 <name>" header line, then the model's body.
+  /// Fails with FailedPrecondition on unfitted models, writing nothing.
+  [[nodiscard]] Status Save(ModelWriter& out) const;
+
+  /// Stream adapter over Save(ModelWriter&); writes the same bytes.
+  [[nodiscard]] Status Save(std::ostream& out) const;
 
  protected:
+  /// Model-specific body, through its closing "end" line; called by Save
+  /// on a fitted model after the header line.
+  virtual void SaveBody(ModelWriter& out) const = 0;
+
   /// Model-specific training; called by Fit.
   virtual Status FitImpl(const Dataset& train) = 0;
 

@@ -1,5 +1,7 @@
 #include "ml/serialization.h"
 
+#include <cmath>
+
 #include "common/macros.h"
 
 #include "ml/decision_tree.h"
@@ -11,27 +13,69 @@
 namespace nextmaint {
 namespace ml {
 
-Result<std::string> ReadModelHeader(std::istream& in) {
-  std::string magic, version, name;
-  if (!(in >> magic >> version >> name)) {
+namespace {
+
+/// The C locale's isspace, which is what `istream >>` splits tokens on.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
+
+ModelWriter& ModelWriter::Put(double value) {
+  // "-2.2250738585072014e-308" is 24 characters, the longest %.17g form.
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                    std::chars_format::general, 17);
+  out_.append(buffer, result.ptr);
+  return *this;
+}
+
+std::string_view ModelReader::Token() {
+  while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
+  const size_t begin = pos_;
+  while (pos_ < text_.size() && !IsSpace(text_[pos_])) ++pos_;
+  return text_.substr(begin, pos_ - begin);
+}
+
+bool ModelReader::ReadOne(double& value) {
+  const std::string_view token = Token();
+  const char* end = token.data() + token.size();
+  const auto result = std::from_chars(token.data(), end, value);
+  // from_chars also accepts "nan" and "inf", which `istream >> double`
+  // never did and Save never writes.
+  return result.ec == std::errc() && result.ptr == end &&
+         std::isfinite(value);
+}
+
+Result<std::string> ReadModelHeader(ModelReader& in) {
+  const std::string_view magic = in.Token();
+  const std::string_view version = in.Token();
+  const std::string_view name = in.Token();
+  if (name.empty()) {
     return Status::DataError("truncated model header");
   }
   if (magic != kModelMagic) {
-    return Status::DataError("bad model magic: '" + magic + "'");
+    return Status::DataError("bad model magic: '" + std::string(magic) + "'");
   }
   if (version != kModelVersion) {
-    return Status::DataError("unsupported model format version: " + version);
+    return Status::DataError("unsupported model format version: " +
+                             std::string(version));
   }
-  return name;
+  return std::string(name);
 }
 
-Result<std::unique_ptr<Regressor>> LoadRegressor(std::istream& in) {
+Result<std::unique_ptr<Regressor>> LoadRegressor(ModelReader& in) {
   NM_ASSIGN_OR_RETURN(std::string name, ReadModelHeader(in));
   return LoadRegressorBody(name, in);
 }
 
+Result<std::unique_ptr<Regressor>> LoadRegressor(std::istream& in) {
+  const std::string text = ReadModelText(in);
+  ModelReader reader(text);
+  return LoadRegressor(reader);
+}
+
 Result<std::unique_ptr<Regressor>> LoadRegressorBody(const std::string& name,
-                                                     std::istream& in) {
+                                                     ModelReader& in) {
   if (name == "LR") {
     NM_ASSIGN_OR_RETURN(LinearRegression model, LinearRegression::LoadBody(in));
     return std::unique_ptr<Regressor>(
@@ -61,6 +105,24 @@ Result<std::unique_ptr<Regressor>> LoadRegressorBody(const std::string& name,
         std::make_unique<HistGradientBoostingRegressor>(std::move(model)));
   }
   return Status::NotFound("unknown serialized model type: '" + name + "'");
+}
+
+std::string ReadModelText(std::istream& in) {
+  std::string text;
+  std::string line;
+  int depth = 0;
+  while (std::getline(in, line)) {
+    text.append(line).push_back('\n');
+    const std::string_view first = ModelReader(line).Token();
+    if (first.empty()) continue;
+    if (first == kModelMagic) {
+      ++depth;
+    } else if (first == "end") {
+      --depth;
+    }
+    if (depth <= 0) break;
+  }
+  return text;
 }
 
 }  // namespace ml

@@ -95,15 +95,14 @@ class ConstantModel final : public Regressor {
   std::unique_ptr<Regressor> Clone() const override {
     return std::make_unique<ConstantModel>(*this);
   }
-  Status Save(std::ostream& /*out*/) const override {
-    return Status::InvalidArgument("Const is a test-only model");
-  }
 
  protected:
   Status FitImpl(const Dataset& /*train*/) override {
     fitted_ = true;
     return Status::OK();
   }
+  // Test-only model: never serialized.
+  void SaveBody(ModelWriter& /*out*/) const override {}
 
  private:
   double value_ = 0.0;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/telemetry.h"
 #include "core/dataset_builder.h"
 #include "core/old_vehicle.h"
 #include "core/scheduler.h"
@@ -168,7 +169,8 @@ core::SchedulerOptions SchedulerOptionsWithThreads(int num_threads) {
   return options;
 }
 
-core::FleetScheduler TrainedScheduler(int num_threads) {
+/// The mixed test fleet registered and ingested, not yet trained.
+core::FleetScheduler IngestedScheduler(int num_threads) {
   core::FleetScheduler scheduler(SchedulerOptionsWithThreads(num_threads));
   // Mixed fleet: several old vehicles (per-vehicle selection), one
   // semi-new, one new — every training branch runs.
@@ -188,9 +190,34 @@ core::FleetScheduler TrainedScheduler(int num_threads) {
                                   SimulatedVehicle(vehicle.seed, vehicle.days))
                     .ok());
   }
+  return scheduler;
+}
+
+core::FleetScheduler TrainedScheduler(int num_threads) {
+  core::FleetScheduler scheduler = IngestedScheduler(num_threads);
   const Status trained = scheduler.TrainAll();
   EXPECT_TRUE(trained.ok()) << trained.ToString();
   return scheduler;
+}
+
+std::string CheckpointBytes(const core::FleetScheduler& scheduler,
+                            const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  EXPECT_TRUE(scheduler.SaveCheckpoint(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  std::remove(path.c_str());
+  return bytes.str();
+}
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
 }
 
 TEST(ParallelDeterminismTest, FleetSchedulerForecastsBitIdentical) {
@@ -213,18 +240,39 @@ TEST(ParallelDeterminismTest, FleetSchedulerForecastsBitIdentical) {
   }
 
   // The persisted per-vehicle models must match byte for byte as well.
-  const auto checkpoint_bytes = [](const core::FleetScheduler& scheduler,
-                                   const std::string& name) {
-    const std::string path = ::testing::TempDir() + "/" + name;
-    EXPECT_TRUE(scheduler.SaveCheckpoint(path).ok());
-    std::ifstream in(path);
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    std::remove(path.c_str());
-    return bytes.str();
+  EXPECT_EQ(CheckpointBytes(serial, "determinism_serial.txt"),
+            CheckpointBytes(parallel, "determinism_parallel.txt"));
+}
+
+TEST(ParallelDeterminismTest, CheckpointBytesPinnedAndStableOverRoundTrip) {
+  const core::FleetScheduler trained = TrainedScheduler(4);
+  const std::string saved = CheckpointBytes(trained, "pinned.ckpt");
+  // Pinned on the iostream-based model codec: the segmented file's bytes
+  // must not move when the codec or the save's parallelism changes.
+  EXPECT_EQ(Fnv1a(saved), 0x489bc6bc2cc8293cULL);
+
+  // Save -> load -> materialize every model -> save reproduces the file,
+  // at either thread count of the restoring scheduler. The forecast parses
+  // every segment, so the re-save serializes live models, not copies.
+  const std::string path = ::testing::TempDir() + "/round_trip.ckpt";
+  ASSERT_TRUE(trained.SaveCheckpoint(path).ok());
+  const auto materializations = [] {
+    const telemetry::MetricsSnapshot snapshot = telemetry::Snapshot();
+    const auto it =
+        snapshot.counters.find("scheduler.checkpoint.lazy_materializations");
+    return it == snapshot.counters.end() ? uint64_t{0} : it->second;
   };
-  EXPECT_EQ(checkpoint_bytes(serial, "determinism_serial.txt"),
-            checkpoint_bytes(parallel, "determinism_parallel.txt"));
+  telemetry::SetEnabled(true);
+  for (const int threads : {1, 4}) {
+    core::FleetScheduler restored = IngestedScheduler(threads);
+    ASSERT_TRUE(restored.LoadCheckpoint(path).ok());
+    const uint64_t before = materializations();
+    ASSERT_TRUE(restored.FleetForecast().ok());
+    EXPECT_EQ(materializations() - before, restored.VehicleIds().size());
+    EXPECT_EQ(CheckpointBytes(restored, "resaved.ckpt"), saved) << threads;
+  }
+  telemetry::SetEnabled(false);
+  std::remove(path.c_str());
 }
 
 TEST(ParallelDeterminismTest, PaperMetricsUnchangedByThreadCount) {

@@ -1,16 +1,66 @@
 // Round-trip tests for model persistence: every model in the zoo (plus the
 // core BL predictor) must survive Save -> Load with bit-identical
-// predictions, and the loader must reject corrupt input.
+// predictions, the saved bytes are pinned, and the loader must reject
+// corrupt input without crashing or over-allocating (fuzzed).
 
 #include "ml/serialization.h"
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <map>
+#include <new>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/macros.h"
 #include "common/rng.h"
 #include "core/baseline.h"
 #include "ml/registry.h"
+
+// The decoder fuzz tests bound the largest single allocation a load makes.
+// The global allocation functions of this test binary are replaced so the
+// test thread can record request sizes while a probe is open; every form
+// is replaced, so under ASan allocation and deallocation still pair up.
+namespace {
+thread_local bool probing_allocations = false;
+thread_local std::size_t largest_allocation = 0;
+
+void* TrackedMalloc(std::size_t size) noexcept {
+  if (probing_allocations && size > largest_allocation) {
+    largest_allocation = size;
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* TrackedNew(std::size_t size) {
+  if (void* p = TrackedMalloc(size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return TrackedNew(size); }
+void* operator new[](std::size_t size) { return TrackedNew(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return TrackedMalloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return TrackedMalloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace nextmaint {
 namespace ml {
@@ -66,19 +116,19 @@ INSTANTIATE_TEST_SUITE_P(AllModels, SerializationRoundTripTest,
 
 TEST(SerializationTest, HeaderValidation) {
   {
-    std::stringstream in("wrong-magic v1 LR\n");
+    ModelReader in("wrong-magic v1 LR\n");
     EXPECT_EQ(ReadModelHeader(in).status().code(), StatusCode::kDataError);
   }
   {
-    std::stringstream in("nextmaint-model v999 LR\n");
+    ModelReader in("nextmaint-model v999 LR\n");
     EXPECT_EQ(ReadModelHeader(in).status().code(), StatusCode::kDataError);
   }
   {
-    std::stringstream in("");
+    ModelReader in("");
     EXPECT_FALSE(ReadModelHeader(in).ok());
   }
   {
-    std::stringstream in("nextmaint-model v1 LR more");
+    ModelReader in("nextmaint-model v1 LR more");
     EXPECT_EQ(ReadModelHeader(in).ValueOrDie(), "LR");
   }
 }
@@ -137,6 +187,295 @@ TEST(SerializationTest, BaselineRejectsNonPositiveParams) {
   std::stringstream in(
       "nextmaint-model v1 BL\navg -5\nlscale 1\nend\n");
   EXPECT_EQ(core::LoadAnyModel(in).status().code(), StatusCode::kDataError);
+}
+
+// ---------------------------------------------------------------------------
+// Byte-identity pins. The expected values were generated by the
+// iostream-based codec (`ostream << double` at precision 17, i.e. %.17g);
+// any later codec must reproduce them byte for byte.
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::string Saved(const Regressor& model) {
+  std::ostringstream out;
+  EXPECT_TRUE(model.Save(out).ok()) << model.name();
+  return std::move(out).str();
+}
+
+TEST(SerializationGoldenTest, SaveBytesPinnedPerModelKind) {
+  const Dataset data = MakeData(42);
+  std::map<std::string, uint64_t> actual;
+  actual["BL"] = Fnv1a(Saved(core::BaselinePredictor(12'345.0, 1.0 / 3.0)));
+  for (const std::string& name : RegisteredModelNames()) {
+    auto model = MakeRegressor(name).MoveValueOrDie();
+    ASSERT_TRUE(model->Fit(data).ok()) << name;
+    actual[name] = Fnv1a(Saved(*model));
+  }
+  const std::map<std::string, uint64_t> expected = {
+      {"BL", 0xc24e2feef8e40063ULL},   {"LR", 0x7316bdaa77269571ULL},
+      {"LSVR", 0xeb3ad130fd2d6016ULL}, {"Tree", 0x221aa670b7d3243aULL},
+      {"RF", 0x884c159c92eed4d2ULL},   {"XGB", 0x5025c1143f4bb20aULL},
+  };
+  EXPECT_EQ(actual, expected);
+}
+
+// A hand-built tree whose thresholds and values sit on the %.17g edge
+// cases: signed zero, a subnormal, a value with no short decimal form,
+// both sides of the fixed/scientific switch at 17 digits and at 1e-4,
+// stripped trailing zeros, +-DBL_MAX, -DBL_MIN and negative exponents. Loading and re-saving it reproduces the
+// text exactly, so parsing is bit-exact and formatting is %.17g.
+constexpr const char* kEdgeTree =
+    "nextmaint-model v1 Tree\n"
+    "features 2\n"
+    "nodes 7\n"
+    "1 2 0 -0 0.10000000000000001\n"
+    "3 4 1 4.9406564584124654e-324 10000000000000000\n"
+    "5 6 0 1.2345678901234568e+17 -1.7976931348623157e+308\n"
+    "-1 -1 -1 0.0001 1.0000000000000001e-05\n"
+    "-1 -1 -1 -2.2250738585072014e-308 1.7976931348623157e+308\n"
+    "-1 -1 -1 123.456 -9.8765432100000005e-100\n"
+    "-1 -1 -1 0 3.0000000000000004\n"
+    "end\n";
+
+TEST(SerializationGoldenTest, EdgeValueTreeRoundTripsByteIdentical) {
+  std::istringstream in(kEdgeTree);
+  auto tree = LoadRegressor(in).MoveValueOrDie();
+  const std::string saved = Saved(*tree);
+  EXPECT_EQ(saved, kEdgeTree);
+}
+
+TEST(SerializationTest, WriterPrintsDoublesAsPrintfG17) {
+  Rng rng(17);
+  std::string written;
+  std::string expected;
+  ModelWriter writer(written);
+  char buffer[80];
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t bits = rng.NextUint64();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (!std::isfinite(value)) value = rng.Uniform(-1e6, 1e6);
+    writer.Line(value, static_cast<int32_t>(bits), bits);
+    std::snprintf(buffer, sizeof(buffer), "%.17g %d %llu\n", value,
+                  static_cast<int32_t>(bits),
+                  static_cast<unsigned long long>(bits));
+    expected += buffer;
+  }
+  EXPECT_EQ(written, expected);
+}
+
+TEST(SerializationTest, ReaderParsesWhatTheWriterPrints) {
+  const double values[] = {-0.0, 5e-324, DBL_MIN, 0.1, 1e16,
+                           123456789012345680.0, DBL_MAX, -1e-5};
+  std::string text;
+  ModelWriter writer(text);
+  for (const double value : values) writer.Line(value);
+  ModelReader reader(text);
+  for (const double value : values) {
+    double parsed = 1.0;
+    ASSERT_TRUE(reader.Read(parsed)) << value;
+    EXPECT_EQ(std::memcmp(&parsed, &value, sizeof(value)), 0) << value;
+  }
+  EXPECT_TRUE(reader.Token().empty());
+}
+
+TEST(SerializationTest, ReaderRejectsNonFiniteAndSignedNumbers) {
+  // from_chars alone would accept the non-finite spellings; `istream >>`
+  // never did, and Save never writes them or a leading '+'.
+  for (const char* token : {"nan", "-nan", "NaN", "inf", "-inf", "infinity",
+                            "+1", "+0.5", "1e400", "0x10", "1.5x", ""}) {
+    ModelReader reader(token);
+    double value = 0.0;
+    EXPECT_FALSE(reader.Read(value)) << "'" << token << "'";
+    std::istringstream model(std::string("nextmaint-model v1 BL\navg ") +
+                             token + "\nlscale 1\nend\n");
+    EXPECT_EQ(core::LoadAnyModel(model).status().code(),
+              StatusCode::kDataError)
+        << "'" << token << "'";
+  }
+  for (const char* token : {"+1", "1.0", "1e3", "99999999999"}) {
+    ModelReader reader(token);
+    int32_t value = 0;
+    EXPECT_FALSE(reader.Read(value)) << "'" << token << "'";
+  }
+}
+
+TEST(SerializationTest, CyclicTreeRejected) {
+  // Child 0 points back at the root: Predict would never reach a leaf.
+  std::stringstream in(
+      "nextmaint-model v1 Tree\n"
+      "features 1\n"
+      "nodes 2\n"
+      "1 0 0 0.5 1.0\n"
+      "-1 -1 -1 0 2.0\n"
+      "end\n");
+  EXPECT_EQ(LoadRegressor(in).status().code(), StatusCode::kDataError);
+}
+
+// ---------------------------------------------------------------------------
+// Decoder fuzzing, mirroring the checkpoint decoders' fuzz suite: mutated
+// payloads of every model kind must load or fail with DataError/NotFound,
+// never crash, and never allocate more than a small multiple of their size.
+
+/// Largest single allocation a load of `text` may make: node arrays take
+/// about 4x the bytes of their text and forest tree arrays a few times
+/// more, plus a fixed allowance for names and messages.
+size_t AllocationBound(const std::string& text) {
+  return 16 * text.size() + 4096;
+}
+
+struct DecodeOutcome {
+  Result<std::unique_ptr<Regressor>> model;
+  size_t largest_allocation;
+};
+
+DecodeOutcome ProbedLoad(const std::string& text) {
+  ModelReader reader(text);
+  largest_allocation = 0;
+  probing_allocations = true;
+  Result<std::unique_ptr<Regressor>> model = core::LoadAnyModel(reader);
+  probing_allocations = false;
+  return {std::move(model), largest_allocation};
+}
+
+/// A real, small payload of each kind (small so that 2000 mutations stay
+/// fast under the sanitizers).
+std::string FuzzSeedPayload(const std::string& kind) {
+  std::string text;
+  ModelWriter writer(text);
+  if (kind == "BL") {
+    EXPECT_TRUE(core::BaselinePredictor(12'345.0, 1.0 / 3.0).Save(writer).ok());
+    return text;
+  }
+  const ParamMap params = {{"max_depth", 3},
+                           {"num_estimators", 3},
+                           {"num_iterations", 3}};
+  auto model = MakeRegressor(kind, params).MoveValueOrDie();
+  EXPECT_TRUE(model->Fit(MakeData(5)).ok()) << kind;
+  EXPECT_TRUE(model->Save(writer).ok()) << kind;
+  return text;
+}
+
+/// (begin, length) of every whitespace-separated token of `text`.
+std::vector<std::pair<size_t, size_t>> TokenSpans(const std::string& text) {
+  std::vector<std::pair<size_t, size_t>> spans;
+  size_t pos = 0;
+  while (true) {
+    const size_t begin = text.find_first_not_of(" \t\n\r\v\f", pos);
+    if (begin == std::string::npos) break;
+    pos = text.find_first_of(" \t\n\r\v\f", begin);
+    if (pos == std::string::npos) pos = text.size();
+    spans.emplace_back(begin, pos - begin);
+  }
+  return spans;
+}
+
+/// One random mutation: bit flips, a truncation, two tokens swapped, or a
+/// count (the token after nodes/trees/weights/features) made huge.
+std::string Mutate(const std::string& valid, Rng& rng) {
+  const auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng.UniformInt(uint64_t{n}));
+  };
+  std::string text = valid;
+  const std::vector<std::pair<size_t, size_t>> spans = TokenSpans(text);
+  switch (pick(4)) {
+    case 0: {
+      const size_t flips = 1 + pick(4);
+      for (size_t f = 0; f < flips; ++f) {
+        text[pick(text.size())] ^= static_cast<char>(1 << pick(8));
+      }
+      return text;
+    }
+    case 1:
+      text.resize(pick(text.size()));
+      return text;
+    case 2: {
+      size_t a = pick(spans.size());
+      size_t b = pick(spans.size());
+      if (a > b) std::swap(a, b);
+      if (a == b) return text;
+      const auto [a_begin, a_len] = spans[a];
+      const auto [b_begin, b_len] = spans[b];
+      return text.substr(0, a_begin) + text.substr(b_begin, b_len) +
+             text.substr(a_begin + a_len, b_begin - a_begin - a_len) +
+             text.substr(a_begin, a_len) + text.substr(b_begin + b_len);
+    }
+    default: {
+      std::vector<size_t> counts;
+      for (size_t t = 0; t + 1 < spans.size(); ++t) {
+        const std::string_view word(text.data() + spans[t].first,
+                                    spans[t].second);
+        if (word == "nodes" || word == "trees" || word == "weights" ||
+            word == "features") {
+          counts.push_back(t + 1);
+        }
+      }
+      const size_t t = counts.empty() ? pick(spans.size())
+                                      : counts[pick(counts.size())];
+      const char* huge[] = {"49999999", "999999", "4294967295",
+                            "18446744073709551615", "99999999999999999999"};
+      return text.substr(0, spans[t].first) + huge[pick(5)] +
+             text.substr(spans[t].first + spans[t].second);
+    }
+  }
+}
+
+class ModelDecoderFuzzTest : public testing::TestWithParam<std::string> {};
+
+TEST_P(ModelDecoderFuzzTest, MutationsNeverCrashOrOverAllocate) {
+  const std::string valid = FuzzSeedPayload(GetParam());
+  ASSERT_TRUE(ProbedLoad(valid).model.ok());
+  Rng rng(20261017);
+  const std::vector<double> probe = {5.0, 1.0};
+  for (int i = 0; i < 2000; ++i) {
+    const std::string mutated = Mutate(valid, rng);
+    const DecodeOutcome outcome = ProbedLoad(mutated);
+    EXPECT_LE(outcome.largest_allocation, AllocationBound(mutated))
+        << "mutation " << i;
+    if (outcome.model.ok()) {
+      // A model that loads is safe to query (wrong feature counts are
+      // refused, not read out of bounds).
+      NEXTMAINT_IGNORE_STATUS(outcome.model.ValueOrDie()->Predict(probe));
+    } else {
+      const StatusCode code = outcome.model.status().code();
+      EXPECT_TRUE(code == StatusCode::kDataError ||
+                  code == StatusCode::kNotFound)
+          << "mutation " << i << ": " << outcome.model.status().ToString();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, ModelDecoderFuzzTest,
+                         testing::Values("BL", "LR", "LSVR", "Tree", "RF",
+                                         "XGB"),
+                         [](const testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
+TEST(ModelDecoderBoundsTest, CountsBeyondThePayloadRejectedBeforeAllocating) {
+  // Each count fits the old fixed caps (50M nodes, 1M trees or weights),
+  // which let a few corrupt bytes allocate up to ~2 GB.
+  for (const char* text :
+       {"nextmaint-model v1 Tree\nfeatures 1\nnodes 49999999\n"
+        "-1 -1 -1 0 1\nend\n",
+        "nextmaint-model v1 XGB\nbase 0\nfeatures 1\ntrees 1\n"
+        "nodes 49999999\n-1 -1 -1 0 1\nend\n",
+        "nextmaint-model v1 XGB\nbase 0\nfeatures 1\ntrees 999999\n"
+        "nodes 1\n-1 -1 -1 0 1\nend\n",
+        "nextmaint-model v1 RF\ntrees 999999\nnextmaint-model v1 Tree\n"
+        "features 1\nnodes 1\n-1 -1 -1 0 1\nend\nend\n",
+        "nextmaint-model v1 LR\nweights 999999 1\nintercept 0\nend\n"}) {
+    const DecodeOutcome outcome = ProbedLoad(text);
+    EXPECT_EQ(outcome.model.status().code(), StatusCode::kDataError) << text;
+    EXPECT_LE(outcome.largest_allocation, AllocationBound(text)) << text;
+  }
 }
 
 TEST(SerializationTest, MultipleModelsInOneStream) {
