@@ -115,6 +115,11 @@ Result<double> DecisionTreeRegressor::Predict(
         "feature count mismatch: got " + std::to_string(features.size()) +
         ", trained with " + std::to_string(num_features_));
   }
+  return PredictUnchecked(features);
+}
+
+double DecisionTreeRegressor::PredictUnchecked(
+    std::span<const double> features) const {
   const Node* node = &nodes_[0];
   while (!node->is_leaf()) {
     node = features[static_cast<size_t>(node->feature)] <= node->threshold

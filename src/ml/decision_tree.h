@@ -94,6 +94,13 @@ class DecisionTreeRegressor final : public Regressor {
   void SaveBody(ModelWriter& out) const override;
 
  private:
+  // The forest's out-of-bag loop already knows the row width.
+  friend class RandomForestRegressor;
+
+  /// Leaf value for `features`; the caller has checked that the tree is
+  /// fitted and that features.size() == num_features().
+  double PredictUnchecked(std::span<const double> features) const;
+
   struct Node {
     // Internal node: children indices and split definition.
     int32_t left = -1;

@@ -1,21 +1,44 @@
 #include "ml/histogram.h"
 
+#include "common/telemetry.h"
+
 namespace nextmaint {
 namespace ml {
 
 void NodeHistogram::Reset(const HistogramLayout& layout) {
-  grad_.assign(layout.total_bins(), 0.0);
-  count_.assign(layout.total_bins(), 0);
+  if (grad_.size() != layout.total_bins()) {
+    grad_.assign(layout.total_bins(), 0.0);
+    count_.assign(layout.total_bins(), 0);
+    occupancy_.assign(layout.total_words(), 0);
+    return;
+  }
+  ForEachSetBit(occupancy_.data(), occupancy_.size(), [&](size_t bin) {
+    grad_[bin] = 0.0;
+    count_[bin] = 0;
+    return true;
+  });
+  std::fill(occupancy_.begin(), occupancy_.end(), uint64_t{0});
 }
 
 void NodeHistogram::SubtractFeature(const HistogramLayout& layout, size_t f,
                                     const NodeHistogram& sibling) {
-  const size_t offset = layout.feature_offset(f);
-  const size_t bins = layout.feature_bins(f);
-  for (size_t b = 0; b < bins; ++b) {
-    grad_[offset + b] -= sibling.grad_[offset + b];
-    count_[offset + b] -= sibling.count_[offset + b];
-  }
+  const FeatureSlice slice = feature(layout, f);
+  const double* sibling_grad = sibling.grad(layout, f);
+  const uint32_t* sibling_count = sibling.count(layout, f);
+  // The sibling's rows are a subset of this node's, so each of its
+  // occupied bins is occupied here too. A bin is released once it is back
+  // to (0, 0.0): the values are sums starting from +0.0, so a zero grad is
+  // never -0.0 and the released bin is exactly in its Reset state.
+  ForEachSetBit(
+      sibling.occupancy(layout, f), layout.feature_words(f), [&](size_t bin) {
+        slice.grad[bin] -= sibling_grad[bin];
+        slice.count[bin] -= sibling_count[bin];
+        if (slice.count[bin] == 0 && slice.grad[bin] == 0.0) {
+          slice.occupancy[bin / HistogramLayout::kWordBits] &=
+              ~(uint64_t{1} << (bin % HistogramLayout::kWordBits));
+        }
+        return true;
+      });
 }
 
 void DataPartition::Reset(size_t n) {
@@ -32,6 +55,21 @@ void DataPartition::Reset(const std::vector<size_t>& rows) {
   }
   leaves_.clear();
 }
+
+namespace internal {
+
+void RecordScanTally(uint64_t bins_scanned, uint64_t bins_total) {
+  if (!telemetry::Enabled()) return;
+  static telemetry::Counter* const scanned =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "ml.hist.bins_scanned");
+  static telemetry::Counter* const total =
+      telemetry::MetricsRegistry::Global().GetCounter("ml.hist.bins_total");
+  scanned->Increment(bins_scanned);
+  total->Increment(bins_total);
+}
+
+}  // namespace internal
 
 bool DataPartition::LeavesCoverAll() const {
   size_t cursor = 0;

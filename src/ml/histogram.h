@@ -2,6 +2,7 @@
 #define NEXTMAINT_ML_HISTOGRAM_H_
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -31,55 +32,112 @@ namespace nextmaint {
 namespace ml {
 
 /// Flat per-feature histogram addressing: feature f owns the half-open
-/// slice [feature_offset(f), feature_offset(f) + feature_bins(f)).
+/// slice [feature_offset(f), feature_offset(f) + feature_bins(f)). Every
+/// slice starts on a multiple of 64, so bin b of feature f maps to bit
+/// b % 64 of occupancy word feature_offset(f) / 64 + b / 64 and no
+/// occupancy word is shared by two features (per-feature fill tasks never
+/// race on one).
 class HistogramLayout {
  public:
+  static constexpr size_t kWordBits = 64;
+
   HistogramLayout() = default;
   explicit HistogramLayout(const BinMapper& mapper) {
     offsets_.reserve(mapper.num_features() + 1);
+    bins_.reserve(mapper.num_features());
     for (size_t f = 0; f < mapper.num_features(); ++f) {
-      offsets_.push_back(offsets_.back() + mapper.BinCount(f));
+      bins_.push_back(mapper.BinCount(f));
+      offsets_.push_back(offsets_.back() +
+                         WordsFor(bins_.back()) * kWordBits);
     }
   }
 
-  size_t num_features() const { return offsets_.size() - 1; }
+  size_t num_features() const { return bins_.size(); }
   size_t feature_offset(size_t f) const { return offsets_[f]; }
-  size_t feature_bins(size_t f) const {
-    return offsets_[f + 1] - offsets_[f];
-  }
+  size_t feature_bins(size_t f) const { return bins_[f]; }
+  size_t feature_words(size_t f) const { return WordsFor(bins_[f]); }
+  /// Histogram slots, padding included (a multiple of kWordBits).
   size_t total_bins() const { return offsets_.back(); }
+  size_t total_words() const { return offsets_.back() / kWordBits; }
 
  private:
+  static size_t WordsFor(size_t bins) {
+    return (bins + kWordBits - 1) / kWordBits;
+  }
+
   std::vector<size_t> offsets_ = {0};
+  std::vector<size_t> bins_;
 };
 
+/// Calls `visit(bin)` for every set bit of words[0, num_words) in ascending
+/// bin order; stops early once `visit` returns false.
+template <class Visit>
+inline void ForEachSetBit(const uint64_t* words, size_t num_words,
+                          Visit visit) {
+  for (size_t w = 0; w < num_words; ++w) {
+    for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      const size_t bin = w * HistogramLayout::kWordBits +
+                         static_cast<size_t>(std::countr_zero(bits));
+      if (!visit(bin)) return;
+    }
+  }
+}
+
 /// Per-node histogram: gradient sum and sample count per bin, all features
-/// in one flat buffer so a whole node resets and subtracts contiguously.
+/// in one flat buffer, plus one occupancy bit per bin. Invariant: a bin
+/// whose bit is clear has count 0 and grad +0.0 (the Reset state), so
+/// Reset, SubtractFeature and the split scan only ever visit set bits and
+/// a node's cost is O(occupied bins), not O(bins). A set bit may still
+/// hold count 0 with a non-zero residual grad (fractional gradients that
+/// did not cancel exactly under subtraction); such bins stay visible to
+/// the scan exactly as a dense walk would see them.
 class NodeHistogram {
  public:
+  /// Zeroes the occupied bins (the whole buffer on first use).
   void Reset(const HistogramLayout& layout);
 
-  double* grad(const HistogramLayout& layout, size_t f) {
-    return grad_.data() + layout.feature_offset(f);
+  /// Writable view of one feature's slice; Add is the fill step.
+  struct FeatureSlice {
+    double* grad;
+    uint32_t* count;
+    uint64_t* occupancy;
+
+    void Add(uint32_t bin, double value) const {
+      grad[bin] += value;
+      ++count[bin];
+      occupancy[bin / HistogramLayout::kWordBits] |=
+          uint64_t{1} << (bin % HistogramLayout::kWordBits);
+    }
+  };
+  FeatureSlice feature(const HistogramLayout& layout, size_t f) {
+    const size_t offset = layout.feature_offset(f);
+    return {grad_.data() + offset, count_.data() + offset,
+            occupancy_.data() + offset / HistogramLayout::kWordBits};
   }
+
   const double* grad(const HistogramLayout& layout, size_t f) const {
     return grad_.data() + layout.feature_offset(f);
-  }
-  uint32_t* count(const HistogramLayout& layout, size_t f) {
-    return count_.data() + layout.feature_offset(f);
   }
   const uint32_t* count(const HistogramLayout& layout, size_t f) const {
     return count_.data() + layout.feature_offset(f);
   }
+  /// Feature f's layout.feature_words(f) occupancy words.
+  const uint64_t* occupancy(const HistogramLayout& layout, size_t f) const {
+    return occupancy_.data() +
+           layout.feature_offset(f) / HistogramLayout::kWordBits;
+  }
 
   /// Parent-minus-sibling subtraction for one feature slice, in place:
-  /// this (the parent's buffer) becomes the larger child's histogram.
+  /// this (the parent's buffer) becomes the larger child's histogram. Only
+  /// the sibling's occupied bins are visited — everywhere else the sibling
+  /// holds (0, +0.0), and subtracting that is the identity.
   void SubtractFeature(const HistogramLayout& layout, size_t f,
                        const NodeHistogram& sibling);
 
  private:
   std::vector<double> grad_;
   std::vector<uint32_t> count_;
+  std::vector<uint64_t> occupancy_;
 };
 
 /// The index permutation a growing tree partitions, plus the leaf ranges it
@@ -172,6 +230,11 @@ inline uint64_t NextRandom(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
+/// Adds one grown tree's split-scan tallies to the ml.hist.bins_scanned
+/// (occupied bins visited) and ml.hist.bins_total (candidate split bins a
+/// dense walk would visit) counters.
+void RecordScanTally(uint64_t bins_scanned, uint64_t bins_total);
+
 /// The shared grower. BinSource provides `uint32_t Bin(feature, row)`:
 /// BinnedDataset streams materialized columns, OnTheFlyBins re-derives each
 /// bin from the raw value — everything else is identical between the cores.
@@ -196,6 +259,7 @@ class HistTreeGrower {
     FillHistogram(0, partition_->size(), /*parent=*/nullptr, root);
     BuildNode(0, partition_->size(), 0, root, &rng_state);
     NM_CHECK(partition_->LeavesCoverAll());
+    RecordScanTally(bins_scanned_, bins_total_);
     return std::move(nodes_);
   }
 
@@ -204,6 +268,7 @@ class HistTreeGrower {
     double gain = 0.0;
     size_t feature = 0;
     uint32_t bin = 0;
+    size_t scanned = 0;  ///< occupied bins the scan visited
   };
 
   NodeHistogram* AcquireHistogram(size_t level) {
@@ -213,10 +278,28 @@ class HistTreeGrower {
     return pool_[level].get();
   }
 
-  int SplitThreads(size_t count) const {
-    return count >= spec_.min_rows_for_parallel
-               ? ResolveThreadCount(spec_.num_threads)
-               : 1;
+  /// Runs body(chunk_begin, chunk_end) over [0, n), one chunk per lane, for
+  /// a node of `rows` rows. A single lane calls the body directly: most
+  /// nodes are small, and handing them to ParallelFor would heap-allocate
+  /// a std::function per call for nothing.
+  template <class Body>
+  void RunChunks(size_t rows, size_t n, const Body& body) const {
+    const int threads = rows >= spec_.min_rows_for_parallel
+                            ? ResolveThreadCount(spec_.num_threads)
+                            : 1;
+    if (threads <= 1) {
+      body(size_t{0}, n);
+      return;
+    }
+    const size_t grain = (n - 1) / static_cast<size_t>(threads) + 1;
+    const Status status = ParallelFor(
+        0, n, grain,
+        [&](size_t chunk_begin, size_t chunk_end) -> Status {
+          body(chunk_begin, chunk_end);
+          return Status::OK();
+        },
+        threads);
+    NM_CHECK(status.ok());  // the bodies have no failure path
   }
 
   /// Accumulates [begin, end) into `hist` (per-feature tasks, one chunk per
@@ -226,17 +309,13 @@ class HistTreeGrower {
   void FillHistogram(size_t begin, size_t end, NodeHistogram* parent,
                      NodeHistogram* hist) {
     hist->Reset(layout_);
-    const int threads = SplitThreads(end - begin);
-    const size_t num_features = layout_.num_features();
-    const size_t grain =
-        (num_features - 1) / static_cast<size_t>(threads) + 1;
-    const Status status = ParallelFor(
-        0, num_features, grain,
-        [&](size_t chunk_begin, size_t chunk_end) -> Status {
+    RunChunks(
+        end - begin, layout_.num_features(),
+        [&](size_t chunk_begin, size_t chunk_end) {
           const uint32_t* rows = partition_->indices().data();
           for (size_t f = chunk_begin; f < chunk_end; ++f) {
-            double* grad = hist->grad(layout_, f);
-            uint32_t* bin_count = hist->count(layout_, f);
+            const NodeHistogram::FeatureSlice slice =
+                hist->feature(layout_, f);
             if constexpr (std::is_same_v<BinSource, BinnedDataset>) {
               // The binned fast path: hoist the column's storage pointer
               // and the narrow/wide dispatch out of the row loop. Same
@@ -246,35 +325,26 @@ class HistTreeGrower {
                 const uint8_t* column = bins_.NarrowColumn(f);
                 for (size_t i = begin; i < end; ++i) {
                   const uint32_t row = rows[i];
-                  const uint32_t bin = column[row];
-                  grad[bin] += values_[row];
-                  ++bin_count[bin];
+                  slice.Add(column[row], values_[row]);
                 }
               } else {
                 const uint16_t* column = bins_.WideColumn(f);
                 for (size_t i = begin; i < end; ++i) {
                   const uint32_t row = rows[i];
-                  const uint32_t bin = column[row];
-                  grad[bin] += values_[row];
-                  ++bin_count[bin];
+                  slice.Add(column[row], values_[row]);
                 }
               }
             } else {
               for (size_t i = begin; i < end; ++i) {
                 const uint32_t row = rows[i];
-                const uint32_t bin = bins_.Bin(f, row);
-                grad[bin] += values_[row];
-                ++bin_count[bin];
+                slice.Add(bins_.Bin(f, row), values_[row]);
               }
             }
             if (parent != nullptr) {
               parent->SubtractFeature(layout_, f, *hist);
             }
           }
-          return Status::OK();
-        },
-        threads);
-    NM_CHECK(status.ok());  // the fill body has no failure path
+        });
   }
 
   int32_t BuildNode(size_t begin, size_t end, int depth, NodeHistogram* hist,
@@ -331,12 +401,9 @@ class HistTreeGrower {
     // scan would pick (strict '>' keeps the earliest candidate/bin on
     // ties) at any thread count.
     candidate_best_.assign(num_candidates, Best{});
-    const int threads = SplitThreads(count);
-    const size_t grain =
-        (num_candidates - 1) / static_cast<size_t>(threads) + 1;
-    const Status scan_status = ParallelFor(
-        0, num_candidates, grain,
-        [&](size_t chunk_begin, size_t chunk_end) -> Status {
+    RunChunks(
+        count, num_candidates,
+        [&](size_t chunk_begin, size_t chunk_end) {
           for (size_t ci = chunk_begin; ci < chunk_end; ++ci) {
             const size_t f = features_[ci];
             Best local;
@@ -346,37 +413,46 @@ class HistTreeGrower {
               candidate_best_[ci] = local;
               continue;
             }
+            // Occupied bins only, ascending. At a skipped (0, +0.0) bin a
+            // dense walk would repeat the previous visited bin's sums and
+            // gain, which the strict '>' never picks, so the chosen split
+            // is the dense walk's (docs/binned-training.md).
             const double* grad = hist->grad(layout_, f);
             const uint32_t* bin_count = hist->count(layout_, f);
             double left_grad = 0.0;
             size_t left_count = 0;
-            for (size_t b = 0; b + 1 < num_bins; ++b) {
-              left_grad += grad[b];
-              left_count += bin_count[b];
-              if (left_count < spec_.min_samples_leaf) continue;
-              const size_t right_count = count - left_count;
-              if (right_count < spec_.min_samples_leaf) break;
-              const double right_grad = grad_sum - left_grad;
-              const double gain =
-                  left_grad * left_grad /
-                      (static_cast<double>(left_count) + spec_.l2) +
-                  right_grad * right_grad /
-                      (static_cast<double>(right_count) + spec_.l2) -
-                  parent_score;
-              if (gain > local.gain) {
-                local.gain = gain;
-                local.bin = static_cast<uint32_t>(b);
-              }
-            }
+            ForEachSetBit(
+                hist->occupancy(layout_, f), layout_.feature_words(f),
+                [&](size_t b) {
+                  // The last bin is never a split point.
+                  if (b + 1 >= num_bins) return false;
+                  ++local.scanned;
+                  left_grad += grad[b];
+                  left_count += bin_count[b];
+                  if (left_count < spec_.min_samples_leaf) return true;
+                  const size_t right_count = count - left_count;
+                  if (right_count < spec_.min_samples_leaf) return false;
+                  const double right_grad = grad_sum - left_grad;
+                  const double gain =
+                      left_grad * left_grad /
+                          (static_cast<double>(left_count) + spec_.l2) +
+                      right_grad * right_grad /
+                          (static_cast<double>(right_count) + spec_.l2) -
+                      parent_score;
+                  if (gain > local.gain) {
+                    local.gain = gain;
+                    local.bin = static_cast<uint32_t>(b);
+                  }
+                  return true;
+                });
             candidate_best_[ci] = local;
           }
-          return Status::OK();
-        },
-        threads);
-    NM_CHECK(scan_status.ok());  // the scan body has no failure path
+        });
     Best best;
     for (const Best& candidate : candidate_best_) {
       if (candidate.gain > best.gain) best = candidate;
+      bins_scanned_ += candidate.scanned;
+      bins_total_ += layout_.feature_bins(candidate.feature) - 1;
     }
 
     // Mean mode measures the SSE-reduction floor relative to the parent
@@ -438,6 +514,9 @@ class HistTreeGrower {
   std::vector<std::unique_ptr<NodeHistogram>> pool_;
   std::vector<size_t> features_;
   std::vector<Best> candidate_best_;
+  // Split-scan tallies for the ml.hist.* counters, emitted once per tree.
+  uint64_t bins_scanned_ = 0;
+  uint64_t bins_total_ = 0;
 };
 
 }  // namespace internal

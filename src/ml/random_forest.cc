@@ -132,12 +132,13 @@ Status RandomForestRegressor::FitImpl(const Dataset& train) {
           NM_RETURN_NOT_OK(tree.FitBinned(train, *mapper, binned, samples[t])
                                .WithContext("tree " + std::to_string(t)));
 
+          // The tree was just fitted on train.x(), so every row has its
+          // width: skip Predict's checks and Result wrapping.
           std::vector<double>& oob_pred = tree_oob_pred[t];
           oob_pred.assign(n, 0.0);
           for (size_t row = 0; row < n; ++row) {
             if (in_bag[row]) continue;
-            NM_ASSIGN_OR_RETURN(oob_pred[row],
-                                tree.Predict(train.x().Row(row)));
+            oob_pred[row] = tree.PredictUnchecked(train.x().Row(row));
           }
           trees_[t] = std::move(tree);
         }

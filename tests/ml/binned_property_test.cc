@@ -1,12 +1,15 @@
 // Property suite for the binned training core (docs/binned-training.md):
 // randomized corpora — degenerate constant and duplicate-heavy columns,
 // feature cardinalities on both sides of the 256-distinct-value bin-width
-// boundary — must train to byte-identical models on both cores, and the
-// DataPartition leaf ranges of a completed grow must never lose a sample.
+// boundary — must train to byte-identical models on both cores, the
+// DataPartition leaf ranges of a completed grow must never lose a sample,
+// and a NodeHistogram's occupancy tracking must leave every bin exactly
+// where a dense histogram would have it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -14,8 +17,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "ml/binned_dataset.h"
 #include "ml/histogram.h"
+#include "ml/matrix.h"
 #include "ml/registry.h"
 
 namespace nextmaint {
@@ -264,6 +269,221 @@ TEST(BinnedPropertyTest, CompletedGrowTilesEverySample) {
     covered += end - begin;
   }
   EXPECT_EQ(covered, train.num_rows());
+}
+
+// ---------------------------------------------------------------------------
+// NodeHistogram occupancy: fills and chains of parent-minus-sibling
+// subtractions must keep every unoccupied bin in its Reset state, and every
+// bin bit-equal to a dense histogram that touches every bin.
+
+/// The dense reference: grad/count per (feature, bin), every bin filled,
+/// subtracted and reset.
+struct DenseHistogram {
+  std::vector<std::vector<double>> grad;
+  std::vector<std::vector<uint32_t>> count;
+
+  explicit DenseHistogram(const HistogramLayout& layout) {
+    for (size_t f = 0; f < layout.num_features(); ++f) {
+      grad.emplace_back(layout.feature_bins(f), 0.0);
+      count.emplace_back(layout.feature_bins(f), 0u);
+    }
+  }
+  void Subtract(const DenseHistogram& sibling) {
+    for (size_t f = 0; f < grad.size(); ++f) {
+      for (size_t b = 0; b < grad[f].size(); ++b) {
+        grad[f][b] -= sibling.grad[f][b];
+        count[f][b] -= sibling.count[f][b];
+      }
+    }
+  }
+};
+
+/// One histogram row: a bin per feature plus the value it adds.
+struct HistRow {
+  std::vector<uint32_t> bins;
+  double value = 0.0;
+};
+
+void Fill(const HistogramLayout& layout, const std::vector<HistRow>& rows,
+          NodeHistogram* hist, DenseHistogram* dense) {
+  hist->Reset(layout);
+  for (size_t f = 0; f < layout.num_features(); ++f) {
+    const NodeHistogram::FeatureSlice slice = hist->feature(layout, f);
+    for (const HistRow& row : rows) {
+      slice.Add(row.bins[f], row.value);
+      dense->grad[f][row.bins[f]] += row.value;
+      ++dense->count[f][row.bins[f]];
+    }
+  }
+}
+
+/// Counts of the bins seen in each interesting state, so the test can show
+/// it reached them.
+struct OccupancyTally {
+  size_t released = 0;  // bit clear after having been filled
+  size_t residual = 0;  // bit set, count 0, grad != 0
+  size_t cancelled = 0;  // bit set, count > 0, grad == 0
+};
+
+size_t OccupiedBins(const HistogramLayout& layout, const NodeHistogram& hist,
+                    size_t f) {
+  size_t occupied = 0;
+  for (size_t w = 0; w < layout.feature_words(f); ++w) {
+    occupied += static_cast<size_t>(std::popcount(hist.occupancy(layout, f)[w]));
+  }
+  return occupied;
+}
+
+void ExpectMatchesDense(const HistogramLayout& layout,
+                        const NodeHistogram& hist, const DenseHistogram& dense,
+                        OccupancyTally* tally) {
+  for (size_t f = 0; f < layout.num_features(); ++f) {
+    const double* grad = hist.grad(layout, f);
+    const uint32_t* count = hist.count(layout, f);
+    const uint64_t* occupancy = hist.occupancy(layout, f);
+    const size_t bins = layout.feature_bins(f);
+    constexpr size_t kBits = HistogramLayout::kWordBits;
+    for (size_t b = 0; b < layout.feature_words(f) * kBits; ++b) {
+      const bool occupied = (occupancy[b / kBits] >> (b % kBits)) & 1;
+      if (b >= bins) {
+        ASSERT_FALSE(occupied) << "padding bit " << b << " of feature " << f;
+        continue;
+      }
+      ASSERT_EQ(std::bit_cast<uint64_t>(grad[b]),
+                std::bit_cast<uint64_t>(dense.grad[f][b]))
+          << "feature " << f << " bin " << b;
+      ASSERT_EQ(count[b], dense.count[f][b]) << "feature " << f << " bin " << b;
+      if (!occupied) {
+        ASSERT_EQ(count[b], 0u) << "feature " << f << " bin " << b;
+        ASSERT_TRUE(grad[b] == 0.0) << "feature " << f << " bin " << b;
+      } else if (count[b] == 0) {
+        ++tally->residual;
+      } else if (grad[b] == 0.0) {
+        ++tally->cancelled;
+      }
+    }
+  }
+}
+
+TEST(NodeHistogramTest, OccupancyTracksADenseHistogramBitForBit) {
+  // Feature cardinalities on both sides of every occupancy-word boundary
+  // and of the 256-bin storage boundary, plus a single-bin feature.
+  const std::vector<size_t> cardinalities = {1, 2, 63, 64, 65, 128, 300};
+  Matrix x(300, cardinalities.size());
+  for (size_t r = 0; r < x.rows(); ++r) {
+    for (size_t f = 0; f < cardinalities.size(); ++f) {
+      x(r, f) = static_cast<double>(r % cardinalities[f]);
+    }
+  }
+  BinMapper mapper;
+  mapper.Compute(x, /*max_bins=*/65535);
+  const HistogramLayout layout(mapper);
+  for (size_t f = 0; f < cardinalities.size(); ++f) {
+    ASSERT_EQ(layout.feature_bins(f), cardinalities[f]);
+    ASSERT_EQ(layout.feature_offset(f) % HistogramLayout::kWordBits, 0u);
+  }
+
+  Rng rng(4242);
+  OccupancyTally tally;
+  // Two buffers swap parent/sibling roles down the chain, so every fill
+  // starts from a Reset of a stale, previously occupied buffer.
+  NodeHistogram buffers[2];
+  for (int trial = 0; trial < 40; ++trial) {
+    // Rows crowd into a few bins per feature (a deep node's shape); values
+    // are fractional, exact -0.0, or +v/-v pairs that cancel in a bin.
+    const size_t num_rows = 2 + rng.UniformInt(uint64_t{160});
+    std::vector<std::vector<uint32_t>> hot_bins(cardinalities.size());
+    for (size_t f = 0; f < cardinalities.size(); ++f) {
+      const uint64_t num_hot = 1 + rng.UniformInt(uint64_t{8});
+      for (uint64_t i = 0; i < num_hot; ++i) {
+        hot_bins[f].push_back(
+            static_cast<uint32_t>(rng.UniformInt(uint64_t{cardinalities[f]})));
+      }
+    }
+    std::vector<HistRow> rows;
+    while (rows.size() < num_rows) {
+      HistRow row;
+      for (const std::vector<uint32_t>& hot : hot_bins) {
+        row.bins.push_back(hot[rng.UniformInt(uint64_t{hot.size()})]);
+      }
+      const uint64_t kind = rng.UniformInt(uint64_t{4});
+      row.value = kind == 0 ? -0.0 : rng.Uniform(-3.0, 3.0) / 7.0;
+      rows.push_back(row);
+      if (kind == 1) {
+        row.value = -row.value;
+        rows.push_back(row);
+      }
+    }
+
+    NodeHistogram* parent = &buffers[trial % 2];
+    NodeHistogram* sibling = &buffers[1 - trial % 2];
+    DenseHistogram dense_parent(layout);
+    Fill(layout, rows, parent, &dense_parent);
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectMatchesDense(layout, *parent, dense_parent, &tally));
+
+    // Split off random sibling subsets until one row is left, continuing
+    // down either child, as the grower does.
+    while (rows.size() > 1) {
+      std::vector<HistRow> taken, kept;
+      for (const HistRow& row : rows) {
+        (rng.UniformInt(uint64_t{3}) == 0 ? taken : kept).push_back(row);
+      }
+      if (taken.empty() || kept.empty()) continue;
+      DenseHistogram dense_sibling(layout);
+      Fill(layout, taken, sibling, &dense_sibling);
+      for (size_t f = 0; f < layout.num_features(); ++f) {
+        const size_t before = OccupiedBins(layout, *parent, f);
+        parent->SubtractFeature(layout, f, *sibling);
+        tally.released += before - OccupiedBins(layout, *parent, f);
+      }
+      dense_parent.Subtract(dense_sibling);
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectMatchesDense(layout, *parent, dense_parent, &tally));
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectMatchesDense(layout, *sibling, dense_sibling, &tally));
+      if (rng.UniformInt(uint64_t{2}) == 0) {
+        rows = std::move(kept);
+      } else {
+        std::swap(parent, sibling);
+        dense_parent = std::move(dense_sibling);
+        rows = std::move(taken);
+      }
+    }
+  }
+  // The chains must have reached every state the invariant distinguishes.
+  EXPECT_GT(tally.released, 0u);
+  EXPECT_GT(tally.residual, 0u);
+  EXPECT_GT(tally.cancelled, 0u);
+}
+
+// The ml.hist.* counters expose the scan's sparsity: an unlimited-depth tree
+// is mostly small nodes, whose scans visit a fraction of the bins a dense
+// walk would. Recording them must not move a byte of the model.
+TEST(NodeHistogramTest, ScanTalliesReportTheSparsity) {
+  Rng rng(321);
+  const Dataset train = MakeCorpus(
+      &rng, 200, {ColumnKind::kContinuous, ColumnKind::kContinuous,
+                  ColumnKind::kFewDistinct});
+  const ParamMap params = {{"max_depth", -1}, {"max_bins", 256}};
+  telemetry::SetEnabled(false);
+  const std::string bytes_off =
+      TrainedBytes("Tree", params, TreeCore::kBinned, train);
+  telemetry::SetEnabled(true);
+  telemetry::MetricsRegistry::Global().Reset();
+  const std::string bytes_on =
+      TrainedBytes("Tree", params, TreeCore::kBinned, train);
+  const telemetry::MetricsSnapshot snapshot = telemetry::Snapshot();
+  telemetry::MetricsRegistry::Global().Reset();
+  telemetry::SetEnabled(false);
+
+  EXPECT_EQ(bytes_on, bytes_off);
+#ifndef NEXTMAINT_TELEMETRY_DISABLED
+  const uint64_t scanned = snapshot.counters.at("ml.hist.bins_scanned");
+  const uint64_t total = snapshot.counters.at("ml.hist.bins_total");
+  EXPECT_GT(scanned, 0u);
+  EXPECT_LT(4 * scanned, total);
+#endif
 }
 
 }  // namespace
