@@ -141,8 +141,6 @@ bool InitFromEnv() {
   return !registry.armed.empty();
 }
 
-uint64_t CurrentOrdinal() { return t_ordinal; }
-
 }  // namespace internal
 
 Status Arm(const std::string& specs) {
@@ -257,6 +255,8 @@ Status Check(const char* site) {
   ++armed.fired;
   return MakeInjectedError(site, armed.code);
 }
+
+uint64_t CurrentOrdinal() { return t_ordinal; }
 
 ScopedOrdinal::ScopedOrdinal(uint64_t ordinal) : saved_(t_ordinal) {
   t_ordinal = ordinal;

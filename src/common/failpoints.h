@@ -63,8 +63,6 @@ extern std::atomic<int> g_armed_state;
 /// Parses NEXTMAINT_FAILPOINTS (once, latched) and returns whether any
 /// failpoint is armed afterwards.
 bool InitFromEnv();
-/// Current thread's ordinal context (0 = none).
-uint64_t CurrentOrdinal();
 }  // namespace internal
 
 /// False when the framework was compiled out
@@ -123,6 +121,10 @@ uint64_t FiredCount(const std::string& site);
 /// the injected error. Called by NEXTMAINT_FAILPOINT after the Enabled()
 /// fast path; exposed for the framework's own tests.
 [[nodiscard]] Status Check(const char* site);
+
+/// The current thread's ordinal context (0 = none). Lets work handed to
+/// another thread run in the context of the thread that issued it.
+uint64_t CurrentOrdinal();
 
 /// Establishes the deterministic ordinal context (1-based) for the current
 /// thread, e.g. the vehicle's position in the training order. Nested scopes

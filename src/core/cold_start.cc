@@ -1,7 +1,11 @@
 #include "core/cold_start.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/macros.h"
 #include "common/statistics.h"
@@ -80,11 +84,37 @@ Result<std::unique_ptr<ml::Regressor>> TrainUnifiedModel(
   if (corpus.empty()) {
     return Status::InvalidArgument("empty training corpus");
   }
-  ml::Dataset merged;
+  // The merge is sized once. Grown row by row it reallocates about
+  // log2(rows) times, and since the fit runs beside the vehicle fan-out
+  // (FleetScheduler::TrainVehicles) the discarded copies would stay
+  // resident in the allocator. Rows keep corpus order; features and names
+  // come from the first non-empty dataset, as with Dataset::Concat.
+  const ml::Dataset* first = nullptr;
+  size_t rows = 0;
   for (const FirstCycleData& vehicle : corpus) {
-    NM_RETURN_NOT_OK(merged.Concat(vehicle.dataset)
-                         .WithContext(vehicle.vehicle_id));
+    if (vehicle.dataset.num_rows() == 0) continue;
+    if (first == nullptr) first = &vehicle.dataset;
+    if (vehicle.dataset.num_features() != first->num_features()) {
+      return Status::InvalidArgument("feature count mismatch in Concat")
+          .WithContext(vehicle.vehicle_id);
+    }
+    rows += vehicle.dataset.num_rows();
   }
+  ml::Matrix x(rows, first == nullptr ? 0 : first->num_features());
+  std::vector<double> y;
+  y.reserve(rows);
+  for (const FirstCycleData& vehicle : corpus) {
+    for (size_t r = 0; r < vehicle.dataset.num_rows(); ++r) {
+      const std::span<const double> row = vehicle.dataset.x().Row(r);
+      std::copy(row.begin(), row.end(), x.MutableRow(y.size()).begin());
+      y.push_back(vehicle.dataset.y()[r]);
+    }
+  }
+  NM_ASSIGN_OR_RETURN(
+      ml::Dataset merged,
+      ml::Dataset::Create(std::move(x), std::move(y),
+                          first == nullptr ? std::vector<std::string>()
+                                           : first->feature_names()));
   NM_ASSIGN_OR_RETURN(std::unique_ptr<ml::Regressor> model,
                       ml::MakeRegressor(algorithm, options.model_params,
                                         options.backend));

@@ -16,6 +16,7 @@
 #include "common/macros.h"
 #include "common/parallel.h"
 #include "common/telemetry.h"
+#include "common/thread_annotations.h"
 #include "core/baseline.h"
 #include "core/dataset_builder.h"
 #include "ml/registry.h"
@@ -177,9 +178,9 @@ Status FleetScheduler::TrainAll() {
   telemetry::SetGauge("scheduler.fleet.vehicles.new",
                       static_cast<double>(num_new));
 
-  // Unified model shared by every cold-start vehicle, then pass 2: every
-  // vehicle retrained against the shared inputs.
-  inputs.unified = TrainUnifiedFromCorpus(inputs.corpus);
+  // Pass 2: one fan-out fits the unified model shared by every cold-start
+  // vehicle (inputs.unified_fitted is still false) and retrains every
+  // vehicle against the shared inputs.
   return TrainVehicles(VehicleIds(), inputs);
 }
 
@@ -219,10 +220,62 @@ std::shared_ptr<ml::Regressor> FleetScheduler::TrainUnifiedFromCorpus(
   return std::move(uni).ValueOrDie();
 }
 
-Status FleetScheduler::TrainOneVehicle(const std::string& id,
-                                       VehicleState& state,
-                                       const ColdStartInputs& inputs) {
+/// Model_Uni as the tasks of one TrainVehicles fan-out see it: a one-shot
+/// latch that the unified task releases with its fit (nullptr when the
+/// corpus is empty or the fit failed). A cold-start task that needs the
+/// model before the fit ends blocks in Wait().
+class FleetScheduler::UnifiedLatch {
+ public:
+  /// Releases the latch on destruction with `model` as the fit left it, so
+  /// a fit that fails, returns nullptr or throws still frees the waiters.
+  class ReleaseOnExit {
+   public:
+    explicit ReleaseOnExit(UnifiedLatch& latch) : latch_(latch) {}
+    ~ReleaseOnExit() { latch_.Release(std::move(model)); }
+
+    ReleaseOnExit(const ReleaseOnExit&) = delete;
+    ReleaseOnExit& operator=(const ReleaseOnExit&) = delete;
+
+    std::shared_ptr<ml::Regressor> model;
+
+   private:
+    UnifiedLatch& latch_;
+  };
+
+  UnifiedLatch() = default;
+  UnifiedLatch(const UnifiedLatch&) = delete;
+  UnifiedLatch& operator=(const UnifiedLatch&) = delete;
+
+  void Release(std::shared_ptr<ml::Regressor> model) EXCLUDES(mu_) {
+    {
+      MutexLock lock(mu_);
+      model_ = std::move(model);
+      released_ = true;
+    }
+    released_cv_.NotifyAll();
+  }
+
+  std::shared_ptr<ml::Regressor> Wait() const EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    while (!released_) released_cv_.Wait(mu_);
+    return model_;
+  }
+
+ private:
+  mutable Mutex mu_;
+  mutable CondVar released_cv_;
+  std::shared_ptr<ml::Regressor> model_ GUARDED_BY(mu_);
+  bool released_ GUARDED_BY(mu_) = false;
+};
+
+Status FleetScheduler::TrainOneVehicle(
+    const std::string& id, VehicleState& state,
+    const std::vector<FirstCycleData>& corpus, const UnifiedLatch& unified) {
   telemetry::ScopedTimer vehicle_timer("scheduler.train.vehicle.seconds");
+  const auto wait_for_unified = [&unified] {
+    telemetry::ScopedTimer wait_timer("scheduler.train.unified_wait.seconds");
+    return unified.Wait();
+  };
   state.model.reset();
   state.model_name.clear();
   state.pending_segment = storage::SegmentView();
@@ -301,9 +354,9 @@ Status FleetScheduler::TrainOneVehicle(const std::string& id,
     // Prefer Model_Sim; fall back to Model_Uni, then BL.
     Result<std::vector<double>> first_half = FirstHalfCycleUsage(
         state.usage, options_.maintenance_interval_s);
-    if (first_half.ok() && !inputs.corpus.empty()) {
+    if (first_half.ok() && !corpus.empty()) {
       Result<SimilarityModel> sim = TrainSimilarityModel(
-          options_.unified_algorithm, first_half.ValueOrDie(), inputs.corpus,
+          options_.unified_algorithm, first_half.ValueOrDie(), corpus,
           options_.cold_start);
       if (sim.ok()) {
         SimilarityModel value = std::move(sim).ValueOrDie();
@@ -313,8 +366,8 @@ Status FleetScheduler::TrainOneVehicle(const std::string& id,
         return Status::OK();
       }
     }
-    if (inputs.unified != nullptr) {
-      state.model = inputs.unified;
+    if (std::shared_ptr<ml::Regressor> uni = wait_for_unified()) {
+      state.model = std::move(uni);
       state.model_name = options_.unified_algorithm + "_Uni";
       return Status::OK();
     }
@@ -328,15 +381,15 @@ Status FleetScheduler::TrainOneVehicle(const std::string& id,
   }
 
   // New vehicle: only the unified model applies (Section 4.4.2).
-  if (inputs.unified != nullptr) {
-    state.model = inputs.unified;
+  if (std::shared_ptr<ml::Regressor> uni = wait_for_unified()) {
+    state.model = std::move(uni);
     state.model_name = options_.unified_algorithm + "_Uni";
   }
   return Status::OK();
 }
 
 Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids,
-                                     const ColdStartInputs& inputs) {
+                                     ColdStartInputs& inputs) {
   if (options_.num_threads < 0) {
     return Status::InvalidArgument(
         "SchedulerOptions::num_threads must be >= 0 (0 = all cores), got " +
@@ -347,6 +400,17 @@ Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids,
   // VehicleState across workers).
   std::vector<std::pair<const std::string*, VehicleState*>> work;
   work.reserve(ids.size());
+  // Claim order, as positions in `work`: the Model_Uni fit (when `inputs`
+  // has none yet) first, then the vehicles that never read it in id order,
+  // then the semi-new and new vehicles in id order. ParallelFor hands out
+  // tasks in this order and a lane runs the task it claims at once, so the
+  // fit is running before any cold-start task can block on it (the latch
+  // cannot hang), and by the time one needs the model the fit has
+  // overlapped every old vehicle.
+  constexpr size_t kUnifiedTask = static_cast<size_t>(-1);
+  std::vector<size_t> order;
+  std::vector<size_t> cold_start;
+  if (!inputs.unified_fitted) order.push_back(kUnifiedTask);
   std::set<std::string_view> seen;
   for (const std::string& id : ids) {
     auto it = vehicles_.find(id);
@@ -363,33 +427,65 @@ Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids,
         binning_caches_.find(id) == binning_caches_.end()) {
       binning_caches_.emplace(id, std::make_shared<ml::BinningCache>());
     }
+    // Only semi-new and new vehicles with data may read Model_Uni; an
+    // empty history or a categorization error never does.
+    const data::DailySeries& usage = it->second.usage;
+    bool reads_unified = false;
+    if (!usage.empty()) {
+      Result<VehicleCategory> category =
+          CategorizeUsage(usage, options_.maintenance_interval_s);
+      reads_unified =
+          category.ok() && category.ValueOrDie() != VehicleCategory::kOld;
+    }
+    (reads_unified ? cold_start : order).push_back(work.size());
     work.emplace_back(&it->first, &it->second);
   }
+  order.insert(order.end(), cold_start.begin(), cold_start.end());
 
-  // Each vehicle's training touches only its own state (corpus, unified
-  // model and options are read-only here), so vehicles fan out across the
-  // thread pool; the given id order fixes the task order, and no
-  // cross-vehicle reduction exists, so results match the serial loop
-  // exactly. Quarantines land in index-ordered slots so the assembled
-  // report follows the deterministic task order, never completion order.
+  UnifiedLatch unified;
+  if (inputs.unified_fitted) unified.Release(inputs.unified);
+  const uint64_t caller_ordinal = failpoints::CurrentOrdinal();
+
+  // Each vehicle's training touches only its own state (corpus and options
+  // are read-only here; Model_Uni reaches its readers only through the
+  // latch), and no cross-vehicle reduction exists, so results match the
+  // serial loop exactly. Failures, quarantines and failpoint ordinals all
+  // key on the vehicle's position in `ids`, never on the claim order or on
+  // thread scheduling, so the report follows the id order and strict mode
+  // returns the lowest position's failure.
+  std::vector<Status> failures(work.size());
   std::vector<std::optional<VehicleDegradation>> quarantined(work.size());
   train_degradation_.vehicles.clear();
   NM_RETURN_NOT_OK(ParallelFor(
-      0, work.size(), /*grain=*/1,
+      0, order.size(), /*grain=*/1,
       [&](size_t chunk_begin, size_t chunk_end) -> Status {
-        for (size_t v = chunk_begin; v < chunk_end; ++v) {
+        for (size_t task = chunk_begin; task < chunk_end; ++task) {
+          if (order[task] == kUnifiedTask) {
+            // In the caller's ordinal context (none in TrainAll, the
+            // shard's in a daemon refresh), never a vehicle's: whichever
+            // lane runs the fit, an nth-selecting "ml.fit" spec selects
+            // the same hit as a fit on the calling thread would.
+            failpoints::ScopedOrdinal ordinal(caller_ordinal);
+            UnifiedLatch::ReleaseOnExit release(unified);
+            release.model = TrainUnifiedFromCorpus(inputs.corpus);
+            continue;
+          }
+          const size_t v = order[task];
           const std::string& id = *work[v].first;
           VehicleState& state = *work[v].second;
           // The ordinal makes nth-selecting failpoint specs
           // ("scheduler.train_vehicle:3") target the vehicle's position in
-          // the task order, independent of thread scheduling.
+          // `ids`, independent of thread scheduling.
           failpoints::ScopedOrdinal ordinal(static_cast<uint64_t>(v) + 1);
           const Status status = [&]() -> Status {
             NEXTMAINT_FAILPOINT("scheduler.train_vehicle");
-            return TrainOneVehicle(id, state, inputs);
+            return TrainOneVehicle(id, state, inputs.corpus, unified);
           }();
           if (status.ok()) continue;
-          if (options_.strict) return status.WithContext(id);
+          if (options_.strict) {
+            failures[v] = status.WithContext(id);
+            continue;
+          }
           // Quarantine the vehicle: drop whatever partial model state the
           // failed training left behind and serve it with the untrained BL
           // baseline so the fleet keeps a forecast for it.
@@ -416,6 +512,13 @@ Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids,
         return Status::OK();
       },
       options_.num_threads));
+  if (!inputs.unified_fitted) {
+    inputs.unified = unified.Wait();
+    inputs.unified_fitted = true;
+  }
+  for (Status& failure : failures) {
+    if (!failure.ok()) return std::move(failure);
+  }
   for (std::optional<VehicleDegradation>& slot : quarantined) {
     if (!slot.has_value()) continue;
     if (slot->fallback) telemetry::Count("scheduler.train.fallback_bl");

@@ -124,13 +124,18 @@ struct SchedulerOptions {
 /// one per run; the incremental serving engine (serve/serving_engine.h)
 /// caches one across refreshes and rebuilds it only when a vehicle's corpus
 /// contribution changes, so subset retrains see exactly the inputs a full
-/// batch run would.
+/// batch run would. A caller fills `corpus` and leaves `unified_fitted`
+/// false; the next TrainVehicles fits Model_Uni inside its fan-out and
+/// stores it here.
 struct ColdStartInputs {
   std::vector<FirstCycleData> corpus;
-  /// Model_Uni trained on `corpus`; nullptr when the corpus is empty or
-  /// unified training failed (cold-start vehicles then fall through to
-  /// their next option, matching TrainAll).
+  /// Model_Uni trained on `corpus` (TrainUnifiedFromCorpus); nullptr when
+  /// the corpus is empty or unified training failed (cold-start vehicles
+  /// then fall through to their next option, matching TrainAll).
   std::shared_ptr<ml::Regressor> unified;
+  /// True once `unified` holds the fit of `corpus`, even when that fit is
+  /// nullptr. TrainVehicles reuses `unified` as given when true.
+  bool unified_fitted = false;
 };
 
 /// Fleet-level next-maintenance scheduler.
@@ -182,7 +187,8 @@ class FleetScheduler {
   /// Equivalent to building the corpus from CorpusContribution over every
   /// vehicle, training the unified model with TrainUnifiedFromCorpus and
   /// running TrainVehicles over VehicleIds() — TrainAll is implemented on
-  /// exactly those building blocks, which is what makes incremental subset
+  /// exactly those building blocks (it leaves the unified fit to
+  /// TrainVehicles' fan-out), which is what makes incremental subset
   /// retrains (serve/serving_engine.h) bit-identical to a batch run.
   [[nodiscard]] Status TrainAll();
 
@@ -204,14 +210,21 @@ class FleetScheduler {
 
   /// Retrains exactly the vehicles in `ids` (category-appropriate model,
   /// same logic as TrainAll) against the given shared cold-start inputs,
-  /// fanning out over the thread pool in the order given. Failing vehicles
-  /// are quarantined behind the BL fallback (strict mode aborts instead);
-  /// LastDegradationReport's train entries cover this call only. `ids` must
-  /// be registered (NotFound) and free of duplicates (InvalidArgument);
-  /// nth-selecting failpoint specs address a vehicle by its 1-based
-  /// position in `ids`.
+  /// in one fan-out over the thread pool. When `inputs.unified_fitted` is
+  /// false the same fan-out also fits Model_Uni from `inputs.corpus`
+  /// (TrainUnifiedFromCorpus, in the caller's failpoint ordinal context,
+  /// never a vehicle's) and stores it in `inputs`; it starts first, the
+  /// vehicles that never read it follow in `ids` order and the semi-new and
+  /// new vehicles come last, blocking on the fit only if it is still
+  /// running. Failing vehicles
+  /// are quarantined behind the BL fallback (strict mode returns the
+  /// failure of the lowest position in `ids` instead);
+  /// LastDegradationReport's train entries cover this call only, in `ids`
+  /// order. `ids` must be registered (NotFound) and free of duplicates
+  /// (InvalidArgument); nth-selecting failpoint specs address a vehicle by
+  /// its 1-based position in `ids`.
   [[nodiscard]] Status TrainVehicles(const std::vector<std::string>& ids,
-                                     const ColdStartInputs& inputs);
+                                     ColdStartInputs& inputs);
 
   /// True when `id` currently has a trained (or fallback) model, i.e. it
   /// would be included in FleetForecast. NotFound for unregistered ids.
@@ -339,12 +352,17 @@ class FleetScheduler {
   std::optional<FirstCycleData> ContributionForOldVehicle(
       const std::string& id, const VehicleState& state) const;
 
+  /// One-shot latch through which TrainVehicles' tasks read Model_Uni
+  /// (defined in scheduler.cc).
+  class UnifiedLatch;
+
   /// Category-appropriate (re)training of one vehicle against the shared
-  /// cold-start inputs — the single training code path under both TrainAll
-  /// and TrainVehicles.
-  [[nodiscard]] Status TrainOneVehicle(const std::string& id,
-                                       VehicleState& state,
-                                       const ColdStartInputs& inputs);
+  /// cold-start corpus and Model_Uni — the single training code path under
+  /// both TrainAll and TrainVehicles. Only new vehicles and semi-new
+  /// vehicles without a similarity model wait on `unified`.
+  [[nodiscard]] Status TrainOneVehicle(
+      const std::string& id, VehicleState& state,
+      const std::vector<FirstCycleData>& corpus, const UnifiedLatch& unified);
 
   /// Parses `state`'s pending checkpoint segment into a live model on
   /// first touch (the lazy half of LoadCheckpoint). No-op when nothing is

@@ -148,21 +148,20 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
     if (category.ok()) entry.category = category.ValueOrDie();
   }
 
-  // Phase 2: rebuild the shared cold-start inputs when the corpus changed,
-  // and dirty every cold-start consumer — semi-new vehicles train Model_Sim
+  // Phase 2: rebuild the shared cold-start corpus when it changed, and
+  // dirty every cold-start consumer — semi-new vehicles train Model_Sim
   // against the corpus, new vehicles serve Model_Uni, so a corpus change
   // invalidates them all (old vehicles consume neither and stay clean).
+  // Model_Uni itself is refitted by phase 3's fan-out.
   if (corpus_changed) {
     stats.corpus_rebuilt = true;
     telemetry::Count("serve.refresh.corpus_rebuilds");
-    cold_start_inputs_.corpus.clear();
+    cold_start_inputs_ = core::ColdStartInputs();
     for (const auto& [id, entry] : entries_) {
       if (entry.contribution.has_value()) {
         cold_start_inputs_.corpus.push_back(*entry.contribution);
       }
     }
-    cold_start_inputs_.unified =
-        scheduler_.TrainUnifiedFromCorpus(cold_start_inputs_.corpus);
     for (auto& [id, entry] : entries_) {
       if (entry.category != core::VehicleCategory::kOld) MarkDirty(entry);
     }
@@ -206,7 +205,8 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
   // Phase 3: retrain the dirty vehicles that were not warm-resumed against
   // the shared inputs (TrainVehicles fans out over the thread pool and
   // quarantines failures behind BL fallbacks, the same code path TrainAll
-  // runs).
+  // runs). After a corpus rebuild the same fan-out also refits Model_Uni
+  // into cold_start_inputs_, even when no vehicle is left to retrain.
   std::vector<std::string> dirty_ids;
   std::vector<std::string> cold_ids;
   for (const auto& [id, entry] : entries_) {

@@ -33,11 +33,11 @@
 /// from-scratch batch `TrainAll` + `FleetForecast` over the same data, at
 /// any thread count. The engine earns this by construction, not by
 /// approximation — it runs the exact same code paths the batch facade runs
-/// (CorpusContribution / TrainUnifiedFromCorpus / TrainVehicles /
-/// Forecast), only on the subset that changed, and it rebuilds the shared
-/// cold-start inputs whenever a dirty vehicle's corpus contribution
-/// changes (which dirties every cold-start consumer). See
-/// docs/serving.md for the full argument.
+/// (CorpusContribution / TrainVehicles, whose fan-out fits Model_Uni with
+/// TrainUnifiedFromCorpus / Forecast), only on the subset that changed,
+/// and it rebuilds the shared cold-start inputs whenever a dirty vehicle's
+/// corpus contribution changes (which dirties every cold-start consumer).
+/// See docs/serving.md for the full argument.
 ///
 /// The one opt-in exception: SchedulerOptions::warm_start resumes eligible
 /// dirty vehicles' ensemble models with FleetScheduler::WarmStartVehicle
@@ -272,7 +272,8 @@ class ServingEngine {
   core::FleetScheduler scheduler_;
   std::map<std::string, CacheEntry> entries_;
   /// Cached shared cold-start inputs (corpus in vehicle-id order +
-  /// Model_Uni), rebuilt only when a contribution changes.
+  /// Model_Uni), rebuilt only when a contribution changes; the refresh's
+  /// TrainVehicles call refits Model_Uni after a rebuild.
   core::ColdStartInputs cold_start_inputs_;
   /// Count of entries with dirty == true (kept exact by MarkDirty /
   /// RefreshForecasts so DirtyCount() is O(1) on the daemon's write path).

@@ -59,7 +59,8 @@ inline constexpr size_t kMaxNameBytes = 1024;
 /// Encoded size floor of one index entry (empty id and name).
 inline constexpr size_t kMinIndexEntryBytes = 2 + 2 + 8 + 8 + 4;
 
-/// CRC-32 (IEEE 802.3, reflected) over `data`.
+/// CRC-32 (IEEE 802.3, reflected) over `data`: a portable slice-by-8
+/// table kernel, equal to the bytewise algorithm on every input.
 uint32_t Crc32(std::span<const uint8_t> data);
 inline uint32_t Crc32(const std::string& data) {
   return Crc32(std::span<const uint8_t>(

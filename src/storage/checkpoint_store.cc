@@ -12,6 +12,7 @@
 
 #include "common/failpoints.h"
 #include "common/macros.h"
+#include "common/parallel.h"
 
 namespace nextmaint {
 namespace storage {
@@ -277,6 +278,17 @@ Result<uint64_t> CheckpointStore::SaveAll(std::vector<VehicleRecord> records) {
             [](const VehicleRecord& a, const VehicleRecord& b) {
               return a.vehicle_id < b.vehicle_id;
             });
+  // The CRCs are the only pass over every payload byte before the write,
+  // so they run in parallel; the index loop below stays serial.
+  std::vector<uint32_t> crcs(records.size());
+  NM_RETURN_NOT_OK(ParallelFor(
+      0, records.size(), /*grain=*/1,
+      [&](size_t chunk_begin, size_t chunk_end) -> Status {
+        for (size_t i = chunk_begin; i < chunk_end; ++i) {
+          crcs[i] = Crc32(records[i].payload);
+        }
+        return Status::OK();
+      }));
   std::vector<SegmentIndexEntry> entries;
   entries.reserve(records.size());
   uint64_t offset = kDataRegionOffset;
@@ -292,7 +304,7 @@ Result<uint64_t> CheckpointStore::SaveAll(std::vector<VehicleRecord> records) {
     entry.model_name = record.model_name;
     entry.segment_offset = offset;
     entry.payload_size = record.payload.size();
-    entry.payload_crc32 = Crc32(record.payload);
+    entry.payload_crc32 = crcs[i];
     offset += entry.payload_size;
     entries.push_back(std::move(entry));
   }

@@ -142,6 +142,7 @@ class CheckpointStore {
   /// internally; ids must be unique). Byte-deterministic: the same records
   /// always produce an identical file. Discards staged segments. Returns
   /// the committed generation (always 1 — a full save restarts the chain).
+  /// Every payload CRC is computed here, on the default thread pool.
   [[nodiscard]] Result<uint64_t> SaveAll(std::vector<VehicleRecord> records)
       EXCLUDES(mu_);
 

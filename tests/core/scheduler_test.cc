@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -358,6 +359,7 @@ TEST(FleetSchedulerTest, TrainVehiclesValidatesIds) {
   const auto contribution = scheduler.CorpusContribution("v1").ValueOrDie();
   if (contribution.has_value()) inputs.corpus.push_back(*contribution);
   inputs.unified = scheduler.TrainUnifiedFromCorpus(inputs.corpus);
+  inputs.unified_fitted = true;
   ASSERT_TRUE(scheduler.TrainVehicles({"v1"}, inputs).ok());
   EXPECT_TRUE(scheduler.Forecast("v1").ok());
 }
@@ -577,6 +579,244 @@ TEST(FleetSchedulerTest, LegacyLoadCheckpointFailureCommitsNothing) {
   // No partially loaded model leaks into serving.
   EXPECT_EQ(restored.Forecast("v1").status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+/// A fleet whose cold-start ids sort before, between and after its old
+/// ids, so TrainVehicles' claim order (Model_Uni, then old vehicles, then
+/// cold-start vehicles) differs from the id order.
+void PopulateMixedFleet(FleetScheduler& scheduler) {
+  const auto add = [&](const std::string& id, data::DailySeries series) {
+    ASSERT_TRUE(scheduler.RegisterVehicle(id, series.start_date()).ok());
+    ASSERT_TRUE(scheduler.IngestSeries(id, series).ok());
+  };
+  // New: a few low-usage days. Semi-new: past T_v/2 with no completed
+  // cycle. Old: simulated histories with several cycles.
+  add("a_new", data::DailySeries(Day(0), std::vector<double>(10, 500.0)));
+  add("b_old", SimulatedVehicle(101, 600));
+  add("c_semi", data::DailySeries(Day(0), std::vector<double>(20, 15'000.0)));
+  add("d_old", SimulatedVehicle(102, 600));
+  add("e_new", data::DailySeries(Day(0), std::vector<double>(12, 800.0)));
+  add("f_old", SimulatedVehicle(103, 600));
+  add("g_semi", data::DailySeries(Day(0), std::vector<double>(22, 14'000.0)));
+}
+
+/// Checkpoint bytes and fleet forecast of a trained scheduler.
+struct TrainedOutputs {
+  std::string checkpoint;
+  std::vector<MaintenanceForecast> forecasts;
+};
+
+TrainedOutputs OutputsOf(const FleetScheduler& scheduler,
+                         const std::string& tag) {
+  TrainedOutputs outputs;
+  // ctest runs tests as parallel processes: the test name keeps paths
+  // apart.
+  const std::string path =
+      ::testing::TempDir() + "/" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      tag + ".ckpt";
+  EXPECT_TRUE(scheduler.SaveCheckpoint(path).ok());
+  outputs.checkpoint = ReadAll(path);
+  std::remove(path.c_str());
+  Result<std::vector<MaintenanceForecast>> forecasts =
+      scheduler.FleetForecast();
+  if (forecasts.ok()) outputs.forecasts = std::move(forecasts).ValueOrDie();
+  return outputs;
+}
+
+void ExpectSameOutputs(const TrainedOutputs& got,
+                       const TrainedOutputs& expected) {
+  EXPECT_EQ(got.checkpoint, expected.checkpoint);
+  ASSERT_EQ(got.forecasts.size(), expected.forecasts.size());
+  for (size_t i = 0; i < got.forecasts.size(); ++i) {
+    EXPECT_EQ(got.forecasts[i].vehicle_id, expected.forecasts[i].vehicle_id);
+    EXPECT_EQ(got.forecasts[i].model_name, expected.forecasts[i].model_name);
+    EXPECT_EQ(got.forecasts[i].days_left, expected.forecasts[i].days_left)
+        << got.forecasts[i].vehicle_id;
+    EXPECT_EQ(got.forecasts[i].predicted_date,
+              expected.forecasts[i].predicted_date);
+  }
+}
+
+/// The building-block composition TrainAll is defined by: the corpus from
+/// CorpusContribution, Model_Uni from TrainUnifiedFromCorpus on the calling
+/// thread, then TrainVehicles over every id reusing that model.
+TrainedOutputs ComposeBuildingBlocks(
+    const std::function<void(FleetScheduler&)>& populate) {
+  SchedulerOptions options = FastOptions();
+  options.num_threads = 1;
+  FleetScheduler scheduler(options);
+  populate(scheduler);
+  ColdStartInputs inputs;
+  for (const std::string& id : scheduler.VehicleIds()) {
+    const auto contribution = scheduler.CorpusContribution(id).ValueOrDie();
+    if (contribution.has_value()) inputs.corpus.push_back(*contribution);
+  }
+  inputs.unified = scheduler.TrainUnifiedFromCorpus(inputs.corpus);
+  inputs.unified_fitted = true;
+  EXPECT_TRUE(scheduler.TrainVehicles(scheduler.VehicleIds(), inputs).ok());
+  return OutputsOf(scheduler, "composed");
+}
+
+TrainedOutputs TrainAllAt(const std::function<void(FleetScheduler&)>& populate,
+                          int num_threads) {
+  SchedulerOptions options = FastOptions();
+  options.num_threads = num_threads;
+  FleetScheduler scheduler(options);
+  populate(scheduler);
+  EXPECT_TRUE(scheduler.TrainAll().ok());
+  return OutputsOf(scheduler, std::to_string(num_threads));
+}
+
+TEST(FleetSchedulerTest, UnifiedFitInFanOutMatchesCompositionAtAnyThreadCount) {
+  const TrainedOutputs expected = ComposeBuildingBlocks(PopulateMixedFleet);
+  ASSERT_FALSE(expected.checkpoint.empty());
+  std::map<std::string, std::string> served;
+  for (const MaintenanceForecast& f : expected.forecasts) {
+    served[f.vehicle_id] = f.model_name;
+  }
+  // Every category is present, served by its own model kind.
+  EXPECT_EQ(served.at("a_new"), "LR_Uni");
+  EXPECT_EQ(served.at("e_new"), "LR_Uni");
+  EXPECT_NE(served.at("c_semi").find("_Sim"), std::string::npos);
+  EXPECT_NE(served.at("g_semi").find("_Sim"), std::string::npos);
+  EXPECT_EQ(served.count("b_old"), 1u);
+
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    telemetry::SetEnabled(true);
+    telemetry::MetricsRegistry::Global().Reset();
+    const TrainedOutputs got = TrainAllAt(PopulateMixedFleet, threads);
+    const telemetry::MetricsSnapshot snapshot = telemetry::Snapshot();
+    telemetry::MetricsRegistry::Global().Reset();
+    telemetry::SetEnabled(false);
+    ExpectSameOutputs(got, expected);
+#ifndef NEXTMAINT_TELEMETRY_DISABLED
+    // One wait per cold-start vehicle that reads Model_Uni: the two new
+    // vehicles (both semi-new ones found a similarity model).
+    EXPECT_EQ(
+        snapshot.histograms.at("scheduler.train.unified_wait.seconds").count,
+        2u);
+#endif
+  }
+}
+
+TEST(FleetSchedulerTest, AllColdFleetFanOutFinishesWithoutUnifiedModel) {
+  // No old vehicle, so the corpus is empty and Model_Uni is nullptr: the
+  // new vehicle stays unmodeled and the semi-new one falls back to BL.
+  const auto populate = [](FleetScheduler& scheduler) {
+    ASSERT_TRUE(scheduler.RegisterVehicle("n1", Day(0)).ok());
+    ASSERT_TRUE(scheduler
+                    .IngestSeries("n1", data::DailySeries(
+                                            Day(0),
+                                            std::vector<double>(10, 500.0)))
+                    .ok());
+    ASSERT_TRUE(scheduler.RegisterVehicle("s1", Day(0)).ok());
+    ASSERT_TRUE(scheduler
+                    .IngestSeries("s1", data::DailySeries(
+                                            Day(0),
+                                            std::vector<double>(20, 15'000.0)))
+                    .ok());
+  };
+  const TrainedOutputs expected = ComposeBuildingBlocks(populate);
+  ASSERT_EQ(expected.forecasts.size(), 1u);
+  EXPECT_EQ(expected.forecasts[0].vehicle_id, "s1");
+  EXPECT_EQ(expected.forecasts[0].model_name, "BL_semi");
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    ExpectSameOutputs(TrainAllAt(populate, threads), expected);
+  }
+}
+
+TEST(FleetSchedulerTest, UnifiedFitFailpointFanOutMatchesComposition) {
+  if (!failpoints::CompiledIn()) {
+    GTEST_SKIP() << "failpoints compiled out";
+  }
+  // Outside any context, "ml.fit:1" fails the first uncontexted fit —
+  // Model_Uni — and every fit of the vehicle at position 1, a_new, which
+  // fits nothing. Inside a caller's context 2 (a daemon shard's refresh),
+  // "ml.fit:2" fails Model_Uni, which keeps the caller's context on any
+  // lane, together with the fits of b_old at position 2. Either way the
+  // new vehicles are left unmodeled and the fleet still finishes.
+  for (const uint64_t caller : {uint64_t{0}, uint64_t{2}}) {
+    SCOPED_TRACE(caller);
+    const std::string spec =
+        "ml.fit:" + std::to_string(caller == 0 ? 1 : caller);
+    failpoints::ScopedOrdinal context(caller);
+    failpoints::DisarmAll();
+    ASSERT_TRUE(failpoints::Arm(spec).ok());
+    const TrainedOutputs expected = ComposeBuildingBlocks(PopulateMixedFleet);
+    const uint64_t expected_fired = failpoints::FiredCount("ml.fit");
+    EXPECT_GE(expected_fired, 1u);
+    for (const MaintenanceForecast& f : expected.forecasts) {
+      EXPECT_NE(f.vehicle_id, "a_new");
+      EXPECT_NE(f.vehicle_id, "e_new");
+    }
+    EXPECT_EQ(expected.forecasts.size(), 5u);
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(threads);
+      failpoints::DisarmAll();
+      ASSERT_TRUE(failpoints::Arm(spec).ok());
+      const TrainedOutputs got = TrainAllAt(PopulateMixedFleet, threads);
+      EXPECT_EQ(failpoints::FiredCount("ml.fit"), expected_fired);
+      ExpectSameOutputs(got, expected);
+    }
+  }
+  failpoints::DisarmAll();
+}
+
+TEST(FleetSchedulerTest, FailpointQuarantinesByIdPositionInFanOut) {
+  if (!failpoints::CompiledIn()) {
+    GTEST_SKIP() << "failpoints compiled out";
+  }
+  // Positions 3 (c_semi, claimed last) and 4 (d_old, claimed early).
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    SchedulerOptions options = FastOptions();
+    options.num_threads = threads;
+    FleetScheduler scheduler(options);
+    PopulateMixedFleet(scheduler);
+    failpoints::DisarmAll();
+    ASSERT_TRUE(
+        failpoints::Arm("scheduler.train_vehicle:3,scheduler.train_vehicle:4")
+            .ok());
+    ASSERT_TRUE(scheduler.TrainAll().ok());
+    failpoints::DisarmAll();
+    const DegradationReport report = scheduler.LastDegradationReport();
+    ASSERT_EQ(report.vehicles.size(), 2u);
+    EXPECT_EQ(report.vehicles[0].vehicle_id, "c_semi");
+    EXPECT_EQ(report.vehicles[1].vehicle_id, "d_old");
+    for (const VehicleDegradation& d : report.vehicles) {
+      EXPECT_EQ(d.stage, "train");
+      EXPECT_TRUE(d.fallback);
+      EXPECT_EQ(scheduler.Forecast(d.vehicle_id).ValueOrDie().model_name,
+                "BL_fallback");
+    }
+  }
+}
+
+TEST(FleetSchedulerTest, StrictFailpointReturnsLowestPositionFailure) {
+  if (!failpoints::CompiledIn()) {
+    GTEST_SKIP() << "failpoints compiled out";
+  }
+  // d_old (position 4) is claimed before c_semi (position 3), yet strict
+  // mode must report c_semi, the lowest position, at any thread count.
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    SchedulerOptions options = FastOptions();
+    options.num_threads = threads;
+    options.strict = true;
+    FleetScheduler scheduler(options);
+    PopulateMixedFleet(scheduler);
+    failpoints::DisarmAll();
+    ASSERT_TRUE(
+        failpoints::Arm("scheduler.train_vehicle:3,scheduler.train_vehicle:4")
+            .ok());
+    const Status status = scheduler.TrainAll();
+    failpoints::DisarmAll();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.message().rfind("c_semi: ", 0), 0u) << status.message();
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -287,6 +288,43 @@ INSTANTIATE_TEST_SUITE_P(StorageSites, TornRewriteTest,
                          ::testing::Values("storage.checkpoint.segment_write",
                                            "storage.checkpoint.commit",
                                            "storage.checkpoint.open"));
+
+// --------------------------------------------------------------------------
+// CRC-32 kernel: the slice-by-8 tables must agree with the plain bit-at-a-
+// time algorithm on every length across the 8-byte step boundary and at
+// every alignment of the input.
+// --------------------------------------------------------------------------
+
+uint32_t BitwiseCrc32(std::span<const uint8_t> data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, StandardCheckValue) {
+  EXPECT_EQ(Crc32(std::string("123456789")), 0xCBF43926u);
+  EXPECT_EQ(Crc32(std::string()), 0u);
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  constexpr size_t kMaxLength = 1100;
+  constexpr size_t kOffsets = 8;
+  Rng rng(20240611);
+  std::vector<uint8_t> buffer(kMaxLength + kOffsets);
+  for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng.NextUint64());
+  for (size_t offset = 0; offset < kOffsets; ++offset) {
+    for (size_t length = 0; length <= kMaxLength; ++length) {
+      const std::span<const uint8_t> slice(buffer.data() + offset, length);
+      ASSERT_EQ(Crc32(slice), BitwiseCrc32(slice))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
 
 // --------------------------------------------------------------------------
 // Decoder fuzzing: random mutations of valid encodings must either decode
