@@ -1,7 +1,5 @@
 #include "core/category.h"
 
-#include <cmath>
-
 namespace nextmaint {
 namespace core {
 
@@ -17,9 +15,9 @@ const char* VehicleCategoryName(VehicleCategory category) {
   return "?";
 }
 
-VehicleCategory Categorize(const VehicleSeries& series) {
-  if (series.completed_cycles() >= 1) return VehicleCategory::kOld;
-  if (series.TotalUsage() >= series.maintenance_interval_s / 2.0) {
+VehicleCategory Categorize(const CycleAccumulator& cycles) {
+  if (cycles.completed_cycles >= 1) return VehicleCategory::kOld;
+  if (cycles.total_usage >= cycles.maintenance_interval_s / 2.0) {
     return VehicleCategory::kSemiNew;
   }
   return VehicleCategory::kNew;
@@ -33,15 +31,11 @@ Result<VehicleCategory> CategorizeUsage(const data::DailySeries& u,
   if (!u.IsComplete()) {
     return Status::DataError("utilization series contains missing values");
   }
-  // A single pass suffices: the first crossing of T_v makes the vehicle
-  // old; otherwise compare the total against T_v/2.
-  double total = 0.0;
+  CycleAccumulator cycles{.maintenance_interval_s = maintenance_interval_s};
   for (size_t t = 0; t < u.size(); ++t) {
-    total += u[t];
-    if (total >= maintenance_interval_s) return VehicleCategory::kOld;
+    if (cycles.Advance(u[t])) break;  // the first completed cycle decides
   }
-  return total >= maintenance_interval_s / 2.0 ? VehicleCategory::kSemiNew
-                                               : VehicleCategory::kNew;
+  return Categorize(cycles);
 }
 
 }  // namespace core

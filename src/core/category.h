@@ -27,11 +27,11 @@ enum class VehicleCategory {
 /// Canonical lowercase name ("old", "semi-new", "new").
 const char* VehicleCategoryName(VehicleCategory category);
 
-/// Categorizes from derived series (cycle list + total usage).
-VehicleCategory Categorize(const VehicleSeries& series);
+/// Categorizes from a vehicle's cycle state (completed cycles, total usage).
+VehicleCategory Categorize(const CycleAccumulator& cycles);
 
-/// Categorizes from a raw utilization series and T_v without deriving the
-/// full series (cheaper when only the category is needed). Fails on NaN or
+/// Categorizes a raw utilization series by running the cycle recurrence
+/// over it (stopping at the first completed cycle). Fails on NaN or
 /// non-positive T_v.
 Result<VehicleCategory> CategorizeUsage(const data::DailySeries& u,
                                         double maintenance_interval_s);

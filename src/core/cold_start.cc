@@ -45,25 +45,6 @@ Result<ml::Dataset> FirstCycleDataset(const VehicleSeries& series,
 
 }  // namespace
 
-Result<std::vector<double>> FirstHalfCycleUsage(
-    const data::DailySeries& u, double maintenance_interval_s) {
-  if (maintenance_interval_s <= 0.0) {
-    return Status::InvalidArgument("maintenance_interval_s must be positive");
-  }
-  if (!u.IsComplete()) {
-    return Status::DataError("utilization series contains missing values");
-  }
-  std::vector<double> out;
-  double cumulative = 0.0;
-  for (size_t t = 0; t < u.size(); ++t) {
-    cumulative += u[t];
-    out.push_back(u[t]);
-    if (cumulative >= maintenance_interval_s / 2.0) return out;
-  }
-  return Status::InvalidArgument(
-      "vehicle has used less than T_v/2 seconds (category: new)");
-}
-
 Result<FirstCycleData> ExtractFirstCycle(const std::string& vehicle_id,
                                          const data::DailySeries& u,
                                          double maintenance_interval_s,

@@ -107,11 +107,9 @@ struct SimilarityModel {
     const data::DailySeries& u, double maintenance_interval_s,
     const ColdStartOptions& options);
 
-/// Utilization values of the first half of the first cycle: days until
-/// cumulative usage reaches T_v/2 (inclusive). Fails when total usage is
-/// below T_v/2.
-[[nodiscard]] Result<std::vector<double>> FirstHalfCycleUsage(const data::DailySeries& u,
-                                                double maintenance_interval_s);
+/// The similarity key (data/time_series.h): defined below core so that
+/// corpus headers carry the very key the similarity match reads.
+using data::FirstHalfCycleUsage;
 
 /// Evaluation of one cold-start model on one test vehicle.
 struct ColdStartEvaluation {

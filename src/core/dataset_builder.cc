@@ -26,6 +26,16 @@ std::vector<std::string> FeatureNames(int window, int context_days) {
 Result<std::vector<double>> BuildFeatureRow(const VehicleSeries& series,
                                             size_t t,
                                             const DatasetOptions& options) {
+  if (t >= series.size()) {
+    return Status::InvalidArgument("day index out of range");
+  }
+  return AssembleFeatureRow(series.l[t], series.u, t,
+                            series.maintenance_interval_s, options);
+}
+
+Result<std::vector<double>> AssembleFeatureRow(
+    double usage_left, const data::DailySeries& u, size_t t,
+    double maintenance_interval_s, const DatasetOptions& options) {
   if (options.window < 0) {
     return Status::InvalidArgument("window must be non-negative");
   }
@@ -39,7 +49,7 @@ Result<std::vector<double>> BuildFeatureRow(const VehicleSeries& series,
         "context_forecast_days set but no context series supplied");
   }
   const size_t w = static_cast<size_t>(options.window);
-  if (t >= series.size()) {
+  if (t > u.size()) {
     return Status::InvalidArgument("day index out of range");
   }
   if (t < w) {
@@ -48,16 +58,16 @@ Result<std::vector<double>> BuildFeatureRow(const VehicleSeries& series,
         std::to_string(w) + " preceding days");
   }
   const double l_scale =
-      options.normalize_features ? 1.0 / series.maintenance_interval_s : 1.0;
+      options.normalize_features ? 1.0 / maintenance_interval_s : 1.0;
   const double u_scale = options.normalize_features ? 1.0 / 86400.0 : 1.0;
 
   std::vector<double> row;
   const size_t context_days =
       static_cast<size_t>(options.context_forecast_days);
   row.reserve(w + 1 + context_days);
-  row.push_back(series.l[t] * l_scale);
+  row.push_back(usage_left * l_scale);
   for (size_t k = 1; k <= w; ++k) {
-    row.push_back(series.u[t - k] * u_scale);
+    row.push_back(u[t - k] * u_scale);
   }
   for (size_t k = 0; k < context_days; ++k) {
     const size_t index = std::min(t + k, options.context->size() - 1);

@@ -66,6 +66,13 @@ struct DatasetOptions {
                                             size_t t,
                                             const DatasetOptions& options);
 
+/// The one writer of the feature layout: the row of day `t` from
+/// L(t) = `usage_left` and the utilization series `u`. `t` may be u.size(),
+/// the day after the last observation. Fails when t < W or t > u.size().
+[[nodiscard]] Result<std::vector<double>> AssembleFeatureRow(
+    double usage_left, const data::DailySeries& u, size_t t,
+    double maintenance_interval_s, const DatasetOptions& options);
+
 /// Options for time-shift re-sampling augmentation (Section 4):
 /// "Since we do not know when the vehicle actually had the maintenance
 /// done, we can shift the time reference ... We randomly re-sampled

@@ -45,8 +45,8 @@ Status FleetScheduler::RegisterVehicle(const std::string& id, Date first_day) {
     return Status::AlreadyExists("vehicle '" + id + "' already registered");
   }
   VehicleState state;
-  state.first_day = first_day;
   state.usage = data::DailySeries(first_day, {});
+  state.cycles.maintenance_interval_s = options_.maintenance_interval_s;
   vehicles_.emplace(id, std::move(state));
   return Status::OK();
 }
@@ -59,8 +59,7 @@ Status FleetScheduler::IngestUsage(const std::string& id, Date day,
     return Status::NotFound("vehicle '" + id + "' is not registered");
   }
   VehicleState& state = it->second;
-  const Date expected =
-      state.first_day.AddDays(static_cast<int64_t>(state.usage.size()));
+  const Date expected = state.usage.next_date();
   if (day != expected) {
     return Status::InvalidArgument(
         "out-of-order ingestion for '" + id + "': expected " +
@@ -71,6 +70,7 @@ Status FleetScheduler::IngestUsage(const std::string& id, Date day,
     return Status::InvalidArgument("utilization must be in [0, 86400]");
   }
   state.usage.Append(seconds);  // nextmaint-lint: allow(unchecked-status): DailySeries::Append is void; the harvested name collides with ServingEngine::Append
+  state.cycles.Advance(seconds);
   // New data means the cached binnings of this vehicle's matrices can never
   // be hit again; drop them so the next training starts a fresh cache.
   binning_caches_.erase(id);
@@ -89,8 +89,10 @@ Status FleetScheduler::IngestSeries(const std::string& id,
     return Status::DataError(
         "series contains missing values; run the cleaning step first");
   }
-  it->second.first_day = series.start_date();
   it->second.usage = series;
+  CycleAccumulator& cycles = it->second.cycles;
+  cycles = {.maintenance_interval_s = options_.maintenance_interval_s};
+  for (const double seconds : series.values()) cycles.Advance(seconds);
   it->second.model.reset();
   it->second.pending_segment = storage::SegmentView();
   binning_caches_.erase(id);
@@ -117,7 +119,16 @@ Result<VehicleCategory> FleetScheduler::CategoryOf(
     const std::string& id) const {
   NM_ASSIGN_OR_RETURN(const VehicleState* state, FindVehicle(id));
   if (state->usage.empty()) return VehicleCategory::kNew;
-  return CategorizeUsage(state->usage, options_.maintenance_interval_s);
+  if (options_.maintenance_interval_s <= 0.0) {
+    return Status::InvalidArgument("maintenance_interval_s must be positive");
+  }
+  return Categorize(state->cycles);
+}
+
+Result<CycleAccumulator> FleetScheduler::CycleStateOf(
+    const std::string& id) const {
+  NM_ASSIGN_OR_RETURN(const VehicleState* state, FindVehicle(id));
+  return state->cycles;
 }
 
 std::vector<std::string> FleetScheduler::VehicleIds() const {
@@ -146,8 +157,7 @@ Status FleetScheduler::TrainAll() {
         ++num_new;  // no data yet: categorically a new vehicle
         continue;
       }
-      Result<VehicleCategory> categorized =
-          CategorizeUsage(state.usage, options_.maintenance_interval_s);
+      Result<VehicleCategory> categorized = CategoryOf(id);
       if (!categorized.ok()) {
         if (options_.strict) return categorized.status().WithContext(id);
         // Uncategorizable vehicles contribute nothing to the corpus or the
@@ -197,9 +207,7 @@ Result<std::optional<FirstCycleData>> FleetScheduler::CorpusContribution(
     const std::string& id) const {
   NM_ASSIGN_OR_RETURN(const VehicleState* state, FindVehicle(id));
   if (state->usage.empty()) return std::optional<FirstCycleData>();
-  NM_ASSIGN_OR_RETURN(
-      VehicleCategory category,
-      CategorizeUsage(state->usage, options_.maintenance_interval_s));
+  NM_ASSIGN_OR_RETURN(VehicleCategory category, CategoryOf(id));
   if (category != VehicleCategory::kOld) {
     return std::optional<FirstCycleData>();
   }
@@ -280,9 +288,7 @@ Status FleetScheduler::TrainOneVehicle(
   state.model_name.clear();
   state.pending_segment = storage::SegmentView();
   if (state.usage.empty()) return Status::OK();
-  NM_ASSIGN_OR_RETURN(
-      VehicleCategory category,
-      CategorizeUsage(state.usage, options_.maintenance_interval_s));
+  NM_ASSIGN_OR_RETURN(VehicleCategory category, CategoryOf(id));
 
   if (category == VehicleCategory::kOld) {
     // Select the best algorithm under the 70/30 protocol, then refit it
@@ -429,14 +435,9 @@ Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids,
     }
     // Only semi-new and new vehicles with data may read Model_Uni; an
     // empty history or a categorization error never does.
-    const data::DailySeries& usage = it->second.usage;
-    bool reads_unified = false;
-    if (!usage.empty()) {
-      Result<VehicleCategory> category =
-          CategorizeUsage(usage, options_.maintenance_interval_s);
-      reads_unified =
-          category.ok() && category.ValueOrDie() != VehicleCategory::kOld;
-    }
+    const Result<VehicleCategory> category = CategoryOf(id);
+    const bool reads_unified = !it->second.usage.empty() && category.ok() &&
+                               category.ValueOrDie() != VehicleCategory::kOld;
     (reads_unified ? cold_start : order).push_back(work.size());
     work.emplace_back(&it->first, &it->second);
   }
@@ -554,9 +555,7 @@ Result<bool> FleetScheduler::WarmStartVehicle(const std::string& id,
   // vehicles) needs the cold path.
   if (state.model == nullptr || state.usage.empty()) return false;
   if (state.model_name != "RF" && state.model_name != "XGB") return false;
-  NM_ASSIGN_OR_RETURN(
-      VehicleCategory category,
-      CategorizeUsage(state.usage, options_.maintenance_interval_s));
+  NM_ASSIGN_OR_RETURN(VehicleCategory category, CategoryOf(id));
   if (category != VehicleCategory::kOld) return false;
 
   // Rebuild the refit dataset over the full (grown) history — the exact
@@ -594,27 +593,27 @@ Result<MaintenanceForecast> FleetScheduler::Forecast(
         "vehicle '" + id + "' has no trained model (run TrainAll; new "
         "vehicles need at least one old vehicle in the fleet)");
   }
-  if (state->usage.size() < static_cast<size_t>(options_.window) + 1) {
+  const size_t window = static_cast<size_t>(options_.window);
+  if (state->usage.size() < window + 1) {
     return Status::FailedPrecondition(
-        "vehicle '" + id + "' has fewer days of data than the feature "
-        "window");
+        "vehicle '" + id + "' has " + std::to_string(state->usage.size()) +
+        " days of data; a forecast needs at least W+1 = " +
+        std::to_string(window + 1) + " (feature window W plus one)");
   }
-  // Forecast from the day *after* the last observation: append a virtual
-  // "today" with zero usage so that C/L are defined for it, D is the
-  // unknown and BuildFeatureRow sees yesterday as U(t-1).
-  data::DailySeries extended = state->usage;
-  extended.Append(0.0);  // nextmaint-lint: allow(unchecked-status): DailySeries::Append is void
-  NM_ASSIGN_OR_RETURN(
-      VehicleSeries today_series,
-      DeriveSeries(extended, options_.maintenance_interval_s));
-  const size_t today = today_series.size() - 1;
-
+  // Also rejects a non-positive T_v, as deriving the series would.
+  NM_ASSIGN_OR_RETURN(const VehicleCategory category, CategoryOf(id));
+  // Forecast for "today", the day after the last observation: L(today)
+  // comes from the vehicle's cycle state and yesterday is U(t-1).
+  const size_t today = state->usage.size();
+  const double usage_left = state->cycles.UsageLeft();
   DatasetOptions feature_options;
   feature_options.window = options_.window;
   feature_options.normalize_features =
       options_.selection.normalize_features;
-  NM_ASSIGN_OR_RETURN(std::vector<double> row,
-                      BuildFeatureRow(today_series, today, feature_options));
+  NM_ASSIGN_OR_RETURN(
+      std::vector<double> row,
+      AssembleFeatureRow(usage_left, state->usage, today,
+                         options_.maintenance_interval_s, feature_options));
   NM_ASSIGN_OR_RETURN(
       double days_left,
       state->model->Predict(std::span<const double>(row.data(), row.size())));
@@ -622,14 +621,62 @@ Result<MaintenanceForecast> FleetScheduler::Forecast(
 
   MaintenanceForecast forecast;
   forecast.vehicle_id = id;
-  NM_ASSIGN_OR_RETURN(forecast.category, CategoryOf(id));
+  forecast.category = category;
   forecast.model_name = state->model_name;
   forecast.days_left = days_left;
-  forecast.usage_seconds_left = today_series.l[today];
+  forecast.usage_seconds_left = usage_left;
   const Date last_day = state->usage.end_date();
   forecast.predicted_date =
       last_day.AddDays(static_cast<int64_t>(std::llround(days_left)));
   return forecast;
+}
+
+Status FleetScheduler::ForecastVehicles(
+    const std::vector<std::string>& ids,
+    std::vector<ForecastOutcome>& outcomes) const {
+  // One task per position; results land in position-ordered slots, so the
+  // outcomes (and the log below) never depend on the completion order.
+  outcomes.assign(ids.size(), ForecastOutcome());
+  const Status status = ParallelFor(
+      0, ids.size(), /*grain=*/1,
+      [&](size_t chunk_begin, size_t chunk_end) -> Status {
+        for (size_t v = chunk_begin; v < chunk_end; ++v) {
+          const std::string& id = ids[v];
+          failpoints::ScopedOrdinal ordinal(static_cast<uint64_t>(v) + 1);
+          NM_ASSIGN_OR_RETURN(const bool has_model, HasTrainedModel(id));
+          if (!has_model) continue;
+          Result<MaintenanceForecast> forecast = Forecast(id);
+          if (forecast.ok()) {
+            outcomes[v].forecast = std::move(forecast).ValueOrDie();
+            continue;
+          }
+          if (options_.strict) return forecast.status().WithContext(id);
+          // Quarantine the vehicle and serve it with the untrained BL
+          // baseline (needs no model or feature window); only when even
+          // that is impossible is the vehicle left without a forecast.
+          VehicleDegradation degradation;
+          degradation.vehicle_id = id;
+          degradation.stage = "forecast";
+          degradation.error = forecast.status();
+          Result<MaintenanceForecast> fallback = FallbackForecast(id);
+          if (fallback.ok()) {
+            degradation.fallback = true;
+            outcomes[v].forecast = std::move(fallback).ValueOrDie();
+          }
+          outcomes[v].degradation = std::move(degradation);
+        }
+        return Status::OK();
+      },
+      options_.num_threads);
+  for (const ForecastOutcome& outcome : outcomes) {
+    if (!outcome.degradation.has_value()) continue;
+    const VehicleDegradation& degradation = *outcome.degradation;
+    NM_LOG(Warning) << degradation.vehicle_id << ": forecast degraded ("
+                    << degradation.error.ToString() << "); "
+                    << (degradation.fallback ? "serving BL fallback"
+                                             : "skipped");
+  }
+  return status;
 }
 
 Result<std::vector<MaintenanceForecast>> FleetScheduler::FleetForecast()
@@ -646,64 +693,33 @@ Result<std::vector<MaintenanceForecast>> FleetScheduler::FleetForecast()
         "fleet forecast on an empty fleet: no vehicles registered");
   }
   telemetry::TraceSpan forecast_span("scheduler.forecast");
-  // Fan out one forecast task per trained vehicle. Results land in
-  // index-ordered slots, so the pre-sort order is the registration (map)
-  // order — never the completion order — and the sorted output is
-  // identical at any thread count.
-  std::vector<const std::string*> ids;
+  // Only trained vehicles take part, so a vehicle's failpoint ordinal is
+  // its position among them in id order.
+  std::vector<std::string> ids;
   for (const auto& [id, state] : vehicles_) {
     if (state.model != nullptr || state.pending_segment.valid()) {
-      ids.push_back(&id);
+      ids.push_back(id);
     }
   }
-  std::vector<std::optional<MaintenanceForecast>> slots(ids.size());
-  std::vector<std::optional<VehicleDegradation>> quarantined(ids.size());
+  std::vector<ForecastOutcome> outcomes;
+  const Status status = ForecastVehicles(ids, outcomes);
   forecast_degradation_.vehicles.clear();
-  NM_RETURN_NOT_OK(ParallelFor(
-      0, ids.size(), /*grain=*/1,
-      [&](size_t chunk_begin, size_t chunk_end) -> Status {
-        for (size_t v = chunk_begin; v < chunk_end; ++v) {
-          const std::string& id = *ids[v];
-          failpoints::ScopedOrdinal ordinal(static_cast<uint64_t>(v) + 1);
-          Result<MaintenanceForecast> forecast = Forecast(id);
-          if (forecast.ok()) {
-            telemetry::Count("scheduler.forecast.count");
-            slots[v] = std::move(forecast).ValueOrDie();
-            continue;
-          }
-          if (options_.strict) return forecast.status().WithContext(id);
-          // Quarantine the vehicle and serve it with the untrained BL
-          // baseline (needs no model or feature window); only when even
-          // that is impossible is the vehicle dropped from the output.
-          VehicleDegradation degradation;
-          degradation.vehicle_id = id;
-          degradation.stage = "forecast";
-          degradation.error = forecast.status();
-          Result<MaintenanceForecast> fallback = FallbackForecast(id);
-          if (fallback.ok()) {
-            degradation.fallback = true;
-            telemetry::Count("scheduler.fallback_forecasts");
-            slots[v] = std::move(fallback).ValueOrDie();
-          } else {
-            telemetry::Count("scheduler.forecast.skipped");
-          }
-          quarantined[v] = std::move(degradation);
-        }
-        return Status::OK();
-      },
-      options_.num_threads));
-  for (std::optional<VehicleDegradation>& slot : quarantined) {
-    if (!slot.has_value()) continue;
-    NM_LOG(Warning) << slot->vehicle_id << ": forecast degraded ("
-                    << slot->error.ToString() << "); "
-                    << (slot->fallback ? "serving BL fallback" : "skipped");
-    forecast_degradation_.vehicles.push_back(*std::move(slot));
-  }
   std::vector<MaintenanceForecast> forecasts;
-  forecasts.reserve(slots.size());
-  for (std::optional<MaintenanceForecast>& slot : slots) {
-    if (slot.has_value()) forecasts.push_back(*std::move(slot));
+  forecasts.reserve(outcomes.size());
+  for (ForecastOutcome& outcome : outcomes) {
+    if (outcome.degradation.has_value()) {
+      telemetry::Count(outcome.degradation->fallback
+                           ? "scheduler.fallback_forecasts"
+                           : "scheduler.forecast.skipped");
+      forecast_degradation_.vehicles.push_back(*std::move(outcome.degradation));
+    } else if (outcome.forecast.has_value()) {
+      telemetry::Count("scheduler.forecast.count");
+    }
+    if (outcome.forecast.has_value()) {
+      forecasts.push_back(*std::move(outcome.forecast));
+    }
   }
+  NM_RETURN_NOT_OK(status);
   std::sort(forecasts.begin(), forecasts.end(),
             [](const MaintenanceForecast& a, const MaintenanceForecast& b) {
               return a.predicted_date < b.predicted_date;
@@ -719,26 +735,21 @@ Result<MaintenanceForecast> FleetScheduler::FallbackForecast(
         "vehicle '" + id + "' has no usage data for a BL fallback forecast");
   }
   NM_ASSIGN_OR_RETURN(const double avg, AverageUtilization(state->usage));
-  // Same virtual-today construction as Forecast so L is defined for the day
-  // after the last observation; D_BL = L / AVG needs nothing else — in
-  // particular no trained model and no feature window, and no failpoint
-  // sits on this path, so a quarantined vehicle always reaches it.
-  data::DailySeries extended = state->usage;
-  extended.Append(0.0);  // nextmaint-lint: allow(unchecked-status): DailySeries::Append is void
-  NM_ASSIGN_OR_RETURN(
-      VehicleSeries today_series,
-      DeriveSeries(extended, options_.maintenance_interval_s));
-  const size_t today = today_series.size() - 1;
-  const double days_left = std::max(0.0, today_series.l[today] / avg);
+  // Also rejects a non-positive T_v, as deriving the series would.
+  NM_ASSIGN_OR_RETURN(const VehicleCategory category, CategoryOf(id));
+  // D_BL = L(today) / AVG, with L for the day after the last observation
+  // read from the cycle state. It needs nothing else — in particular no
+  // trained model and no feature window, and no failpoint sits on this
+  // path, so a quarantined vehicle always reaches it.
+  const double usage_left = state->cycles.UsageLeft();
+  const double days_left = std::max(0.0, usage_left / avg);
 
   MaintenanceForecast forecast;
   forecast.vehicle_id = id;
-  Result<VehicleCategory> category = CategoryOf(id);
-  forecast.category =
-      category.ok() ? category.ValueOrDie() : VehicleCategory::kNew;
+  forecast.category = category;
   forecast.model_name = "BL_fallback";
   forecast.days_left = days_left;
-  forecast.usage_seconds_left = today_series.l[today];
+  forecast.usage_seconds_left = usage_left;
   forecast.predicted_date = state->usage.end_date().AddDays(
       static_cast<int64_t>(std::llround(days_left)));
   return forecast;

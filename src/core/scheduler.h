@@ -74,6 +74,15 @@ struct DegradationReport {
   }
 };
 
+/// What FleetScheduler::ForecastVehicles produced for one id.
+struct ForecastOutcome {
+  /// The model's forecast, or the BL fallback when `degradation` says so;
+  /// empty for an unmodeled vehicle or a quarantine without fallback.
+  std::optional<MaintenanceForecast> forecast;
+  /// Set when the vehicle was quarantined (stage "forecast").
+  std::optional<VehicleDegradation> degradation;
+};
+
 /// Configuration of the scheduler.
 struct SchedulerOptions {
   /// Allowed usage seconds between maintenances, fleet-wide default.
@@ -171,6 +180,12 @@ class FleetScheduler {
   /// Current category of a vehicle.
   [[nodiscard]] Result<VehicleCategory> CategoryOf(const std::string& id) const;
 
+  /// The vehicle's maintenance-cycle state after its last ingested day:
+  /// C and L of the next day, completed cycles and total usage. O(1); kept
+  /// up to date by ingestion. NotFound for unregistered ids.
+  [[nodiscard]] Result<CycleAccumulator> CycleStateOf(
+      const std::string& id) const;
+
   /// Registered ids, sorted.
   std::vector<std::string> VehicleIds() const;
 
@@ -250,15 +265,28 @@ class FleetScheduler {
   [[nodiscard]] Result<MaintenanceForecast> Forecast(const std::string& id) const;
 
   /// Forecasts for every vehicle that has a trained model, sorted by
-  /// predicted date (most urgent first). FailedPrecondition when the fleet
+  /// predicted date (most urgent first): ForecastVehicles over the trained
+  /// vehicles in id order, then the sort. FailedPrecondition when the fleet
   /// has no registered vehicles at all (a forecast over nothing is a caller
   /// bug, not an empty answer).
   [[nodiscard]] Result<std::vector<MaintenanceForecast>> FleetForecast() const;
 
+  /// Forecasts the vehicles in `ids` in one fan-out over the thread pool:
+  /// the forecast path of FleetForecast and of the serving engine's
+  /// refresh. outcomes[i] belongs to ids[i] and is filled even when the
+  /// call fails. Vehicles without a trained model are skipped; a failing
+  /// forecast quarantines the vehicle behind FallbackForecast, or in strict
+  /// mode returns the failure of the lowest position. Nth-selecting
+  /// failpoint specs address a vehicle by its 1-based position in `ids`.
+  /// Callers count telemetry and record degradations from the outcomes.
+  [[nodiscard]] Status ForecastVehicles(
+      const std::vector<std::string>& ids,
+      std::vector<ForecastOutcome>& outcomes) const;
+
   /// Builds the untrained-BL forecast for `id` (paper Eq. 5/6:
   /// D_BL = L(today) / AVG). Needs only the usage history — no trained
-  /// model, no feature window — so it serves quarantined vehicles; the
-  /// serving engine uses it to mirror FleetForecast's degradation path.
+  /// model, no feature window — so it serves quarantined vehicles in
+  /// ForecastVehicles.
   [[nodiscard]] Result<MaintenanceForecast> FallbackForecast(
       const std::string& id) const;
 
@@ -333,8 +361,10 @@ class FleetScheduler {
 
  private:
   struct VehicleState {
-    Date first_day;
+    /// Gap-free history; its start date is the registered first day.
     data::DailySeries usage;
+    /// The cycle recurrence advanced over `usage`.
+    CycleAccumulator cycles;
     /// mutable: the const read paths (Forecast) materialize a lazily
     /// loaded model on first touch. Safe under the same per-vehicle
     /// serialization contract those paths already rely on (parallel

@@ -31,20 +31,17 @@ Result<VehicleSeries> DeriveSeries(const data::DailySeries& u,
   out.l.resize(n);
   out.d.assign(n, std::numeric_limits<double>::quiet_NaN());
 
-  size_t cycle_start = 0;
-  double cycle_usage = 0.0;  // usage accumulated in the current cycle
+  CycleAccumulator cycles{.maintenance_interval_s = maintenance_interval_s};
   for (size_t t = 0; t < n; ++t) {
-    out.c[t] = static_cast<double>(t - cycle_start);
-    out.l[t] = maintenance_interval_s - cycle_usage;
-    cycle_usage += shifted[t];
-    if (cycle_usage >= maintenance_interval_s) {
+    out.c[t] = cycles.DaysSinceMaintenance();
+    out.l[t] = cycles.UsageLeft();
+    const size_t cycle_start = cycles.cycle_start;
+    if (cycles.Advance(shifted[t])) {
       // Maintenance at the end of day t closes the cycle.
       out.cycles.push_back(Cycle{cycle_start, t});
       for (size_t i = cycle_start; i <= t; ++i) {
         out.d[i] = static_cast<double>(t - i);
       }
-      cycle_usage -= maintenance_interval_s;  // excess carries over
-      cycle_start = t + 1;
     }
   }
   return out;

@@ -23,6 +23,10 @@
 /// usage (T_v = 2,000,000 s), every vehicle needs to go under maintenance"
 /// — an operation happens at the end of the first day on which cumulative
 /// usage since the previous operation reaches T_v; the excess carries over.
+///
+/// CycleAccumulator is the one implementation of that rule: DeriveSeries
+/// loops over it, categorization reads it, and the fleet scheduler keeps
+/// one per vehicle, so forecasts read today's C and L in O(1).
 
 namespace nextmaint {
 namespace core {
@@ -35,6 +39,47 @@ struct Cycle {
   size_t end = 0;
 
   size_t length_days() const { return end - start + 1; }
+};
+
+/// The maintenance-cycle recurrence, advanced one day at a time.
+///
+/// Each day's usage is added to the open cycle; when the cycle's usage
+/// reaches T_v, maintenance closes it at the end of that day and T_v is
+/// subtracted once — the excess carries over, even when one day used more
+/// than 2·T_v. Between calls the fields describe the start of day `days`.
+struct CycleAccumulator {
+  double maintenance_interval_s = 0.0;
+  /// Days advanced so far, i.e. the index of the next day.
+  size_t days = 0;
+  /// Index of the first day of the open cycle.
+  size_t cycle_start = 0;
+  /// Usage accumulated in the open cycle, carry included.
+  double cycle_usage = 0.0;
+  size_t completed_cycles = 0;
+  /// Sum of every day's usage, added in day order.
+  double total_usage = 0.0;
+
+  /// Adds day `days`' usage. Returns true when maintenance closes the
+  /// cycle at the end of that day.
+  bool Advance(double seconds) {
+    cycle_usage += seconds;
+    total_usage += seconds;
+    const bool closes = cycle_usage >= maintenance_interval_s;
+    if (closes) {
+      cycle_usage -= maintenance_interval_s;  // excess carries over
+      ++completed_cycles;
+      cycle_start = days + 1;
+    }
+    ++days;
+    return closes;
+  }
+  /// C(days): days since the maintenance that opened the open cycle.
+  double DaysSinceMaintenance() const {
+    return static_cast<double>(days - cycle_start);
+  }
+  /// L(days): usage seconds left until the next maintenance (Eq. 1, minus
+  /// the carried-over excess).
+  double UsageLeft() const { return maintenance_interval_s - cycle_usage; }
 };
 
 /// All derived per-day series for one vehicle.
@@ -63,8 +108,6 @@ struct VehicleSeries {
   size_t completed_cycles() const { return cycles.size(); }
   /// True when day t has a defined target.
   bool HasTarget(size_t t) const { return !std::isnan(d[t]); }
-  /// Total utilization seconds accumulated over the whole series.
-  double TotalUsage() const { return u.Sum(); }
 };
 
 /// Derives C, L, D and the cycle list from a utilization series.

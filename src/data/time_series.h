@@ -87,6 +87,15 @@ class DailySeries {
   std::vector<double> values_;
 };
 
+/// Utilization values of the first half of a vehicle's first maintenance
+/// cycle: the days until cumulative usage reaches T_v/2, inclusive. This is
+/// the similarity key of semi-new vehicles (Section 4.4.1), used by the
+/// cold-start models (core) and carried in corpus headers (storage).
+/// InvalidArgument when T_v is not positive or total usage stays below
+/// T_v/2 (the vehicle is "new"); DataError on missing values.
+[[nodiscard]] Result<std::vector<double>> FirstHalfCycleUsage(
+    const DailySeries& u, double maintenance_interval_s);
+
 }  // namespace data
 }  // namespace nextmaint
 

@@ -7,7 +7,6 @@
 #include "common/failpoints.h"
 #include "common/logging.h"
 #include "common/macros.h"
-#include "common/parallel.h"
 #include "common/telemetry.h"
 
 namespace nextmaint {
@@ -32,35 +31,6 @@ void ServingEngine::MarkDirty(CacheEntry& entry) {
   }
 }
 
-void ServingEngine::AdvanceCachedState(CacheEntry& entry, double seconds,
-                                       double maintenance_interval_s) {
-  // One-day mirror of core::DeriveSeries' loop body (series.cc): same
-  // addition, same >= comparison, same single-subtraction carry, so the
-  // cached cycle state is bit-identical to a from-scratch derivation over
-  // the full history.
-  entry.cycle_usage += seconds;
-  if (entry.cycle_usage >= maintenance_interval_s) {
-    ++entry.completed_cycles;
-    entry.cycle_usage -= maintenance_interval_s;  // excess carries over
-    entry.cycle_start = entry.days + 1;
-  }
-  ++entry.days;
-  entry.total_usage += seconds;
-}
-
-void ServingEngine::RecomputeCachedState(CacheEntry& entry,
-                                         const data::DailySeries& series,
-                                         double maintenance_interval_s) {
-  entry.days = 0;
-  entry.cycle_start = 0;
-  entry.completed_cycles = 0;
-  entry.cycle_usage = 0.0;
-  entry.total_usage = 0.0;
-  for (const double seconds : series.values()) {
-    AdvanceCachedState(entry, seconds, maintenance_interval_s);
-  }
-}
-
 Status ServingEngine::Append(const std::string& id, Date day,
                              double seconds) {
   NEXTMAINT_FAILPOINT("serve.append");
@@ -68,11 +38,10 @@ Status ServingEngine::Append(const std::string& id, Date day,
   if (it == entries_.end()) {
     return Status::NotFound("vehicle '" + id + "' is not registered");
   }
-  // The scheduler validates (in-order day, utilization range) and stores;
-  // the cache advances only after it accepts, so a rejected append leaves
-  // both sides untouched and the vehicle's dirtiness unchanged.
+  // The scheduler validates (in-order day, utilization range), stores and
+  // advances the vehicle's cycle state; a rejected append changes nothing,
+  // the vehicle's dirtiness included.
   NM_RETURN_NOT_OK(scheduler_.IngestUsage(id, day, seconds));
-  AdvanceCachedState(it->second, seconds, options_.maintenance_interval_s);
   MarkDirty(it->second);
   telemetry::Count("serve.append.days");
   return Status::OK();
@@ -86,7 +55,6 @@ Status ServingEngine::LoadHistory(const std::string& id,
     return Status::NotFound("vehicle '" + id + "' is not registered");
   }
   NM_RETURN_NOT_OK(scheduler_.IngestSeries(id, series));
-  RecomputeCachedState(it->second, series, options_.maintenance_interval_s);
   MarkDirty(it->second);
   // The cached corpus contribution may describe the replaced history; the
   // next refresh must re-extract and treat it as changed. A replaced
@@ -119,8 +87,8 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
   telemetry::SetGauge("serve.dirty_vehicles",
                       static_cast<double>(stats.dirty_on_entry));
 
-  // Phase 1 (serial, O(dirty)): refresh each dirty vehicle's category and
-  // first-cycle corpus contribution. A contribution is append-invariant
+  // Phase 1 (serial, O(dirty)): refresh each dirty vehicle's first-cycle
+  // corpus contribution. A contribution is append-invariant
   // once present, so the corpus changes only on a present/absent
   // transition or after a bulk history replacement.
   bool corpus_changed = epoch_ == 0;  // first refresh builds everything
@@ -136,16 +104,13 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
     }
     // (Non-strict categorization errors contribute nothing, exactly like
     // TrainAll's corpus pass; the training phase quarantines the vehicle.)
-    const bool has = value.has_value();
-    if (has != entry.has_contribution ||
-        ((has || entry.has_contribution) && entry.contribution_stale)) {
+    const bool had = entry.contribution.has_value();
+    if (value.has_value() != had ||
+        ((value.has_value() || had) && entry.contribution_stale)) {
       corpus_changed = true;
     }
-    entry.has_contribution = has;
     entry.contribution = std::move(value);
     entry.contribution_stale = false;
-    Result<core::VehicleCategory> category = scheduler_.CategoryOf(id);
-    if (category.ok()) entry.category = category.ValueOrDie();
   }
 
   // Phase 2: rebuild the shared cold-start corpus when it changed, and
@@ -163,7 +128,11 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
       }
     }
     for (auto& [id, entry] : entries_) {
-      if (entry.category != core::VehicleCategory::kOld) MarkDirty(entry);
+      // An uncategorizable vehicle counts as a cold-start consumer.
+      if (scheduler_.CategoryOf(id).ValueOr(core::VehicleCategory::kNew) !=
+          core::VehicleCategory::kOld) {
+        MarkDirty(entry);
+      }
     }
   }
 
@@ -185,9 +154,8 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
       const std::string& vehicle_id = id;
       const Result<bool> warmed = [&]() -> Result<bool> {
         NEXTMAINT_FAILPOINT("serve.refresh.warm");
-        if (!e.warm_capable || e.category != core::VehicleCategory::kOld) {
-          return false;
-        }
+        // WarmStartVehicle itself declines vehicles that are not old.
+        if (!e.warm_capable) return false;
         return scheduler_.WarmStartVehicle(vehicle_id,
                                            options_.warm_start_rounds);
       }();
@@ -225,62 +193,28 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
     if (it != entries_.end()) it->second.train_degradation = degradation;
   }
 
-  // Phase 4: re-forecast the dirty vehicles, mirroring FleetForecast:
-  // unmodeled vehicles are excluded, failures quarantine behind the BL
-  // fallback (strict aborts), and results land in index-ordered slots.
-  std::vector<std::optional<core::MaintenanceForecast>> slots(
-      dirty_ids.size());
-  std::vector<std::optional<core::VehicleDegradation>> quarantined(
-      dirty_ids.size());
-  NM_RETURN_NOT_OK(ParallelFor(
-      0, dirty_ids.size(), /*grain=*/1,
-      [&](size_t chunk_begin, size_t chunk_end) -> Status {
-        for (size_t v = chunk_begin; v < chunk_end; ++v) {
-          const std::string& id = dirty_ids[v];
-          failpoints::ScopedOrdinal ordinal(static_cast<uint64_t>(v) + 1);
-          NM_ASSIGN_OR_RETURN(const bool has_model,
-                              scheduler_.HasTrainedModel(id));
-          if (!has_model) continue;  // FleetForecast excludes these too
-          Result<core::MaintenanceForecast> forecast = scheduler_.Forecast(id);
-          if (forecast.ok()) {
-            telemetry::Count("serve.refresh.forecasts");
-            slots[v] = std::move(forecast).ValueOrDie();
-            continue;
-          }
-          if (options_.strict) return forecast.status().WithContext(id);
-          core::VehicleDegradation degradation;
-          degradation.vehicle_id = id;
-          degradation.stage = "forecast";
-          degradation.error = forecast.status();
-          Result<core::MaintenanceForecast> fallback =
-              scheduler_.FallbackForecast(id);
-          if (fallback.ok()) {
-            degradation.fallback = true;
-            telemetry::Count("serve.refresh.fallback_forecasts");
-            slots[v] = std::move(fallback).ValueOrDie();
-          } else {
-            telemetry::Count("serve.refresh.forecasts_skipped");
-          }
-          quarantined[v] = std::move(degradation);
-        }
-        return Status::OK();
-      },
-      options_.num_threads));
+  // Phase 4: re-forecast the dirty vehicles through FleetForecast's own
+  // fan-out (unmodeled vehicles are skipped, failures quarantine behind the
+  // BL fallback, strict aborts).
+  std::vector<core::ForecastOutcome> outcomes;
+  const Status forecasted = scheduler_.ForecastVehicles(dirty_ids, outcomes);
+  for (const core::ForecastOutcome& outcome : outcomes) {
+    if (outcome.degradation.has_value()) {
+      telemetry::Count(outcome.degradation->fallback
+                           ? "serve.refresh.fallback_forecasts"
+                           : "serve.refresh.forecasts_skipped");
+    } else if (outcome.forecast.has_value()) {
+      telemetry::Count("serve.refresh.forecasts");
+    }
+  }
+  NM_RETURN_NOT_OK(forecasted);
 
   // Phase 5 (serial): commit the refreshed vehicles and publish.
   ++epoch_;
   for (size_t v = 0; v < dirty_ids.size(); ++v) {
     CacheEntry& entry = entries_.at(dirty_ids[v]);
-    entry.forecast = std::move(slots[v]);
-    entry.forecast_degradation = std::move(quarantined[v]);
-    if (entry.forecast_degradation.has_value()) {
-      const core::VehicleDegradation& degradation =
-          *entry.forecast_degradation;
-      NM_LOG(Warning) << degradation.vehicle_id << ": forecast degraded ("
-                      << degradation.error.ToString() << "); "
-                      << (degradation.fallback ? "serving BL fallback"
-                                               : "skipped");
-    }
+    entry.forecast = std::move(outcomes[v].forecast);
+    entry.forecast_degradation = std::move(outcomes[v].degradation);
     // Warm-start eligibility for the NEXT refresh: this refresh left the
     // vehicle with a cleanly trained per-vehicle ensemble model (the
     // forecast's model name is the scheduler's model_name for the vehicle;
@@ -398,17 +332,14 @@ Result<VehicleServeState> ServingEngine::CachedState(
     return Status::NotFound("vehicle '" + id + "' is not registered");
   }
   const CacheEntry& entry = it->second;
+  NM_ASSIGN_OR_RETURN(const core::CycleAccumulator cycles,
+                      scheduler_.CycleStateOf(id));
   VehicleServeState state;
-  state.days_observed = entry.days;
-  state.total_usage_s = entry.total_usage;
-  // The same expressions DeriveSeries evaluates for the "virtual today"
-  // (index `days`, the day after the last observation) the forecast path
-  // appends: c = today - cycle_start, l = T - cycle_usage.
-  state.days_since_maintenance =
-      static_cast<double>(entry.days - entry.cycle_start);
-  state.usage_seconds_left =
-      options_.maintenance_interval_s - entry.cycle_usage;
-  state.completed_cycles = entry.completed_cycles;
+  state.days_observed = cycles.days;
+  state.total_usage_s = cycles.total_usage;
+  state.days_since_maintenance = cycles.DaysSinceMaintenance();
+  state.usage_seconds_left = cycles.UsageLeft();
+  state.completed_cycles = cycles.completed_cycles;
   state.dirty = entry.dirty;
   state.has_forecast = entry.forecast.has_value();
   state.last_refresh_epoch = entry.last_refresh_epoch;

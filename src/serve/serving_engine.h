@@ -22,11 +22,11 @@
 /// The paper's system is deployed against a telematics collector that
 /// delivers utilization one day at a time, yet FleetScheduler is a batch
 /// facade — one appended day costs a full-fleet retrain and re-forecast.
-/// The ServingEngine closes that gap with per-vehicle cached feature state
-/// and dirty-tracking: `Append(id, day, seconds)` invalidates only that
-/// vehicle, and `RefreshForecasts()` retrains and re-forecasts only dirty
-/// vehicles (fanning out over the shared thread pool), reusing every clean
-/// vehicle's cached model and forecast.
+/// The ServingEngine closes that gap with dirty-tracking:
+/// `Append(id, day, seconds)` invalidates only that vehicle, and
+/// `RefreshForecasts()` retrains and re-forecasts only dirty vehicles
+/// (fanning out over the shared thread pool), reusing every clean vehicle's
+/// cached model and forecast.
 ///
 /// The non-negotiable invariant: after any interleaving of appends and
 /// refreshes, the published forecasts are **bit-identical** to a
@@ -34,9 +34,10 @@
 /// any thread count. The engine earns this by construction, not by
 /// approximation — it runs the exact same code paths the batch facade runs
 /// (CorpusContribution / TrainVehicles, whose fan-out fits Model_Uni with
-/// TrainUnifiedFromCorpus / Forecast), only on the subset that changed,
-/// and it rebuilds the shared cold-start inputs whenever a dirty vehicle's
-/// corpus contribution changes (which dirties every cold-start consumer).
+/// TrainUnifiedFromCorpus / ForecastVehicles, FleetForecast's fan-out),
+/// only on the subset that changed, and it rebuilds the shared cold-start
+/// inputs whenever a dirty vehicle's corpus contribution changes (which
+/// dirties every cold-start consumer).
 /// See docs/serving.md for the full argument.
 ///
 /// The one opt-in exception: SchedulerOptions::warm_start resumes eligible
@@ -57,11 +58,10 @@
 namespace nextmaint {
 namespace serve {
 
-/// Cached per-vehicle feature state, maintained incrementally in O(1) per
-/// appended day by mirroring core::DeriveSeries' exact operation order
-/// (same additions, same comparisons, same carry), so every value is
-/// bit-identical to what a from-scratch derivation would produce for the
-/// "virtual today" the forecast path uses.
+/// Per-vehicle serving state. The cycle fields are read from the
+/// scheduler's core::CycleAccumulator — the recurrence DeriveSeries itself
+/// runs — so they equal a from-scratch derivation's values for the day
+/// after the last observation, the day the forecast is made for.
 struct VehicleServeState {
   /// Days of utilization ingested.
   uint64_t days_observed = 0;
@@ -141,7 +141,7 @@ class ServingEngine {
   [[nodiscard]] Status Register(const std::string& id, Date first_day);
 
   /// Appends one day of utilization and marks only this vehicle dirty.
-  /// O(1): the cached feature state advances incrementally; nothing is
+  /// O(1): the vehicle's cycle state advances by one day; nothing is
   /// retrained until the next RefreshForecasts. Same validation and error
   /// codes as FleetScheduler::IngestUsage; on error the cached state is
   /// untouched and the vehicle's dirtiness is unchanged.
@@ -157,7 +157,7 @@ class ServingEngine {
   /// corpus contribution changed, the shared cold-start inputs are rebuilt
   /// first and every cold-start (non-old) vehicle is dirtied too — the
   /// price of staying bit-identical to a batch run. FailedPrecondition on
-  /// an empty fleet (mirroring FleetForecast); strict mode aborts on the
+  /// an empty fleet (as FleetForecast does); strict mode aborts on the
   /// first per-vehicle error, otherwise failing vehicles are quarantined
   /// behind BL fallbacks exactly as the batch facade would.
   [[nodiscard]] Result<RefreshStats> RefreshForecasts();
@@ -180,8 +180,8 @@ class ServingEngine {
   [[nodiscard]] std::vector<Result<core::MaintenanceForecast>> GetForecasts(
       std::span<const std::string> ids) const;
 
-  /// Cached feature state of one vehicle (NotFound when unregistered).
-  /// O(1) — no series walk.
+  /// Serving state of one vehicle (NotFound when unregistered). O(1): the
+  /// cycle fields come from FleetScheduler::CycleStateOf, no series walk.
   [[nodiscard]] Result<VehicleServeState> CachedState(const std::string& id) const;
 
   /// Vehicles with changes not yet covered by a refresh. O(1): tracked
@@ -219,23 +219,13 @@ class ServingEngine {
   const core::FleetScheduler& scheduler() const { return scheduler_; }
 
  private:
-  /// Internal per-vehicle cache: the public VehicleServeState plus the
-  /// raw DeriveSeries mirror variables and the cached training inputs and
-  /// outputs.
+  /// Internal per-vehicle cache: the cached training inputs and outputs
+  /// plus the dirty bookkeeping.
   struct CacheEntry {
-    // DeriveSeries mirror (exact FP-op order; see AdvanceCachedState).
-    uint64_t days = 0;
-    uint64_t cycle_start = 0;
-    uint64_t completed_cycles = 0;
-    double cycle_usage = 0.0;
-    double total_usage = 0.0;
-    // Cached category (refreshed alongside the model).
-    core::VehicleCategory category = core::VehicleCategory::kNew;
     // Cached corpus contribution, used to detect corpus changes without
     // comparing datasets: a contribution is append-invariant once present,
     // so only present/absent transitions (and bulk history replacement)
     // can change the corpus.
-    bool has_contribution = false;
     std::optional<core::FirstCycleData> contribution;
     /// Set by LoadHistory: the cached contribution may describe replaced
     /// data, so the next refresh must treat it as changed.
@@ -252,15 +242,6 @@ class ServingEngine {
     uint64_t last_refresh_epoch = 0;
     bool dirty = true;
   };
-
-  /// Advances the DeriveSeries mirror by one ingested day.
-  static void AdvanceCachedState(CacheEntry& entry, double seconds,
-                                 double maintenance_interval_s);
-
-  /// Rebuilds a mirror from scratch after LoadHistory.
-  static void RecomputeCachedState(CacheEntry& entry,
-                                   const data::DailySeries& series,
-                                   double maintenance_interval_s);
 
   /// Flags one entry dirty, keeping the incremental dirty count exact.
   void MarkDirty(CacheEntry& entry);

@@ -32,24 +32,6 @@ namespace {
   return Status::OK();
 }
 
-/// The similarity key the summary header carries: mirror of
-/// core::FirstHalfCycleUsage (usage of the days until cumulative usage
-/// reaches T_v/2, inclusive), pinned equal by tests/storage/corpus_test.cc.
-/// Storage cannot call core (it sits below it), so the derivation is
-/// duplicated here; empty when the vehicle is still "new" or the series
-/// has missing values.
-std::vector<double> FirstHalfKey(const data::DailySeries& u, double tv) {
-  if (tv <= 0.0 || !u.IsComplete()) return {};
-  std::vector<double> out;
-  double cumulative = 0.0;
-  for (size_t t = 0; t < u.size(); ++t) {
-    cumulative += u[t];
-    out.push_back(u[t]);
-    if (cumulative >= tv / 2.0) return out;
-  }
-  return {};
-}
-
 /// Superblock layout (64 bytes): magic, version, vehicle count, index
 /// span + CRC, T_v, file_used, zero padding, slot CRC over bytes [0, 60).
 std::string EncodeCorpusSuperblock(uint32_t vehicle_count,
@@ -224,7 +206,9 @@ Status CorpusWriter::AddVehicle(const std::string& vehicle_id,
   entry.summary.mean_usage =
       series.empty() ? 0.0 : total / static_cast<double>(series.size());
   entry.summary.max_usage = max_usage;
-  entry.summary.first_half_usage = FirstHalfKey(series, tv_);
+  // Empty when the vehicle is still "new" or the series is unusable.
+  entry.summary.first_half_usage =
+      data::FirstHalfCycleUsage(series, tv_).ValueOr({});
   entry.offset = tail_;
   entry.size = block.size();
   entry.crc32 = Crc32(block);

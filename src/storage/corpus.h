@@ -54,8 +54,8 @@ struct CorpusVehicleSummary {
   double mean_usage = 0.0;
   double max_usage = 0.0;
   /// The cold-start similarity key: utilization of the first half of the
-  /// first cycle (days until cumulative usage reaches T_v/2, inclusive) —
-  /// the exact series core::FirstHalfCycleUsage derives. Empty when the
+  /// first cycle (days until cumulative usage reaches T_v/2, inclusive),
+  /// computed by data::FirstHalfCycleUsage. Empty when the
   /// vehicle has not used T_v/2 yet (category "new") or the series is
   /// incomplete.
   std::vector<double> first_half_usage;

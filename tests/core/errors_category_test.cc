@@ -150,8 +150,16 @@ TEST(CategorizeUsageTest, AgreesWithDerivedSeriesCategorize) {
   const double t_v = 1000.0;
   for (double per_day : {50.0, 260.0, 600.0}) {
     data::DailySeries u(Day(0), std::vector<double>(2, per_day));
+    // Independent reference: Section 2's rule over DeriveSeries' cycle
+    // list and the series total.
     const VehicleSeries series = DeriveSeries(u, t_v).ValueOrDie();
-    EXPECT_EQ(Categorize(series), CategorizeUsage(u, t_v).ValueOrDie())
+    VehicleCategory expected = VehicleCategory::kNew;
+    if (!series.cycles.empty()) {
+      expected = VehicleCategory::kOld;
+    } else if (u.Sum() >= t_v / 2.0) {
+      expected = VehicleCategory::kSemiNew;
+    }
+    EXPECT_EQ(CategorizeUsage(u, t_v).ValueOrDie(), expected)
         << "per_day=" << per_day;
   }
 }

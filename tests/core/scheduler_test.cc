@@ -2,16 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <utility>
 
 #include "common/failpoints.h"
 #include "common/telemetry.h"
+#include "core/baseline.h"
+#include "core/dataset_builder.h"
+#include "core/series.h"
+#include "ml/serialization.h"
+#include "storage/checkpoint_store.h"
 #include "telematics/fleet.h"
 
 namespace nextmaint {
@@ -344,6 +353,19 @@ TEST(FleetSchedulerTest, ErrorCodeContract) {
   ASSERT_TRUE(scheduler.TrainAll().ok());
   EXPECT_TRUE(scheduler.HasTrainedModel("v1").ValueOrDie());
   EXPECT_TRUE(scheduler.FleetForecast().ok());
+
+  // Trained, but a forecast needs W+1 days of data (W = 3 here).
+  ASSERT_TRUE(scheduler.RegisterVehicle("short", Day(0)).ok());
+  ASSERT_TRUE(scheduler
+                  .IngestSeries("short", data::DailySeries(
+                                             Day(0), {9'000.0, 0.0, 7'000.0}))
+                  .ok());
+  ASSERT_TRUE(scheduler.TrainAll().ok());
+  ASSERT_TRUE(scheduler.HasTrainedModel("short").ValueOrDie());
+  const Status too_short = scheduler.Forecast("short").status();
+  EXPECT_EQ(too_short.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(too_short.message().find("at least W+1 = 4"), std::string::npos)
+      << too_short.message();
 }
 
 TEST(FleetSchedulerTest, TrainVehiclesValidatesIds) {
@@ -817,6 +839,134 @@ TEST(FleetSchedulerTest, StrictFailpointReturnsLowestPositionFailure) {
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.message().rfind("c_semi: ", 0), 0u) << status.message();
   }
+}
+
+/// Today's L and feature row built the way Forecast and FallbackForecast
+/// once built them: copy the history, append a zero-usage "today", derive
+/// every series and read the row of the appended day.
+struct VirtualDayRow {
+  double usage_left = 0.0;
+  std::vector<double> row;
+};
+
+VirtualDayRow VirtualDayReference(const data::DailySeries& usage,
+                                  const SchedulerOptions& options) {
+  data::DailySeries extended = usage;
+  extended.Append(0.0);  // nextmaint-lint: allow(unchecked-status): DailySeries::Append is void
+  const VehicleSeries series =
+      DeriveSeries(extended, options.maintenance_interval_s).ValueOrDie();
+  const size_t today = series.size() - 1;
+  DatasetOptions feature_options;
+  feature_options.window = options.window;
+  feature_options.normalize_features = options.selection.normalize_features;
+  return {series.l[today],
+          BuildFeatureRow(series, today, feature_options).ValueOrDie()};
+}
+
+/// Every vehicle's model, read back from a checkpoint of `scheduler`.
+std::map<std::string, std::unique_ptr<ml::Regressor>> CheckpointModels(
+    const FleetScheduler& scheduler) {
+  const std::string path =
+      ::testing::TempDir() + "/" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".ckpt";
+  EXPECT_TRUE(scheduler.SaveCheckpoint(path).ok());
+  std::map<std::string, std::unique_ptr<ml::Regressor>> models;
+  const auto store = storage::CheckpointStore::Open(path).ValueOrDie();
+  const storage::CheckpointManifest manifest = store->Load().ValueOrDie();
+  for (const storage::ManifestEntry& entry : manifest.vehicles) {
+    ml::ModelReader reader(entry.segment.Payload().ValueOrDie());
+    models[entry.vehicle_id] = LoadAnyModel(reader).ValueOrDie();
+  }
+  std::remove(path.c_str());
+  return models;
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+TEST(FleetSchedulerTest, ForecastMatchesVirtualDayReference) {
+  const SchedulerOptions options = FastOptions();  // W = 3
+  const data::DailySeries history = SimulatedVehicle(90, 600);
+  const VehicleSeries derived = DeriveSeries(history, kTv).ValueOrDie();
+  ASSERT_GE(derived.completed_cycles(), 3u);
+  // Ends on a maintenance day, ends mid-cycle, and has exactly W+1 days.
+  const size_t maintenance_day = derived.cycles[1].end;
+  const size_t mid_cycle_day =
+      (derived.cycles[2].start + derived.cycles[2].end) / 2;
+  ASSERT_GT(mid_cycle_day, derived.cycles[2].start);
+  const std::map<std::string, data::DailySeries> histories = {
+      {"maintenance_day", history.Slice(0, maintenance_day + 1)},
+      {"mid_cycle", history.Slice(0, mid_cycle_day + 1)},
+      {"window_plus_one",
+       data::DailySeries(Day(0), {9'000.0, 0.0, 12'500.5, 7'000.0})},
+  };
+  ASSERT_EQ(histories.at("window_plus_one").size(),
+            static_cast<size_t>(options.window) + 1);
+
+  FleetScheduler scheduler(options);
+  for (const auto& [id, usage] : histories) {
+    ASSERT_TRUE(scheduler.RegisterVehicle(id, usage.start_date()).ok());
+    ASSERT_TRUE(scheduler.IngestSeries(id, usage).ok());
+  }
+  ASSERT_TRUE(scheduler.TrainAll().ok());
+  const auto models = CheckpointModels(scheduler);
+
+  for (const auto& [id, usage] : histories) {
+    SCOPED_TRACE(id);
+    const VirtualDayRow reference = VirtualDayReference(usage, options);
+    const VehicleCategory category = CategorizeUsage(usage, kTv).ValueOrDie();
+
+    const MaintenanceForecast forecast = scheduler.Forecast(id).ValueOrDie();
+    const double days_left = std::max(
+        0.0, models.at(id)
+                 ->Predict(std::span<const double>(reference.row.data(),
+                                                   reference.row.size()))
+                 .ValueOrDie());
+    EXPECT_EQ(Bits(forecast.days_left), Bits(days_left));
+    EXPECT_EQ(Bits(forecast.usage_seconds_left), Bits(reference.usage_left));
+    EXPECT_EQ(forecast.category, category);
+    EXPECT_EQ(forecast.predicted_date,
+              usage.end_date().AddDays(std::llround(days_left)));
+
+    const MaintenanceForecast fallback =
+        scheduler.FallbackForecast(id).ValueOrDie();
+    const double fallback_days = std::max(
+        0.0, reference.usage_left / AverageUtilization(usage).ValueOrDie());
+    EXPECT_EQ(Bits(fallback.days_left), Bits(fallback_days));
+    EXPECT_EQ(Bits(fallback.usage_seconds_left), Bits(reference.usage_left));
+    EXPECT_EQ(fallback.category, category);
+    EXPECT_EQ(fallback.model_name, "BL_fallback");
+    EXPECT_EQ(fallback.predicted_date,
+              usage.end_date().AddDays(std::llround(fallback_days)));
+  }
+}
+
+TEST(FleetSchedulerTest, NonPositiveIntervalIsInvalidArgument) {
+  for (const double tv : {0.0, -5.0}) {
+    SCOPED_TRACE(tv);
+    SchedulerOptions options = FastOptions();
+    options.maintenance_interval_s = tv;
+    FleetScheduler scheduler(options);
+    ASSERT_TRUE(scheduler.RegisterVehicle("v1", Day(0)).ok());
+    ASSERT_TRUE(scheduler.IngestSeries("v1", SimulatedVehicle(92, 60)).ok());
+    EXPECT_EQ(scheduler.CategoryOf("v1").status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(scheduler.FallbackForecast("v1").status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // With T_v = 0, training quarantines the vehicle behind a BL model, so
+  // Forecast gets past its model and window checks to the interval. (A
+  // negative T_v cannot get that far: the BL model rejects its negative
+  // L scale.)
+  SchedulerOptions options = FastOptions();
+  options.maintenance_interval_s = 0.0;
+  FleetScheduler scheduler(options);
+  ASSERT_TRUE(scheduler.RegisterVehicle("v1", Day(0)).ok());
+  ASSERT_TRUE(scheduler.IngestSeries("v1", SimulatedVehicle(92, 60)).ok());
+  ASSERT_TRUE(scheduler.TrainAll().ok());
+  ASSERT_TRUE(scheduler.HasTrainedModel("v1").ValueOrDie());
+  EXPECT_EQ(scheduler.Forecast("v1").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

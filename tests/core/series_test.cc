@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+
+#include "common/rng.h"
 
 namespace nextmaint {
 namespace core {
@@ -120,7 +125,7 @@ TEST(DeriveSeriesTest, NoCycleWhenUsageInsufficient) {
   for (size_t t = 0; t < 5; ++t) {
     EXPECT_FALSE(s.HasTarget(t));
   }
-  EXPECT_DOUBLE_EQ(s.TotalUsage(), 50.0);
+  EXPECT_DOUBLE_EQ(s.u.Sum(), 50.0);
 }
 
 TEST(DeriveSeriesTest, ErrorCases) {
@@ -158,6 +163,102 @@ TEST(DeriveSeriesTest, InvariantsOnIrregularSeries) {
   // Cycles tile the targeted prefix.
   for (size_t c = 1; c < s.cycles.size(); ++c) {
     EXPECT_EQ(s.cycles[c].start, s.cycles[c - 1].end + 1);
+  }
+}
+
+TEST(CycleAccumulatorTest, OneDayOverTwiceTheIntervalSubtractsOnce) {
+  // 700 s against T = 300 closes one cycle and carries 400 s, which the
+  // next day (even with zero usage) closes again.
+  CycleAccumulator cycles{.maintenance_interval_s = 300.0};
+  EXPECT_TRUE(cycles.Advance(700.0));
+  EXPECT_EQ(cycles.completed_cycles, 1u);
+  EXPECT_EQ(cycles.UsageLeft(), -100.0);
+  EXPECT_EQ(cycles.DaysSinceMaintenance(), 0.0);
+  EXPECT_TRUE(cycles.Advance(0.0));
+  EXPECT_EQ(cycles.UsageLeft(), 200.0);
+  EXPECT_FALSE(cycles.Advance(0.0));
+  EXPECT_EQ(cycles.DaysSinceMaintenance(), 1.0);
+}
+
+/// Random gap-free usage that exercises the recurrence's edge cases:
+/// top-up days that use exactly what the open cycle has left (so it closes
+/// on T_v with no carry), runs of zero-usage days, days above 2*T_v, and
+/// arbitrary fractional days so the carry is not always exact.
+std::vector<double> EdgeCaseUsage(uint64_t seed, size_t days, double t_v) {
+  Rng rng(seed);
+  std::vector<double> usage;
+  while (usage.size() < days) {
+    const uint64_t kind = rng.UniformInt(uint64_t{10});
+    if (kind == 0) {
+      const uint64_t run = 1 + rng.UniformInt(uint64_t{5});
+      for (uint64_t i = 0; i < run; ++i) usage.push_back(0.0);
+    } else if (kind == 1) {
+      usage.push_back(2.0 * t_v + 100.0 * static_cast<double>(
+                                              1 + rng.UniformInt(uint64_t{8})));
+    } else if (kind == 2) {
+      usage.push_back(rng.Uniform(0.0, t_v));
+    } else if (kind <= 4 && !usage.empty()) {
+      // L of the next day, read from the reference derivation.
+      data::DailySeries u(Day(0), usage);
+      u.Append(0.0);  // nextmaint-lint: allow(unchecked-status): DailySeries::Append is void
+      const double left = DeriveSeries(u, t_v).ValueOrDie().l.back();
+      usage.push_back(std::max(0.0, left));
+    } else {
+      usage.push_back(100.0 *
+                      static_cast<double>(rng.UniformInt(uint64_t{10})));
+    }
+  }
+  usage.resize(days);
+  return usage;
+}
+
+TEST(CycleAccumulatorTest, MatchesDeriveSeriesAtEveryPrefix) {
+  constexpr double kT = 1000.0;
+  for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    const std::vector<double> usage = EdgeCaseUsage(seed, 160, kT);
+    const data::DailySeries u(Day(0), usage);
+
+    // The generator must actually hit every edge case.
+    const VehicleSeries whole = DeriveSeries(u, kT).ValueOrDie();
+    size_t exact_closes = 0, zero_days = 0, huge_days = 0;
+    for (const Cycle& cycle : whole.cycles) {
+      // The next day starts with the full interval: no carry.
+      if (cycle.end + 1 < u.size() && whole.l[cycle.end + 1] == kT) {
+        ++exact_closes;
+      }
+    }
+    for (const double day : usage) {
+      if (day == 0.0) ++zero_days;
+      if (day > 2.0 * kT) ++huge_days;
+    }
+    EXPECT_GT(exact_closes, 0u);
+    EXPECT_GT(zero_days, 0u);
+    EXPECT_GT(huge_days, 0u);
+
+    CycleAccumulator cycles{.maintenance_interval_s = kT};
+    for (size_t n = 0; n <= usage.size(); ++n) {
+      if (n > 0) cycles.Advance(usage[n - 1]);
+      // Reference: the first n days plus a zero-usage day n.
+      data::DailySeries prefix = u.Slice(0, n);
+      prefix.Append(0.0);  // nextmaint-lint: allow(unchecked-status): DailySeries::Append is void
+      const VehicleSeries ref = DeriveSeries(prefix, kT).ValueOrDie();
+      size_t closed_before_n = 0;
+      for (const Cycle& cycle : ref.cycles) {
+        if (cycle.end < n) ++closed_before_n;
+      }
+      ASSERT_EQ(cycles.days, n);
+      ASSERT_EQ(std::bit_cast<uint64_t>(cycles.DaysSinceMaintenance()),
+                std::bit_cast<uint64_t>(ref.c[n]))
+          << "n=" << n;
+      ASSERT_EQ(std::bit_cast<uint64_t>(cycles.UsageLeft()),
+                std::bit_cast<uint64_t>(ref.l[n]))
+          << "n=" << n;
+      ASSERT_EQ(cycles.completed_cycles, closed_before_n) << "n=" << n;
+      ASSERT_EQ(std::bit_cast<uint64_t>(cycles.total_usage),
+                std::bit_cast<uint64_t>(u.Slice(0, n).Sum()))
+          << "n=" << n;
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/failpoints.h"
+#include "common/telemetry.h"
 #include "core/scheduler.h"
 #include "telematics/fleet.h"
 
@@ -561,6 +562,120 @@ TEST(ServingEngineWarmStartTest, WarmFailureDegradesToColdRetrain) {
   EXPECT_EQ(stats.ValueOrDie().warm_started, 0u);
   ASSERT_EQ(engine.Snapshot()->forecasts.size(), 1u);
   EXPECT_EQ(engine.Snapshot()->forecasts[0].model_name, "RF");
+}
+
+/// A refresh forecasts its dirty vehicles through FleetScheduler's own
+/// fan-out over the dirty ids, so "scheduler.forecast_vehicle:N" selects
+/// the N-th dirty vehicle in id order and an unmodeled dirty vehicle still
+/// uses up an ordinal. FleetForecast numbers only the modeled vehicles, so
+/// the same spec selects a different vehicle there.
+TEST(ServingEngineTest, ForecastFailpointOrdinalCountsUnmodeledDirtyVehicles) {
+  if (!failpoints::CompiledIn()) {
+    GTEST_SKIP() << "failpoints not compiled in";
+  }
+  failpoints::DisarmAll();
+  const std::map<std::string, data::DailySeries> histories = {
+      {"b_old", SimulatedVehicle(61, 600)},
+      {"c_old", SimulatedVehicle(62, 600)},
+  };
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    telemetry::SetEnabled(true);
+    telemetry::MetricsRegistry::Global().Reset();
+    ServingEngine engine(FastOptions(threads));
+    // a_empty has no data and so no model; it sorts first among the dirty.
+    ASSERT_TRUE(engine.Register("a_empty", Day(0)).ok());
+    for (const auto& [id, series] : histories) {
+      ASSERT_TRUE(engine.Register(id, series.start_date()).ok());
+      ASSERT_TRUE(engine.LoadHistory(id, series).ok());
+    }
+    ASSERT_TRUE(failpoints::Arm("scheduler.forecast_vehicle:2").ok());
+    const Result<RefreshStats> stats = engine.RefreshForecasts();
+    failpoints::DisarmAll();
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    const telemetry::MetricsSnapshot serve_metrics = telemetry::Snapshot();
+
+    const std::shared_ptr<const FleetSnapshot> snapshot = engine.Snapshot();
+    ASSERT_EQ(snapshot->degradations.vehicles.size(), 1u);
+    const core::VehicleDegradation& degraded =
+        snapshot->degradations.vehicles[0];
+    EXPECT_EQ(degraded.vehicle_id, "b_old");
+    EXPECT_EQ(degraded.stage, "forecast");
+    EXPECT_TRUE(degraded.fallback);
+    ASSERT_NE(snapshot->FindForecast("b_old"), nullptr);
+    EXPECT_EQ(snapshot->FindForecast("b_old")->model_name, "BL_fallback");
+    ASSERT_NE(snapshot->FindForecast("c_old"), nullptr);
+    EXPECT_NE(snapshot->FindForecast("c_old")->model_name, "BL_fallback");
+    EXPECT_EQ(snapshot->FindForecast("a_empty"), nullptr);
+
+    core::FleetScheduler batch(FastOptions(threads));
+    ASSERT_TRUE(batch.RegisterVehicle("a_empty", Day(0)).ok());
+    for (const auto& [id, series] : histories) {
+      ASSERT_TRUE(batch.RegisterVehicle(id, series.start_date()).ok());
+      ASSERT_TRUE(batch.IngestSeries(id, series).ok());
+    }
+    ASSERT_TRUE(batch.TrainAll().ok());
+    telemetry::MetricsRegistry::Global().Reset();
+    ASSERT_TRUE(failpoints::Arm("scheduler.forecast_vehicle:2").ok());
+    ASSERT_TRUE(batch.FleetForecast().ok());
+    failpoints::DisarmAll();
+    const telemetry::MetricsSnapshot batch_metrics = telemetry::Snapshot();
+    telemetry::MetricsRegistry::Global().Reset();
+    telemetry::SetEnabled(false);
+    const core::DegradationReport report = batch.LastDegradationReport();
+    ASSERT_EQ(report.vehicles.size(), 1u);
+    EXPECT_EQ(report.vehicles[0].vehicle_id, "c_old");
+    EXPECT_EQ(report.vehicles[0].stage, "forecast");
+
+#ifndef NEXTMAINT_TELEMETRY_DISABLED
+    // Each caller counts under its own names from the fan-out's outcomes.
+    const auto counter = [](const telemetry::MetricsSnapshot& metrics,
+                            const std::string& name) -> uint64_t {
+      auto it = metrics.counters.find(name);
+      return it == metrics.counters.end() ? 0 : it->second;
+    };
+    EXPECT_EQ(counter(serve_metrics, "serve.refresh.forecasts"), 1u);
+    EXPECT_EQ(counter(serve_metrics, "serve.refresh.fallback_forecasts"), 1u);
+    EXPECT_EQ(counter(serve_metrics, "serve.refresh.forecasts_skipped"), 0u);
+    EXPECT_EQ(counter(serve_metrics, "scheduler.forecast.count"), 0u);
+    EXPECT_EQ(counter(serve_metrics, "scheduler.fallback_forecasts"), 0u);
+    EXPECT_EQ(counter(batch_metrics, "scheduler.forecast.count"), 1u);
+    EXPECT_EQ(counter(batch_metrics, "scheduler.fallback_forecasts"), 1u);
+    EXPECT_EQ(counter(batch_metrics, "scheduler.forecast.skipped"), 0u);
+    EXPECT_EQ(counter(batch_metrics, "serve.refresh.forecasts"), 0u);
+#endif
+  }
+}
+
+/// Strict mode turns the same injection into a failed refresh that names
+/// the lowest failing position, as FleetForecast does.
+TEST(ServingEngineTest, StrictForecastFailpointFailsRefresh) {
+  if (!failpoints::CompiledIn()) {
+    GTEST_SKIP() << "failpoints not compiled in";
+  }
+  failpoints::DisarmAll();
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    core::SchedulerOptions options = FastOptions(threads);
+    options.strict = true;
+    ServingEngine engine(options);
+    ASSERT_TRUE(engine.Register("a_empty", Day(0)).ok());
+    for (const std::string id : {"b_old", "c_old", "d_old"}) {
+      const data::DailySeries series =
+          SimulatedVehicle(60 + static_cast<uint64_t>(id[0] - 'a'), 600);
+      ASSERT_TRUE(engine.Register(id, series.start_date()).ok());
+      ASSERT_TRUE(engine.LoadHistory(id, series).ok());
+    }
+    ASSERT_TRUE(failpoints::Arm(
+                    "scheduler.forecast_vehicle:3,scheduler.forecast_vehicle:4")
+                    .ok());
+    const Result<RefreshStats> stats = engine.RefreshForecasts();
+    failpoints::DisarmAll();
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().message().rfind("c_old: ", 0), 0u)
+        << stats.status().message();
+    EXPECT_EQ(engine.epoch(), 0u);
+  }
 }
 
 }  // namespace
