@@ -70,7 +70,11 @@ Status FleetScheduler::IngestUsage(const std::string& id, Date day,
     return Status::InvalidArgument("utilization must be in [0, 86400]");
   }
   state.usage.Append(seconds);  // nextmaint-lint: allow(unchecked-status): DailySeries::Append is void; the harvested name collides with ServingEngine::Append
-  state.cycles.Advance(seconds);
+  // Closing the first cycle makes the vehicle old: its corpus contribution
+  // appears. Later closes leave that fixed prefix of the history alone.
+  if (state.cycles.Advance(seconds) && state.cycles.completed_cycles == 1) {
+    state.corpus_pending = corpus_pending_ = true;
+  }
   // New data means the cached binnings of this vehicle's matrices can never
   // be hit again; drop them so the next training starts a fresh cache.
   binning_caches_.erase(id);
@@ -97,9 +101,11 @@ Status FleetScheduler::IngestSeries(const std::string& id,
   it->second.pending_segment = storage::SegmentView();
   binning_caches_.erase(id);
   // Unlike Append, a wholesale series replacement can change the vehicle's
-  // first cycle and therefore the cold-start corpus; reset the shared
-  // cold-start cache too (entries are content-addressed, so this is about
-  // memory, not correctness).
+  // first cycle and therefore the cold-start corpus: mark it for the next
+  // RefreshCorpus, and reset the shared cold-start cache too (entries are
+  // content-addressed, so this is about memory, not correctness).
+  it->second.corpus_pending = it->second.history_replaced = true;
+  corpus_pending_ = true;
   unified_binning_cache_->Clear();
   telemetry::Count("scheduler.ingest.series");
   telemetry::Count("scheduler.ingest.days", series.size());
@@ -119,9 +125,7 @@ Result<VehicleCategory> FleetScheduler::CategoryOf(
     const std::string& id) const {
   NM_ASSIGN_OR_RETURN(const VehicleState* state, FindVehicle(id));
   if (state->usage.empty()) return VehicleCategory::kNew;
-  if (options_.maintenance_interval_s <= 0.0) {
-    return Status::InvalidArgument("maintenance_interval_s must be positive");
-  }
+  NM_RETURN_NOT_OK(ValidateOptions());
   return Categorize(state->cycles);
 }
 
@@ -138,34 +142,34 @@ std::vector<std::string> FleetScheduler::VehicleIds() const {
   return ids;
 }
 
-Status FleetScheduler::TrainAll() {
+Status FleetScheduler::ValidateOptions() const {
   if (options_.num_threads < 0) {
     return Status::InvalidArgument(
         "SchedulerOptions::num_threads must be >= 0 (0 = all cores), got " +
         std::to_string(options_.num_threads));
   }
+  const double interval = options_.maintenance_interval_s;
+  if (!std::isfinite(interval) || interval <= 0.0) {
+    return Status::InvalidArgument(
+        "SchedulerOptions::maintenance_interval_s must be finite and > 0, "
+        "got " + std::to_string(interval));
+  }
+  return Status::OK();
+}
+
+Status FleetScheduler::TrainAll() {
+  NM_RETURN_NOT_OK(ValidateOptions());
   telemetry::TraceSpan train_span("scheduler.train");
 
-  // Pass 1: first-cycle corpus from old vehicles (for cold-start models),
-  // tallying the fleet's category mix along the way.
-  ColdStartInputs inputs;
+  // Pass 1: bring the first-cycle corpus (for cold-start models) up to
+  // date, tallying the fleet's category mix along the way.
   size_t num_old = 0, num_semi_new = 0, num_new = 0;
   {
     telemetry::TraceSpan corpus_span("scheduler.train.corpus");
+    NM_RETURN_NOT_OK(RefreshCorpus().status());
     for (const auto& [id, state] : vehicles_) {
-      if (state.usage.empty()) {
-        ++num_new;  // no data yet: categorically a new vehicle
-        continue;
-      }
-      Result<VehicleCategory> categorized = CategoryOf(id);
-      if (!categorized.ok()) {
-        if (options_.strict) return categorized.status().WithContext(id);
-        // Uncategorizable vehicles contribute nothing to the corpus or the
-        // category mix; pass 2 hits the same error and quarantines them.
-        continue;
-      }
-      const VehicleCategory category = categorized.ValueOrDie();
-      switch (category) {
+      // A vehicle without data has no usage: categorically new.
+      switch (Categorize(state.cycles)) {
         case VehicleCategory::kOld:
           ++num_old;
           break;
@@ -176,9 +180,6 @@ Status FleetScheduler::TrainAll() {
           ++num_new;
           break;
       }
-      if (category != VehicleCategory::kOld) continue;
-      std::optional<FirstCycleData> data = ContributionForOldVehicle(id, state);
-      if (data.has_value()) inputs.corpus.push_back(*std::move(data));
     }
   }
   telemetry::SetGauge("scheduler.fleet.vehicles.old",
@@ -189,9 +190,9 @@ Status FleetScheduler::TrainAll() {
                       static_cast<double>(num_new));
 
   // Pass 2: one fan-out fits the unified model shared by every cold-start
-  // vehicle (inputs.unified_fitted is still false) and retrains every
-  // vehicle against the shared inputs.
-  return TrainVehicles(VehicleIds(), inputs);
+  // vehicle (a batch run always refits it) and retrains every vehicle.
+  unified_fitted_ = false;
+  return TrainVehicles(VehicleIds());
 }
 
 std::optional<FirstCycleData> FleetScheduler::ContributionForOldVehicle(
@@ -212,6 +213,37 @@ Result<std::optional<FirstCycleData>> FleetScheduler::CorpusContribution(
     return std::optional<FirstCycleData>();
   }
   return ContributionForOldVehicle(id, *state);
+}
+
+Result<bool> FleetScheduler::RefreshCorpus() {
+  NM_RETURN_NOT_OK(ValidateOptions());
+  if (!corpus_pending_) return false;
+  // One merge walk: vehicles_ and corpus_ are both in id order, and only
+  // marked vehicles are extracted again.
+  std::vector<FirstCycleData> corpus;
+  corpus.reserve(corpus_.size());
+  auto old = corpus_.begin();
+  bool changed = false;
+  for (auto& [id, state] : vehicles_) {
+    const bool had = old != corpus_.end() && old->vehicle_id == id;
+    if (!state.corpus_pending) {
+      if (had) corpus.push_back(std::move(*old++));
+      continue;
+    }
+    if (had) ++old;
+    std::optional<FirstCycleData> data;
+    if (Categorize(state.cycles) == VehicleCategory::kOld) {
+      data = ContributionForOldVehicle(id, state);
+    }
+    const bool has = data.has_value();
+    if (had != has || (state.history_replaced && (had || has))) changed = true;
+    if (has) corpus.push_back(*std::move(data));
+    state.corpus_pending = state.history_replaced = false;
+  }
+  corpus_ = std::move(corpus);
+  corpus_pending_ = false;
+  if (changed) unified_fitted_ = false;
+  return changed;
 }
 
 std::shared_ptr<ml::Regressor> FleetScheduler::TrainUnifiedFromCorpus(
@@ -320,16 +352,8 @@ Status FleetScheduler::TrainOneVehicle(
     telemetry::Count("scheduler.selection.winner." + chosen);
 
     if (chosen == "BL") {
-      Result<double> avg = AverageUtilization(state.usage);
-      if (avg.ok()) {
-        const double l_scale =
-            options_.selection.normalize_features
-                ? 1.0 / options_.maintenance_interval_s
-                : 1.0;
-        state.model = std::make_shared<BaselinePredictor>(
-            avg.ValueOrDie(), l_scale);
-        state.model_name = "BL";
-      }
+      state.model = MakeBaseline(state.usage);
+      if (state.model != nullptr) state.model_name = "BL";
       return Status::OK();
     }
     DatasetOptions dataset_options;
@@ -394,29 +418,35 @@ Status FleetScheduler::TrainOneVehicle(
   return Status::OK();
 }
 
-Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids,
-                                     ColdStartInputs& inputs) {
-  if (options_.num_threads < 0) {
-    return Status::InvalidArgument(
-        "SchedulerOptions::num_threads must be >= 0 (0 = all cores), got " +
-        std::to_string(options_.num_threads));
-  }
+std::shared_ptr<ml::Regressor> FleetScheduler::MakeBaseline(
+    const data::DailySeries& usage) const {
+  Result<double> avg = AverageUtilization(usage);
+  if (!avg.ok()) return nullptr;
+  const double l_scale = options_.selection.normalize_features
+                             ? 1.0 / options_.maintenance_interval_s
+                             : 1.0;
+  return std::make_shared<BaselinePredictor>(avg.ValueOrDie(), l_scale);
+}
+
+Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids) {
+  // Also validates the options.
+  NM_RETURN_NOT_OK(RefreshCorpus().status());
   // Resolve every id up front: an unknown or duplicated id must fail the
   // whole call, not quarantine mid-run (duplicates would race on the same
   // VehicleState across workers).
   std::vector<std::pair<const std::string*, VehicleState*>> work;
   work.reserve(ids.size());
-  // Claim order, as positions in `work`: the Model_Uni fit (when `inputs`
-  // has none yet) first, then the vehicles that never read it in id order,
-  // then the semi-new and new vehicles in id order. ParallelFor hands out
-  // tasks in this order and a lane runs the task it claims at once, so the
-  // fit is running before any cold-start task can block on it (the latch
-  // cannot hang), and by the time one needs the model the fit has
-  // overlapped every old vehicle.
+  // Claim order, as positions in `work`: the Model_Uni fit (when the
+  // current one is invalid) first, then the vehicles that never read it in
+  // id order, then the semi-new and new vehicles in id order. ParallelFor
+  // hands out tasks in this order and a lane runs the task it claims at
+  // once, so the fit is running before any cold-start task can block on it
+  // (the latch cannot hang), and by the time one needs the model the fit
+  // has overlapped every old vehicle.
   constexpr size_t kUnifiedTask = static_cast<size_t>(-1);
   std::vector<size_t> order;
   std::vector<size_t> cold_start;
-  if (!inputs.unified_fitted) order.push_back(kUnifiedTask);
+  if (!unified_fitted_) order.push_back(kUnifiedTask);
   std::set<std::string_view> seen;
   for (const std::string& id : ids) {
     auto it = vehicles_.find(id);
@@ -433,21 +463,20 @@ Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids,
         binning_caches_.find(id) == binning_caches_.end()) {
       binning_caches_.emplace(id, std::make_shared<ml::BinningCache>());
     }
-    // Only semi-new and new vehicles with data may read Model_Uni; an
-    // empty history or a categorization error never does.
-    const Result<VehicleCategory> category = CategoryOf(id);
-    const bool reads_unified = !it->second.usage.empty() && category.ok() &&
-                               category.ValueOrDie() != VehicleCategory::kOld;
+    // Only semi-new and new vehicles with data read Model_Uni.
+    const bool reads_unified =
+        !it->second.usage.empty() &&
+        Categorize(it->second.cycles) != VehicleCategory::kOld;
     (reads_unified ? cold_start : order).push_back(work.size());
     work.emplace_back(&it->first, &it->second);
   }
   order.insert(order.end(), cold_start.begin(), cold_start.end());
 
   UnifiedLatch unified;
-  if (inputs.unified_fitted) unified.Release(inputs.unified);
+  if (unified_fitted_) unified.Release(unified_);
   const uint64_t caller_ordinal = failpoints::CurrentOrdinal();
 
-  // Each vehicle's training touches only its own state (corpus and options
+  // Each vehicle's training touches only its own state (corpus_ and options
   // are read-only here; Model_Uni reaches its readers only through the
   // latch), and no cross-vehicle reduction exists, so results match the
   // serial loop exactly. Failures, quarantines and failpoint ordinals all
@@ -468,7 +497,7 @@ Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids,
             // the same hit as a fit on the calling thread would.
             failpoints::ScopedOrdinal ordinal(caller_ordinal);
             UnifiedLatch::ReleaseOnExit release(unified);
-            release.model = TrainUnifiedFromCorpus(inputs.corpus);
+            release.model = TrainUnifiedFromCorpus(corpus_);
             continue;
           }
           const size_t v = order[task];
@@ -480,7 +509,7 @@ Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids,
           failpoints::ScopedOrdinal ordinal(static_cast<uint64_t>(v) + 1);
           const Status status = [&]() -> Status {
             NEXTMAINT_FAILPOINT("scheduler.train_vehicle");
-            return TrainOneVehicle(id, state, inputs.corpus, unified);
+            return TrainOneVehicle(id, state, corpus_, unified);
           }();
           if (status.ok()) continue;
           if (options_.strict) {
@@ -490,32 +519,22 @@ Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids,
           // Quarantine the vehicle: drop whatever partial model state the
           // failed training left behind and serve it with the untrained BL
           // baseline so the fleet keeps a forecast for it.
-          state.model.reset();
-          state.model_name.clear();
+          state.model = MakeBaseline(state.usage);
+          state.model_name = state.model != nullptr ? "BL_fallback" : "";
           state.pending_segment = storage::SegmentView();
           VehicleDegradation degradation;
           degradation.vehicle_id = id;
           degradation.stage = "train";
           degradation.error = status;
-          Result<double> avg = AverageUtilization(state.usage);
-          if (avg.ok()) {
-            const double l_scale =
-                options_.selection.normalize_features
-                    ? 1.0 / options_.maintenance_interval_s
-                    : 1.0;
-            state.model = std::make_shared<BaselinePredictor>(
-                avg.ValueOrDie(), l_scale);
-            state.model_name = "BL_fallback";
-            degradation.fallback = true;
-          }
+          degradation.fallback = state.model != nullptr;
           quarantined[v] = std::move(degradation);
         }
         return Status::OK();
       },
       options_.num_threads));
-  if (!inputs.unified_fitted) {
-    inputs.unified = unified.Wait();
-    inputs.unified_fitted = true;
+  if (!unified_fitted_) {
+    unified_ = unified.Wait();
+    unified_fitted_ = true;
   }
   for (Status& failure : failures) {
     if (!failure.ok()) return std::move(failure);
@@ -600,7 +619,7 @@ Result<MaintenanceForecast> FleetScheduler::Forecast(
         " days of data; a forecast needs at least W+1 = " +
         std::to_string(window + 1) + " (feature window W plus one)");
   }
-  // Also rejects a non-positive T_v, as deriving the series would.
+  // Also rejects invalid options, a non-positive or non-finite T_v included.
   NM_ASSIGN_OR_RETURN(const VehicleCategory category, CategoryOf(id));
   // Forecast for "today", the day after the last observation: L(today)
   // comes from the vehicle's cycle state and yesterday is U(t-1).
@@ -681,11 +700,7 @@ Status FleetScheduler::ForecastVehicles(
 
 Result<std::vector<MaintenanceForecast>> FleetScheduler::FleetForecast()
     const {
-  if (options_.num_threads < 0) {
-    return Status::InvalidArgument(
-        "SchedulerOptions::num_threads must be >= 0 (0 = all cores), got " +
-        std::to_string(options_.num_threads));
-  }
+  NM_RETURN_NOT_OK(ValidateOptions());
   if (vehicles_.empty()) {
     // A forecast over nothing is a caller bug, not an empty answer; see the
     // error-code contract in scheduler.h.
@@ -735,7 +750,7 @@ Result<MaintenanceForecast> FleetScheduler::FallbackForecast(
         "vehicle '" + id + "' has no usage data for a BL fallback forecast");
   }
   NM_ASSIGN_OR_RETURN(const double avg, AverageUtilization(state->usage));
-  // Also rejects a non-positive T_v, as deriving the series would.
+  // Also rejects invalid options, a non-positive or non-finite T_v included.
   NM_ASSIGN_OR_RETURN(const VehicleCategory category, CategoryOf(id));
   // D_BL = L(today) / AVG, with L for the day after the last observation
   // read from the cycle state. It needs nothing else — in particular no

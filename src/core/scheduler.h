@@ -85,7 +85,9 @@ struct ForecastOutcome {
 
 /// Configuration of the scheduler.
 struct SchedulerOptions {
-  /// Allowed usage seconds between maintenances, fleet-wide default.
+  /// Allowed usage seconds between maintenances (T_v), fleet-wide default.
+  /// Must be finite and > 0; every fleet entry point returns
+  /// InvalidArgument otherwise.
   double maintenance_interval_s = 2'000'000.0;
   /// Feature window W used by every trained model.
   int window = 6;
@@ -99,8 +101,8 @@ struct SchedulerOptions {
   /// Cold-start options; window overwritten likewise.
   ColdStartOptions cold_start;
   /// Vehicles trained/forecast concurrently by TrainAll/FleetForecast.
-  /// <= 0 follows the process-wide default
-  /// (ThreadPool::DefaultThreadCount()). Any value yields bit-identical
+  /// 0 follows the process-wide default (ThreadPool::DefaultThreadCount());
+  /// negative values are InvalidArgument. Any value yields bit-identical
   /// models and forecasts; see docs/parallelism.md.
   int num_threads = 0;
   /// Fleet deployments keep serving healthy vehicles when one vehicle's
@@ -108,7 +110,7 @@ struct SchedulerOptions {
   /// vehicle (see LastDegradationReport) and fall back to the BL baseline.
   /// `strict` restores fail-fast: the first per-vehicle error aborts the
   /// whole fleet operation (option-validation errors such as a negative
-  /// num_threads always fail fast). See docs/fault-injection.md.
+  /// num_threads or T_v always fail fast). See docs/fault-injection.md.
   bool strict = false;
   /// Tree-training core for every tree learner the scheduler trains
   /// (selection candidates, refits, cold-start models). Both cores produce
@@ -128,25 +130,6 @@ struct SchedulerOptions {
   int warm_start_rounds = 10;
 };
 
-/// Shared cold-start training inputs: the old vehicles' first-cycle corpus
-/// (vehicle-id order) plus the unified model trained on it. TrainAll builds
-/// one per run; the incremental serving engine (serve/serving_engine.h)
-/// caches one across refreshes and rebuilds it only when a vehicle's corpus
-/// contribution changes, so subset retrains see exactly the inputs a full
-/// batch run would. A caller fills `corpus` and leaves `unified_fitted`
-/// false; the next TrainVehicles fits Model_Uni inside its fan-out and
-/// stores it here.
-struct ColdStartInputs {
-  std::vector<FirstCycleData> corpus;
-  /// Model_Uni trained on `corpus` (TrainUnifiedFromCorpus); nullptr when
-  /// the corpus is empty or unified training failed (cold-start vehicles
-  /// then fall through to their next option, matching TrainAll).
-  std::shared_ptr<ml::Regressor> unified;
-  /// True once `unified` holds the fit of `corpus`, even when that fit is
-  /// nullptr. TrainVehicles reuses `unified` as given when true.
-  bool unified_fitted = false;
-};
-
 /// Fleet-level next-maintenance scheduler.
 ///
 /// Usage: RegisterVehicle -> IngestUsage (day by day or in bulk) ->
@@ -160,7 +143,8 @@ struct ColdStartInputs {
 ///    for the feature window, or a FleetForecast on a fleet with zero
 ///    registered vehicles.
 ///  - InvalidArgument: malformed inputs or options (negative num_threads,
-///    out-of-order ingestion, utilization outside [0, 86400]).
+///    a maintenance interval that is not finite and positive, out-of-order
+///    ingestion, utilization outside [0, 86400]).
 class FleetScheduler {
  public:
   explicit FleetScheduler(SchedulerOptions options);
@@ -199,23 +183,33 @@ class FleetScheduler {
   /// fleet with no old vehicles) are left untrained; Forecast reports the
   /// failure for them.
   ///
-  /// Equivalent to building the corpus from CorpusContribution over every
-  /// vehicle, training the unified model with TrainUnifiedFromCorpus and
-  /// running TrainVehicles over VehicleIds() — TrainAll is implemented on
-  /// exactly those building blocks (it leaves the unified fit to
-  /// TrainVehicles' fan-out), which is what makes incremental subset
-  /// retrains (serve/serving_engine.h) bit-identical to a batch run.
+  /// Implemented on the public building blocks: RefreshCorpus, then
+  /// TrainVehicles over VehicleIds() with Model_Uni refitted inside its
+  /// fan-out (TrainAll always refits it, even over an unchanged corpus).
+  /// That shared code path is what makes incremental subset retrains
+  /// (serve/serving_engine.h) bit-identical to a batch run.
   [[nodiscard]] Status TrainAll();
 
-  /// This vehicle's contribution to the cold-start corpus: its first
-  /// completed maintenance cycle when it is an old vehicle and extraction
-  /// succeeds, nullopt otherwise (no data, not old yet, or no extractable
-  /// cycle). NotFound for unregistered ids; categorization errors
-  /// propagate. A vehicle's contribution is invariant under in-order
-  /// Append ingestion once present — the first cycle is a fixed prefix of
-  /// the history — which is what lets the serving engine cache it.
+  /// This vehicle's contribution to the cold-start corpus, extracted afresh
+  /// from its history: its first completed maintenance cycle when it is an
+  /// old vehicle and extraction succeeds, nullopt otherwise (no data, not
+  /// old yet, or no extractable cycle). NotFound for unregistered ids;
+  /// InvalidArgument for invalid options. Over every vehicle in id order it
+  /// yields the corpus RefreshCorpus maintains, which is what makes it the
+  /// serial reference for that corpus.
   [[nodiscard]] Result<std::optional<FirstCycleData>> CorpusContribution(
       const std::string& id) const;
+
+  /// Brings the scheduler's cold-start corpus (the old vehicles' first
+  /// cycles in id order) up to date with the ingested data. A first cycle
+  /// is a fixed prefix of the history, so only vehicles marked since the
+  /// last call are re-extracted: IngestUsage marks a vehicle when its first
+  /// cycle closes, IngestSeries whenever it replaces a history. With no
+  /// marked vehicle this costs O(1). Returns true when the corpus changed:
+  /// a contribution appeared or disappeared, or a replaced history had or
+  /// has one. Model_Uni is then invalid and the next TrainVehicles refits
+  /// it. InvalidArgument for invalid options.
+  [[nodiscard]] Result<bool> RefreshCorpus();
 
   /// Trains the unified cold-start model (Model_Uni) on `corpus`. Returns
   /// nullptr for an empty corpus or when training fails (logged as a
@@ -224,22 +218,20 @@ class FleetScheduler {
       const std::vector<FirstCycleData>& corpus) const;
 
   /// Retrains exactly the vehicles in `ids` (category-appropriate model,
-  /// same logic as TrainAll) against the given shared cold-start inputs,
-  /// in one fan-out over the thread pool. When `inputs.unified_fitted` is
-  /// false the same fan-out also fits Model_Uni from `inputs.corpus`
-  /// (TrainUnifiedFromCorpus, in the caller's failpoint ordinal context,
-  /// never a vehicle's) and stores it in `inputs`; it starts first, the
-  /// vehicles that never read it follow in `ids` order and the semi-new and
-  /// new vehicles come last, blocking on the fit only if it is still
-  /// running. Failing vehicles
-  /// are quarantined behind the BL fallback (strict mode returns the
-  /// failure of the lowest position in `ids` instead);
+  /// same logic as TrainAll) in one fan-out over the thread pool, against
+  /// the cold-start corpus as RefreshCorpus leaves it (TrainVehicles calls
+  /// it first). When Model_Uni is invalid the same fan-out refits it from
+  /// the corpus (TrainUnifiedFromCorpus, in the caller's failpoint ordinal
+  /// context, never a vehicle's); it starts first, the vehicles that never
+  /// read it follow in `ids` order and the semi-new and new vehicles come
+  /// last, blocking on the fit only if it is still running. Failing
+  /// vehicles are quarantined behind the BL fallback (strict mode returns
+  /// the failure of the lowest position in `ids` instead);
   /// LastDegradationReport's train entries cover this call only, in `ids`
   /// order. `ids` must be registered (NotFound) and free of duplicates
   /// (InvalidArgument); nth-selecting failpoint specs address a vehicle by
   /// its 1-based position in `ids`.
-  [[nodiscard]] Status TrainVehicles(const std::vector<std::string>& ids,
-                                     ColdStartInputs& inputs);
+  [[nodiscard]] Status TrainVehicles(const std::vector<std::string>& ids);
 
   /// True when `id` currently has a trained (or fallback) model, i.e. it
   /// would be included in FleetForecast. NotFound for unregistered ids.
@@ -374,9 +366,23 @@ class FleetScheduler {
     /// Unparsed checkpoint segment staged by a lazy LoadCheckpoint;
     /// cleared when the model materializes, retrains or re-ingests.
     mutable storage::SegmentView pending_segment;
+    /// Set when the corpus contribution may have changed since the last
+    /// RefreshCorpus: the first cycle closed, or (with `history_replaced`)
+    /// IngestSeries replaced the history.
+    bool corpus_pending = false;
+    bool history_replaced = false;
   };
 
   [[nodiscard]] Result<const VehicleState*> FindVehicle(const std::string& id) const;
+
+  /// The one options check behind every fleet entry point: num_threads >= 0
+  /// and a finite, positive maintenance interval (InvalidArgument).
+  [[nodiscard]] Status ValidateOptions() const;
+
+  /// The untrained BL baseline over `usage` (paper Eq. 5/6), or nullptr
+  /// when the average utilization is undefined.
+  std::shared_ptr<ml::Regressor> MakeBaseline(
+      const data::DailySeries& usage) const;
 
   /// First-cycle extraction for a vehicle already known to be old.
   std::optional<FirstCycleData> ContributionForOldVehicle(
@@ -414,6 +420,14 @@ class FleetScheduler {
 
   SchedulerOptions options_;
   std::map<std::string, VehicleState> vehicles_;
+  /// The cold-start corpus in vehicle-id order, as of the last
+  /// RefreshCorpus; `corpus_pending_` is set while any vehicle is marked.
+  std::vector<FirstCycleData> corpus_;
+  bool corpus_pending_ = false;
+  /// Model_Uni fitted on `corpus_` (nullptr when the corpus is empty or the
+  /// fit failed); valid only while `unified_fitted_` is true.
+  std::shared_ptr<ml::Regressor> unified_;
+  bool unified_fitted_ = false;
   /// Per-vehicle bin-mapper caches (binned core), created in TrainVehicles'
   /// serial validation pass (the training fan-out only reads the map) and
   /// dropped whenever new data for the vehicle arrives — keys are

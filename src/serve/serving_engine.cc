@@ -56,11 +56,8 @@ Status ServingEngine::LoadHistory(const std::string& id,
   }
   NM_RETURN_NOT_OK(scheduler_.IngestSeries(id, series));
   MarkDirty(it->second);
-  // The cached corpus contribution may describe the replaced history; the
-  // next refresh must re-extract and treat it as changed. A replaced
-  // history also voids warm-start eligibility — the cached model was
+  // A replaced history voids warm-start eligibility: the cached model was
   // trained on data that no longer exists.
-  it->second.contribution_stale = true;
   it->second.warm_capable = false;
   telemetry::Count("serve.load_history");
   return Status::OK();
@@ -68,11 +65,6 @@ Status ServingEngine::LoadHistory(const std::string& id,
 
 Result<RefreshStats> ServingEngine::RefreshForecasts() {
   NEXTMAINT_FAILPOINT("serve.refresh");
-  if (options_.num_threads < 0) {
-    return Status::InvalidArgument(
-        "SchedulerOptions::num_threads must be >= 0 (0 = all cores), got " +
-        std::to_string(options_.num_threads));
-  }
   if (entries_.empty()) {
     return Status::FailedPrecondition(
         "refresh on an empty fleet: no vehicles registered");
@@ -87,48 +79,19 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
   telemetry::SetGauge("serve.dirty_vehicles",
                       static_cast<double>(stats.dirty_on_entry));
 
-  // Phase 1 (serial, O(dirty)): refresh each dirty vehicle's first-cycle
-  // corpus contribution. A contribution is append-invariant
-  // once present, so the corpus changes only on a present/absent
-  // transition or after a bulk history replacement.
-  bool corpus_changed = epoch_ == 0;  // first refresh builds everything
-  for (auto& [id, entry] : entries_) {
-    if (!entry.dirty) continue;
-    Result<std::optional<core::FirstCycleData>> contribution =
-        scheduler_.CorpusContribution(id);
-    std::optional<core::FirstCycleData> value;
-    if (contribution.ok()) {
-      value = std::move(contribution).ValueOrDie();
-    } else if (options_.strict) {
-      return contribution.status().WithContext(id);
-    }
-    // (Non-strict categorization errors contribute nothing, exactly like
-    // TrainAll's corpus pass; the training phase quarantines the vehicle.)
-    const bool had = entry.contribution.has_value();
-    if (value.has_value() != had ||
-        ((value.has_value() || had) && entry.contribution_stale)) {
-      corpus_changed = true;
-    }
-    entry.contribution = std::move(value);
-    entry.contribution_stale = false;
-  }
-
-  // Phase 2: rebuild the shared cold-start corpus when it changed, and
-  // dirty every cold-start consumer — semi-new vehicles train Model_Sim
-  // against the corpus, new vehicles serve Model_Uni, so a corpus change
-  // invalidates them all (old vehicles consume neither and stay clean).
-  // Model_Uni itself is refitted by phase 3's fan-out.
-  if (corpus_changed) {
+  // Phase 1: bring the scheduler's cold-start corpus up to date (which
+  // validates the options too); it re-extracts only the vehicles whose
+  // first cycle closed or whose history was replaced. When the corpus
+  // changed, and on the first refresh, dirty every cold-start consumer:
+  // semi-new vehicles train Model_Sim against the corpus, new vehicles
+  // serve Model_Uni, so a corpus change invalidates them all (old vehicles
+  // consume neither and stay clean). Model_Uni itself is refitted by
+  // phase 3's fan-out.
+  NM_ASSIGN_OR_RETURN(const bool corpus_changed, scheduler_.RefreshCorpus());
+  if (corpus_changed || epoch_ == 0) {
     stats.corpus_rebuilt = true;
     telemetry::Count("serve.refresh.corpus_rebuilds");
-    cold_start_inputs_ = core::ColdStartInputs();
-    for (const auto& [id, entry] : entries_) {
-      if (entry.contribution.has_value()) {
-        cold_start_inputs_.corpus.push_back(*entry.contribution);
-      }
-    }
     for (auto& [id, entry] : entries_) {
-      // An uncategorizable vehicle counts as a cold-start consumer.
       if (scheduler_.CategoryOf(id).ValueOr(core::VehicleCategory::kNew) !=
           core::VehicleCategory::kOld) {
         MarkDirty(entry);
@@ -136,7 +99,7 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
     }
   }
 
-  // Phase 2.5 (serial, opt-in): warm-start pass. Each dirty vehicle whose
+  // Phase 2 (serial, opt-in): warm-start pass. Each dirty vehicle whose
   // cached ensemble model is resumable gets a WarmStartVehicle resume
   // instead of a cold retrain; everyone else falls through to phase 3.
   // The failpoint fires once per dirty vehicle (before the eligibility
@@ -171,10 +134,10 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
   }
 
   // Phase 3: retrain the dirty vehicles that were not warm-resumed against
-  // the shared inputs (TrainVehicles fans out over the thread pool and
+  // the scheduler's corpus (TrainVehicles fans out over the thread pool and
   // quarantines failures behind BL fallbacks, the same code path TrainAll
-  // runs). After a corpus rebuild the same fan-out also refits Model_Uni
-  // into cold_start_inputs_, even when no vehicle is left to retrain.
+  // runs). After a corpus change the same fan-out also refits Model_Uni,
+  // even when no vehicle is left to retrain.
   std::vector<std::string> dirty_ids;
   std::vector<std::string> cold_ids;
   for (const auto& [id, entry] : entries_) {
@@ -182,7 +145,7 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
     dirty_ids.push_back(id);
     if (warm_ids.find(id) == warm_ids.end()) cold_ids.push_back(id);
   }
-  NM_RETURN_NOT_OK(scheduler_.TrainVehicles(cold_ids, cold_start_inputs_));
+  NM_RETURN_NOT_OK(scheduler_.TrainVehicles(cold_ids));
   for (const std::string& id : dirty_ids) {
     entries_.at(id).train_degradation.reset();
   }

@@ -33,11 +33,11 @@
 /// from-scratch batch `TrainAll` + `FleetForecast` over the same data, at
 /// any thread count. The engine earns this by construction, not by
 /// approximation — it runs the exact same code paths the batch facade runs
-/// (CorpusContribution / TrainVehicles, whose fan-out fits Model_Uni with
+/// (RefreshCorpus / TrainVehicles, whose fan-out refits Model_Uni with
 /// TrainUnifiedFromCorpus / ForecastVehicles, FleetForecast's fan-out),
-/// only on the subset that changed, and it rebuilds the shared cold-start
-/// inputs whenever a dirty vehicle's corpus contribution changes (which
-/// dirties every cold-start consumer).
+/// only on the subset that changed. The scheduler owns the cold-start
+/// corpus; when RefreshCorpus reports it changed, the engine dirties every
+/// cold-start consumer.
 /// See docs/serving.md for the full argument.
 ///
 /// The one opt-in exception: SchedulerOptions::warm_start resumes eligible
@@ -123,8 +123,10 @@ struct RefreshStats {
   size_t refreshed = 0;
   /// Vehicles whose cached model and forecast were reused untouched.
   size_t reused = 0;
-  /// True when a dirty vehicle's corpus contribution changed and the
-  /// shared cold-start inputs (corpus + Model_Uni) were rebuilt.
+  /// True on the first refresh and whenever FleetScheduler::RefreshCorpus
+  /// reported a changed cold-start corpus (a first cycle closed, or a
+  /// replaced history had or has one): every cold-start vehicle was then
+  /// retrained and Model_Uni refitted.
   bool corpus_rebuilt = false;
   /// Vehicles refreshed by a warm-start resume instead of a cold retrain
   /// (subset of `refreshed`; always 0 without SchedulerOptions::warm_start).
@@ -153,10 +155,10 @@ class ServingEngine {
                                    const data::DailySeries& series);
 
   /// Retrains and re-forecasts exactly the dirty vehicles, publishes a new
-  /// FleetSnapshot and bumps the epoch. When a dirty vehicle's first-cycle
-  /// corpus contribution changed, the shared cold-start inputs are rebuilt
-  /// first and every cold-start (non-old) vehicle is dirtied too — the
-  /// price of staying bit-identical to a batch run. FailedPrecondition on
+  /// FleetSnapshot and bumps the epoch. When the cold-start corpus changed
+  /// (FleetScheduler::RefreshCorpus), every cold-start (non-old) vehicle is
+  /// dirtied too and Model_Uni refitted — the price of staying
+  /// bit-identical to a batch run. InvalidArgument for invalid options. FailedPrecondition on
   /// an empty fleet (as FleetForecast does); strict mode aborts on the
   /// first per-vehicle error, otherwise failing vehicles are quarantined
   /// behind BL fallbacks exactly as the batch facade would.
@@ -219,17 +221,9 @@ class ServingEngine {
   const core::FleetScheduler& scheduler() const { return scheduler_; }
 
  private:
-  /// Internal per-vehicle cache: the cached training inputs and outputs
-  /// plus the dirty bookkeeping.
+  /// Internal per-vehicle cache: the outputs of the last refresh plus the
+  /// dirty bookkeeping.
   struct CacheEntry {
-    // Cached corpus contribution, used to detect corpus changes without
-    // comparing datasets: a contribution is append-invariant once present,
-    // so only present/absent transitions (and bulk history replacement)
-    // can change the corpus.
-    std::optional<core::FirstCycleData> contribution;
-    /// Set by LoadHistory: the cached contribution may describe replaced
-    /// data, so the next refresh must treat it as changed.
-    bool contribution_stale = false;
     /// True when the vehicle's cached model can be warm-start resumed: the
     /// last refresh trained it clean (no quarantine) onto a per-vehicle
     /// ensemble model, and its history has only grown since (LoadHistory
@@ -252,10 +246,6 @@ class ServingEngine {
   core::SchedulerOptions options_;
   core::FleetScheduler scheduler_;
   std::map<std::string, CacheEntry> entries_;
-  /// Cached shared cold-start inputs (corpus in vehicle-id order +
-  /// Model_Uni), rebuilt only when a contribution changes; the refresh's
-  /// TrainVehicles call refits Model_Uni after a rebuild.
-  core::ColdStartInputs cold_start_inputs_;
   /// Count of entries with dirty == true (kept exact by MarkDirty /
   /// RefreshForecasts so DirtyCount() is O(1) on the daemon's write path).
   size_t dirty_count_ = 0;

@@ -280,6 +280,19 @@ TEST_F(CliPipelineTest, ForecastOnMissingDirectoryFails) {
             StatusCode::kNotFound);
 }
 
+TEST_F(CliPipelineTest, ForecastRejectsNegativeInterval) {
+  std::ostringstream out;
+  ASSERT_TRUE(RunCommand({"simulate", "--out", Dir(), "--vehicles", "2",
+                          "--days", "400", "--tv", "500000"},
+                         out)
+                  .ok());
+  const Status status =
+      RunCommand({"forecast", "--data", Dir(), "--tv", "-5"}, out);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("maintenance_interval_s"), std::string::npos)
+      << status.message();
+}
+
 TEST_F(CliPipelineTest, CorruptCsvSurfacesDataError) {
   // With every vehicle corrupt there is nothing to degrade to: the error
   // surfaces even in the default (non-strict) mode.

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -371,19 +372,59 @@ TEST(FleetSchedulerTest, ErrorCodeContract) {
 TEST(FleetSchedulerTest, TrainVehiclesValidatesIds) {
   FleetScheduler scheduler(FastOptions());
   ASSERT_TRUE(scheduler.RegisterVehicle("v1", Day(0)).ok());
-  ASSERT_TRUE(scheduler.IngestSeries("v1", SimulatedVehicle(56, 600)).ok());
-  ColdStartInputs inputs;
-  EXPECT_EQ(scheduler.TrainVehicles({"ghost"}, inputs).code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(scheduler.TrainVehicles({"v1", "v1"}, inputs).code(),
+  EXPECT_EQ(scheduler.TrainVehicles({"ghost"}).code(), StatusCode::kNotFound);
+  EXPECT_EQ(scheduler.TrainVehicles({"v1", "v1"}).code(),
             StatusCode::kInvalidArgument);
-  // The building blocks compose into exactly what TrainAll does.
-  const auto contribution = scheduler.CorpusContribution("v1").ValueOrDie();
-  if (contribution.has_value()) inputs.corpus.push_back(*contribution);
-  inputs.unified = scheduler.TrainUnifiedFromCorpus(inputs.corpus);
-  inputs.unified_fitted = true;
-  ASSERT_TRUE(scheduler.TrainVehicles({"v1"}, inputs).ok());
+  // A subset retrain needs no other building block: it brings the
+  // scheduler's corpus up to date itself, so a new vehicle trained alone
+  // serves the Model_Uni fitted on the old vehicle's first cycle.
+  ASSERT_TRUE(scheduler.IngestSeries("v1", SimulatedVehicle(56, 600)).ok());
+  ASSERT_TRUE(scheduler.RegisterVehicle("n1", Day(0)).ok());
+  ASSERT_TRUE(scheduler
+                  .IngestSeries("n1", data::DailySeries(
+                                          Day(0),
+                                          std::vector<double>(10, 500.0)))
+                  .ok());
+  ASSERT_TRUE(scheduler.TrainVehicles({"n1"}).ok());
+  const Result<MaintenanceForecast> n1 = scheduler.Forecast("n1");
+  ASSERT_TRUE(n1.ok()) << n1.status();
+  EXPECT_EQ(n1.ValueOrDie().model_name, "LR_Uni");
+  ASSERT_TRUE(scheduler.TrainVehicles({"v1"}).ok());
   EXPECT_TRUE(scheduler.Forecast("v1").ok());
+}
+
+TEST(FleetSchedulerTest, RefreshCorpusReportsExactlyTheCorpusChanges) {
+  FleetScheduler scheduler(FastOptions());
+  ASSERT_TRUE(scheduler.RegisterVehicle("old", Day(0)).ok());
+  ASSERT_TRUE(scheduler.RegisterVehicle("semi", Day(0)).ok());
+  ASSERT_TRUE(scheduler.RegisterVehicle("new", Day(0)).ok());
+  // Nothing ingested, nothing to extract.
+  EXPECT_FALSE(scheduler.RefreshCorpus().ValueOrDie());
+  const data::DailySeries old_history = SimulatedVehicle(57, 600);
+  ASSERT_TRUE(scheduler.IngestSeries("old", old_history).ok());
+  ASSERT_TRUE(scheduler
+                  .IngestSeries("semi", data::DailySeries(
+                                            Day(0),
+                                            std::vector<double>(33, 15'000.0)))
+                  .ok());
+  EXPECT_TRUE(scheduler.RefreshCorpus().ValueOrDie());
+  EXPECT_FALSE(scheduler.RefreshCorpus().ValueOrDie());
+  // Appends that close no first cycle leave the corpus alone.
+  ASSERT_TRUE(scheduler.IngestUsage("new", Day(0), 500.0).ok());
+  ASSERT_TRUE(scheduler.IngestUsage("old", Day(600), 9'000.0).ok());
+  EXPECT_FALSE(scheduler.RefreshCorpus().ValueOrDie());
+  // semi's first cycle closes (510k >= T_v): its contribution appears.
+  ASSERT_TRUE(scheduler.IngestUsage("semi", Day(33), 15'000.0).ok());
+  EXPECT_TRUE(scheduler.RefreshCorpus().ValueOrDie());
+  // A replaced history that had a contribution counts as a change, even
+  // when the replacement is the same data; one without any does not.
+  ASSERT_TRUE(scheduler.IngestSeries("old", old_history).ok());
+  EXPECT_TRUE(scheduler.RefreshCorpus().ValueOrDie());
+  ASSERT_TRUE(scheduler
+                  .IngestSeries("new", data::DailySeries(
+                                           Day(0), std::vector<double>(3, 1.0)))
+                  .ok());
+  EXPECT_FALSE(scheduler.RefreshCorpus().ValueOrDie());
 }
 
 /// Trains the same 4-vehicle fleet and returns (serialized models,
@@ -622,9 +663,11 @@ void PopulateMixedFleet(FleetScheduler& scheduler) {
   add("g_semi", data::DailySeries(Day(0), std::vector<double>(22, 14'000.0)));
 }
 
-/// Checkpoint bytes and fleet forecast of a trained scheduler.
+/// Checkpoint bytes, per-vehicle model bytes and fleet forecast of a
+/// trained scheduler.
 struct TrainedOutputs {
   std::string checkpoint;
+  std::map<std::string, std::string> models;
   std::vector<MaintenanceForecast> forecasts;
 };
 
@@ -639,6 +682,12 @@ TrainedOutputs OutputsOf(const FleetScheduler& scheduler,
       tag + ".ckpt";
   EXPECT_TRUE(scheduler.SaveCheckpoint(path).ok());
   outputs.checkpoint = ReadAll(path);
+  const auto store = storage::CheckpointStore::Open(path).ValueOrDie();
+  const storage::CheckpointManifest manifest = store->Load().ValueOrDie();
+  for (const storage::ManifestEntry& entry : manifest.vehicles) {
+    outputs.models[entry.vehicle_id] =
+        std::string(entry.segment.Payload().ValueOrDie());
+  }
   std::remove(path.c_str());
   Result<std::vector<MaintenanceForecast>> forecasts =
       scheduler.FleetForecast();
@@ -660,24 +709,28 @@ void ExpectSameOutputs(const TrainedOutputs& got,
   }
 }
 
-/// The building-block composition TrainAll is defined by: the corpus from
-/// CorpusContribution, Model_Uni from TrainUnifiedFromCorpus on the calling
-/// thread, then TrainVehicles over every id reusing that model.
-TrainedOutputs ComposeBuildingBlocks(
+/// The serial reference for Model_Uni: TrainUnifiedFromCorpus on the
+/// calling thread over the corpus CorpusContribution extracts, in its
+/// serialized form (empty when there is no model).
+std::string SerialUnifiedBytes(
     const std::function<void(FleetScheduler&)>& populate) {
   SchedulerOptions options = FastOptions();
   options.num_threads = 1;
   FleetScheduler scheduler(options);
   populate(scheduler);
-  ColdStartInputs inputs;
+  std::vector<FirstCycleData> corpus;
   for (const std::string& id : scheduler.VehicleIds()) {
     const auto contribution = scheduler.CorpusContribution(id).ValueOrDie();
-    if (contribution.has_value()) inputs.corpus.push_back(*contribution);
+    if (contribution.has_value()) corpus.push_back(*contribution);
   }
-  inputs.unified = scheduler.TrainUnifiedFromCorpus(inputs.corpus);
-  inputs.unified_fitted = true;
-  EXPECT_TRUE(scheduler.TrainVehicles(scheduler.VehicleIds(), inputs).ok());
-  return OutputsOf(scheduler, "composed");
+  const std::shared_ptr<ml::Regressor> unified =
+      scheduler.TrainUnifiedFromCorpus(corpus);
+  std::string bytes;
+  if (unified != nullptr) {
+    ml::ModelWriter writer(bytes);
+    EXPECT_TRUE(unified->Save(writer).ok());
+  }
+  return bytes;
 }
 
 TrainedOutputs TrainAllAt(const std::function<void(FleetScheduler&)>& populate,
@@ -691,7 +744,9 @@ TrainedOutputs TrainAllAt(const std::function<void(FleetScheduler&)>& populate,
 }
 
 TEST(FleetSchedulerTest, UnifiedFitInFanOutMatchesCompositionAtAnyThreadCount) {
-  const TrainedOutputs expected = ComposeBuildingBlocks(PopulateMixedFleet);
+  const std::string serial_unified = SerialUnifiedBytes(PopulateMixedFleet);
+  ASSERT_FALSE(serial_unified.empty());
+  const TrainedOutputs expected = TrainAllAt(PopulateMixedFleet, 1);
   ASSERT_FALSE(expected.checkpoint.empty());
   std::map<std::string, std::string> served;
   for (const MaintenanceForecast& f : expected.forecasts) {
@@ -713,6 +768,10 @@ TEST(FleetSchedulerTest, UnifiedFitInFanOutMatchesCompositionAtAnyThreadCount) {
     telemetry::MetricsRegistry::Global().Reset();
     telemetry::SetEnabled(false);
     ExpectSameOutputs(got, expected);
+    // The new vehicles carry the serial reference's Model_Uni, byte for
+    // byte.
+    EXPECT_EQ(got.models.at("a_new"), serial_unified);
+    EXPECT_EQ(got.models.at("e_new"), serial_unified);
 #ifndef NEXTMAINT_TELEMETRY_DISABLED
     // One wait per cold-start vehicle that reads Model_Uni: the two new
     // vehicles (both semi-new ones found a similarity model).
@@ -740,7 +799,8 @@ TEST(FleetSchedulerTest, AllColdFleetFanOutFinishesWithoutUnifiedModel) {
                                             std::vector<double>(20, 15'000.0)))
                     .ok());
   };
-  const TrainedOutputs expected = ComposeBuildingBlocks(populate);
+  EXPECT_TRUE(SerialUnifiedBytes(populate).empty());
+  const TrainedOutputs expected = TrainAllAt(populate, 1);
   ASSERT_EQ(expected.forecasts.size(), 1u);
   EXPECT_EQ(expected.forecasts[0].vehicle_id, "s1");
   EXPECT_EQ(expected.forecasts[0].model_name, "BL_semi");
@@ -767,7 +827,11 @@ TEST(FleetSchedulerTest, UnifiedFitFailpointFanOutMatchesComposition) {
     failpoints::ScopedOrdinal context(caller);
     failpoints::DisarmAll();
     ASSERT_TRUE(failpoints::Arm(spec).ok());
-    const TrainedOutputs expected = ComposeBuildingBlocks(PopulateMixedFleet);
+    // The serial reference's Model_Uni fit fails the same way.
+    EXPECT_TRUE(SerialUnifiedBytes(PopulateMixedFleet).empty());
+    failpoints::DisarmAll();
+    ASSERT_TRUE(failpoints::Arm(spec).ok());
+    const TrainedOutputs expected = TrainAllAt(PopulateMixedFleet, 1);
     const uint64_t expected_fired = failpoints::FiredCount("ml.fit");
     EXPECT_GE(expected_fired, 1u);
     for (const MaintenanceForecast& f : expected.forecasts) {
@@ -785,6 +849,28 @@ TEST(FleetSchedulerTest, UnifiedFitFailpointFanOutMatchesComposition) {
     }
   }
   failpoints::DisarmAll();
+}
+
+TEST(FleetSchedulerTest, TrainAllRefitsModelUniEveryRun) {
+  if (!failpoints::CompiledIn()) {
+    GTEST_SKIP() << "failpoints compiled out";
+  }
+  // A batch run fits Model_Uni even over an unchanged corpus, so a retrain
+  // sees the same "ml.fit" hits as a fresh scheduler: "ml.fit:1" fails
+  // the first uncontexted fit, Model_Uni, and the new vehicles go
+  // unmodeled.
+  FleetScheduler scheduler(FastOptions());
+  PopulateMixedFleet(scheduler);
+  ASSERT_TRUE(scheduler.TrainAll().ok());
+  ASSERT_TRUE(scheduler.HasTrainedModel("a_new").ValueOrDie());
+  failpoints::DisarmAll();
+  ASSERT_TRUE(failpoints::Arm("ml.fit:1").ok());
+  ASSERT_TRUE(scheduler.TrainAll().ok());
+  const uint64_t fired = failpoints::FiredCount("ml.fit");
+  failpoints::DisarmAll();
+  EXPECT_GE(fired, 1u);
+  EXPECT_FALSE(scheduler.HasTrainedModel("a_new").ValueOrDie());
+  EXPECT_FALSE(scheduler.HasTrainedModel("e_new").ValueOrDie());
 }
 
 TEST(FleetSchedulerTest, FailpointQuarantinesByIdPositionInFanOut) {
@@ -942,31 +1028,46 @@ TEST(FleetSchedulerTest, ForecastMatchesVirtualDayReference) {
 }
 
 TEST(FleetSchedulerTest, NonPositiveIntervalIsInvalidArgument) {
-  for (const double tv : {0.0, -5.0}) {
+  // A checkpoint trained under a valid T_v, so that Forecast below gets
+  // past its model and window checks to the interval.
+  const data::DailySeries history = SimulatedVehicle(92, 600);
+  const std::string path = ::testing::TempDir() + "/invalid_interval.ckpt";
+  {
+    FleetScheduler trained(FastOptions());
+    ASSERT_TRUE(trained.RegisterVehicle("v1", Day(0)).ok());
+    ASSERT_TRUE(trained.IngestSeries("v1", history).ok());
+    ASSERT_TRUE(trained.TrainAll().ok());
+    ASSERT_TRUE(trained.SaveCheckpoint(path).ok());
+  }
+  // Every entry point rejects the interval up front.
+  for (const double tv : {0.0, -5.0, std::nan(""),
+                          std::numeric_limits<double>::infinity()}) {
     SCOPED_TRACE(tv);
     SchedulerOptions options = FastOptions();
     options.maintenance_interval_s = tv;
     FleetScheduler scheduler(options);
     ASSERT_TRUE(scheduler.RegisterVehicle("v1", Day(0)).ok());
-    ASSERT_TRUE(scheduler.IngestSeries("v1", SimulatedVehicle(92, 60)).ok());
+    ASSERT_TRUE(scheduler.IngestSeries("v1", history).ok());
     EXPECT_EQ(scheduler.CategoryOf("v1").status().code(),
               StatusCode::kInvalidArgument);
     EXPECT_EQ(scheduler.FallbackForecast("v1").status().code(),
               StatusCode::kInvalidArgument);
+    EXPECT_EQ(scheduler.RefreshCorpus().status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(scheduler.TrainAll().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(scheduler.TrainVehicles({"v1"}).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(scheduler.HasTrainedModel("v1").ValueOrDie());
+    ASSERT_TRUE(scheduler.LoadCheckpoint(path).ok());
+    const Status forecast = scheduler.FleetForecast().status();
+    EXPECT_EQ(forecast.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(forecast.message().find("maintenance_interval_s"),
+              std::string::npos)
+        << forecast.message();
+    EXPECT_EQ(scheduler.Forecast("v1").status().code(),
+              StatusCode::kInvalidArgument);
   }
-  // With T_v = 0, training quarantines the vehicle behind a BL model, so
-  // Forecast gets past its model and window checks to the interval. (A
-  // negative T_v cannot get that far: the BL model rejects its negative
-  // L scale.)
-  SchedulerOptions options = FastOptions();
-  options.maintenance_interval_s = 0.0;
-  FleetScheduler scheduler(options);
-  ASSERT_TRUE(scheduler.RegisterVehicle("v1", Day(0)).ok());
-  ASSERT_TRUE(scheduler.IngestSeries("v1", SimulatedVehicle(92, 60)).ok());
-  ASSERT_TRUE(scheduler.TrainAll().ok());
-  ASSERT_TRUE(scheduler.HasTrainedModel("v1").ValueOrDie());
-  EXPECT_EQ(scheduler.Forecast("v1").status().code(),
-            StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -378,6 +381,99 @@ TEST(ServingEngineTest, DirtyTrackingRefreshesOnlyChangedVehicles) {
   EXPECT_EQ(third.reused, 3u);
 }
 
+/// Each corpus event of the refresh contract: whether it rebuilds the
+/// cold-start corpus (the stat and the serve.refresh.corpus_rebuilds
+/// counter), which vehicles it refreshes, and that the trained state
+/// afterwards is byte-identical to a batch TrainAll over the same data.
+TEST(ServingEngineTest, CorpusEventsRebuildExactlyWhenTheCorpusChanges) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    telemetry::SetEnabled(true);
+    telemetry::MetricsRegistry::Global().Reset();
+    ServingEngine engine(FastOptions(threads));
+    std::map<std::string, data::DailySeries> data = {
+        {"new", data::DailySeries(Day(0), std::vector<double>(10, 500.0))},
+        {"old1", SimulatedVehicle(111, 600)},
+        {"old2", SimulatedVehicle(112, 600)},
+        // 15000 s/day: semi-new from day 17, its first cycle closes with
+        // day 34 (510k >= T_v).
+        {"semi", data::DailySeries(Day(0), std::vector<double>(30, 15'000.0))},
+        // Stays semi-new throughout.
+        {"semi2",
+         data::DailySeries(Day(0), std::vector<double>(20, 15'000.0))},
+    };
+    for (const auto& [id, series] : data) {
+      ASSERT_TRUE(engine.Register(id, series.start_date()).ok());
+      ASSERT_TRUE(engine.LoadHistory(id, series).ok());
+    }
+    const auto append = [&](const std::string& id, double seconds) {
+      data::DailySeries& series = data.at(id);
+      ASSERT_TRUE(engine.Append(id, series.next_date(), seconds).ok()) << id;
+      series.Append(seconds);  // nextmaint-lint: allow(unchecked-status): DailySeries::Append is void
+    };
+    const auto load = [&](const std::string& id, data::DailySeries series) {
+      ASSERT_TRUE(engine.LoadHistory(id, series).ok()) << id;
+      data[id] = std::move(series);
+    };
+    const auto rebuilds = [] {
+      const telemetry::MetricsSnapshot metrics = telemetry::Snapshot();
+      auto it = metrics.counters.find("serve.refresh.corpus_rebuilds");
+      return it == metrics.counters.end() ? uint64_t{0} : it->second;
+    };
+    const auto expect_refresh = [&](const std::string& event, bool rebuilt,
+                                    const std::set<std::string>& refreshed) {
+      SCOPED_TRACE(event);
+      [[maybe_unused]] const uint64_t rebuilds_before = rebuilds();
+      const Result<RefreshStats> stats = engine.RefreshForecasts();
+      ASSERT_TRUE(stats.ok()) << stats.status();
+      EXPECT_EQ(stats.ValueOrDie().corpus_rebuilt, rebuilt);
+#ifndef NEXTMAINT_TELEMETRY_DISABLED
+      EXPECT_EQ(rebuilds() - rebuilds_before, rebuilt ? 1u : 0u);
+#endif
+      std::set<std::string> got;
+      for (const auto& [id, series] : data) {
+        if (engine.CachedState(id).ValueOrDie().last_refresh_epoch ==
+            stats.ValueOrDie().epoch) {
+          got.insert(id);
+        }
+      }
+      EXPECT_EQ(got, refreshed);
+      EXPECT_EQ(stats.ValueOrDie().refreshed, refreshed.size());
+
+      core::FleetScheduler batch(FastOptions(threads));
+      for (const auto& [id, series] : data) {
+        ASSERT_TRUE(batch.RegisterVehicle(id, series.start_date()).ok());
+        ASSERT_TRUE(batch.IngestSeries(id, series).ok());
+      }
+      ASSERT_TRUE(batch.TrainAll().ok());
+      EXPECT_EQ(CheckpointBytes(engine.scheduler(), "corpus_events_inc.ckpt"),
+                CheckpointBytes(batch, "corpus_events_batch.ckpt"));
+    };
+
+    expect_refresh("first refresh", true,
+                   {"new", "old1", "old2", "semi", "semi2"});
+    // Appends that close no first cycle (semi reaches 495k of 500k).
+    append("old1", 9'000.0);
+    for (int day = 0; day < 3; ++day) append("semi", 15'000.0);
+    expect_refresh("append without a first-cycle close", false,
+                   {"old1", "semi"});
+    // semi's first cycle closes: its contribution joins the corpus and
+    // every vehicle that is not old retrains against it.
+    append("semi", 15'000.0);
+    expect_refresh("append closing a first cycle", true,
+                   {"new", "semi", "semi2"});
+    // Replacing an old vehicle's history may change its first cycle.
+    load("old2", SimulatedVehicle(113, 580));
+    expect_refresh("LoadHistory on an old vehicle", true,
+                   {"new", "old2", "semi2"});
+    // A new vehicle contributes nothing before or after.
+    load("new", data::DailySeries(Day(0), std::vector<double>(12, 600.0)));
+    expect_refresh("LoadHistory on a new vehicle", false, {"new"});
+    telemetry::MetricsRegistry::Global().Reset();
+    telemetry::SetEnabled(false);
+  }
+}
+
 TEST(ServingEngineTest, SnapshotsAreImmutableAndEpoched) {
   ServingEngine engine(FastOptions());
   const data::DailySeries series = SimulatedVehicle(55, 600);
@@ -427,6 +523,23 @@ TEST(ServingEngineTest, ErrorContract) {
   const VehicleServeState state = engine.CachedState("v1").ValueOrDie();
   EXPECT_EQ(state.days_observed, 1u);
   EXPECT_EQ(state.total_usage_s, 1'000.0);
+  // The first refresh counts as a corpus rebuild even with no old vehicle.
+  EXPECT_TRUE(engine.RefreshForecasts().ValueOrDie().corpus_rebuilt);
+
+  // A maintenance interval that is not finite and positive fails the
+  // refresh up front, as it fails TrainAll.
+  for (const double tv : {0.0, -5.0, std::nan(""),
+                          std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(tv);
+    core::SchedulerOptions options = FastOptions();
+    options.maintenance_interval_s = tv;
+    ServingEngine invalid(options);
+    ASSERT_TRUE(invalid.Register("v1", Day(0)).ok());
+    ASSERT_TRUE(invalid.LoadHistory("v1", SimulatedVehicle(92, 600)).ok());
+    EXPECT_EQ(invalid.RefreshForecasts().status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(invalid.epoch(), 0u);
+  }
 }
 
 TEST(ServingEngineTest, GetForecastsBatchReadsFromOneSnapshot) {
