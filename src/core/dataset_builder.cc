@@ -1,5 +1,6 @@
 #include "core/dataset_builder.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/macros.h"
@@ -21,7 +22,23 @@ std::vector<std::string> FeatureNames(int window, int context_days) {
   return names;
 }
 
+Status ValidateResampling(const ResamplingOptions& resampling) {
+  if (resampling.num_shifts < 0) {
+    return Status::InvalidArgument("num_shifts must be non-negative");
+  }
+  if (resampling.max_shift_fraction < 0.0 ||
+      resampling.max_shift_fraction >= 1.0) {
+    return Status::InvalidArgument("max_shift_fraction must be in [0, 1)");
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+size_t FeatureCount(const DatasetOptions& options) {
+  return 1 + static_cast<size_t>(std::max(options.window, 0)) +
+         static_cast<size_t>(std::max(options.context_forecast_days, 0));
+}
 
 Result<std::vector<double>> BuildFeatureRow(const VehicleSeries& series,
                                             size_t t,
@@ -29,13 +46,17 @@ Result<std::vector<double>> BuildFeatureRow(const VehicleSeries& series,
   if (t >= series.size()) {
     return Status::InvalidArgument("day index out of range");
   }
-  return AssembleFeatureRow(series.l[t], series.u, t,
-                            series.maintenance_interval_s, options);
+  std::vector<double> row(FeatureCount(options));
+  NM_RETURN_NOT_OK(AssembleFeatureRow(series.l[t], series.u, t,
+                                      series.maintenance_interval_s, options,
+                                      row));
+  return row;
 }
 
-Result<std::vector<double>> AssembleFeatureRow(
-    double usage_left, const data::DailySeries& u, size_t t,
-    double maintenance_interval_s, const DatasetOptions& options) {
+Status AssembleFeatureRow(double usage_left, const data::DailySeries& u,
+                          size_t t, double maintenance_interval_s,
+                          const DatasetOptions& options,
+                          std::span<double> row) {
   if (options.window < 0) {
     return Status::InvalidArgument("window must be non-negative");
   }
@@ -57,69 +78,82 @@ Result<std::vector<double>> AssembleFeatureRow(
         "day " + std::to_string(t) + " has fewer than W=" +
         std::to_string(w) + " preceding days");
   }
+  NM_CHECK_MSG(row.size() == FeatureCount(options),
+               "feature row buffer has the wrong length");
   const double l_scale =
       options.normalize_features ? 1.0 / maintenance_interval_s : 1.0;
   const double u_scale = options.normalize_features ? 1.0 / 86400.0 : 1.0;
 
-  std::vector<double> row;
+  row[0] = usage_left * l_scale;
+  for (size_t k = 1; k <= w; ++k) {
+    row[k] = u[t - k] * u_scale;
+  }
   const size_t context_days =
       static_cast<size_t>(options.context_forecast_days);
-  row.reserve(w + 1 + context_days);
-  row.push_back(usage_left * l_scale);
-  for (size_t k = 1; k <= w; ++k) {
-    row.push_back(u[t - k] * u_scale);
-  }
   for (size_t k = 0; k < context_days; ++k) {
     const size_t index = std::min(t + k, options.context->size() - 1);
-    row.push_back((*options.context)[index]);
+    row[1 + w + k] = (*options.context)[index];
   }
-  return row;
+  return Status::OK();
+}
+
+Result<Records> ExtractRecords(const VehicleSeries& series, size_t first_day,
+                               const DatasetOptions& options) {
+  if (options.window < 0) {
+    return Status::InvalidArgument("window must be non-negative");
+  }
+  const size_t begin =
+      std::max(first_day, static_cast<size_t>(options.window));
+  const auto keep = [&](size_t t) {
+    return series.HasTarget(t) && (!options.target_filter.has_value() ||
+                                   options.target_filter->Contains(series.d[t]));
+  };
+  size_t rows = 0;
+  for (size_t t = begin; t < series.size(); ++t) rows += keep(t) ? 1 : 0;
+
+  Records records{ml::Matrix(rows, FeatureCount(options)),
+                  std::vector<double>(rows)};
+  size_t i = 0;
+  for (size_t t = begin; t < series.size(); ++t) {
+    if (!keep(t)) continue;
+    NM_RETURN_NOT_OK(AssembleFeatureRow(series.l[t], series.u, t,
+                                        series.maintenance_interval_s, options,
+                                        records.x.MutableRow(i)));
+    records.y[i++] = series.d[t];
+  }
+  return records;
 }
 
 Result<ml::Dataset> BuildDataset(const VehicleSeries& series,
                                  const DatasetOptions& options) {
-  if (options.window < 0) {
-    return Status::InvalidArgument("window must be non-negative");
-  }
-  const size_t w = static_cast<size_t>(options.window);
-  ml::Dataset dataset;
-  for (size_t t = w; t < series.size(); ++t) {
-    if (!series.HasTarget(t)) continue;
-    if (options.target_filter.has_value() &&
-        !options.target_filter->Contains(series.d[t])) {
-      continue;
-    }
-    NM_ASSIGN_OR_RETURN(std::vector<double> row,
-                        BuildFeatureRow(series, t, options));
-    dataset.AddRow(std::span<const double>(row.data(), row.size()),
-                   series.d[t]);
-  }
-  if (dataset.empty()) {
+  NM_ASSIGN_OR_RETURN(Records records, ExtractRecords(series, 0, options));
+  if (records.y.empty()) {
     return Status::InvalidArgument(
         "no records extracted (window too large, no completed cycle, or "
         "empty target filter)");
   }
-  // Rebuild with names attached (Dataset::Create validates shapes).
   return ml::Dataset::Create(
-      dataset.x(), dataset.y(),
+      std::move(records.x), std::move(records.y),
       FeatureNames(options.window, options.context_forecast_days));
 }
 
 Result<ml::Dataset> BuildResampledDataset(
     const data::DailySeries& u, double maintenance_interval_s,
     const DatasetOptions& options, const ResamplingOptions& resampling) {
-  if (resampling.num_shifts < 0) {
-    return Status::InvalidArgument("num_shifts must be non-negative");
-  }
-  if (resampling.max_shift_fraction < 0.0 ||
-      resampling.max_shift_fraction >= 1.0) {
-    return Status::InvalidArgument("max_shift_fraction must be in [0, 1)");
-  }
-
-  NM_ASSIGN_OR_RETURN(VehicleSeries base,
+  NM_RETURN_NOT_OK(ValidateResampling(resampling));
+  NM_ASSIGN_OR_RETURN(VehicleSeries series,
                       DeriveSeries(u, maintenance_interval_s));
-  NM_ASSIGN_OR_RETURN(ml::Dataset combined, BuildDataset(base, options));
+  return BuildResampledDataset(series, options, resampling);
+}
 
+Result<ml::Dataset> BuildResampledDataset(const VehicleSeries& series,
+                                          const DatasetOptions& options,
+                                          const ResamplingOptions& resampling) {
+  NM_RETURN_NOT_OK(ValidateResampling(resampling));
+  NM_ASSIGN_OR_RETURN(ml::Dataset combined, BuildDataset(series, options));
+
+  const data::DailySeries& u = series.u;
+  const double maintenance_interval_s = series.maintenance_interval_s;
   Rng rng(resampling.seed);
   const size_t max_shift = static_cast<size_t>(
       resampling.max_shift_fraction * static_cast<double>(u.size()));

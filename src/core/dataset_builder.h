@@ -2,6 +2,7 @@
 #define NEXTMAINT_CORE_DATASET_BUILDER_H_
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -60,18 +61,40 @@ struct DatasetOptions {
 [[nodiscard]] Result<ml::Dataset> BuildDataset(const VehicleSeries& series,
                                  const DatasetOptions& options);
 
+/// The records of one vehicle as a bare matrix and target vector.
+struct Records {
+  ml::Matrix x;
+  std::vector<double> y;
+};
+
+/// The records BuildDataset keeps, restricted to days t >= `first_day`:
+/// row i of `x` is the feature row of the i-th such day and y[i] its D(t).
+/// Each row is written in place into the presized matrix. Either may come
+/// back empty; BuildDataset and the old-vehicle test window both read
+/// their rows from here.
+[[nodiscard]] Result<Records> ExtractRecords(const VehicleSeries& series,
+                                             size_t first_day,
+                                             const DatasetOptions& options);
+
 /// Builds the feature row for day `t` of `series` (no target needed), e.g.
 /// for predicting on the current day in deployment. Fails when t < W.
 [[nodiscard]] Result<std::vector<double>> BuildFeatureRow(const VehicleSeries& series,
                                             size_t t,
                                             const DatasetOptions& options);
 
-/// The one writer of the feature layout: the row of day `t` from
-/// L(t) = `usage_left` and the utilization series `u`. `t` may be u.size(),
-/// the day after the last observation. Fails when t < W or t > u.size().
-[[nodiscard]] Result<std::vector<double>> AssembleFeatureRow(
-    double usage_left, const data::DailySeries& u, size_t t,
-    double maintenance_interval_s, const DatasetOptions& options);
+/// Length of a feature row under `options`: 1 + W + context_forecast_days
+/// (negative counts, which the writer rejects, count as 0).
+size_t FeatureCount(const DatasetOptions& options);
+
+/// The one writer of the feature layout: writes the row of day `t` from
+/// L(t) = `usage_left` and the utilization series `u` into `row`, which
+/// must hold FeatureCount(options) values. `t` may be u.size(), the day
+/// after the last observation. Fails when t < W or t > u.size().
+[[nodiscard]] Status AssembleFeatureRow(double usage_left,
+                                        const data::DailySeries& u, size_t t,
+                                        double maintenance_interval_s,
+                                        const DatasetOptions& options,
+                                        std::span<double> row);
 
 /// Options for time-shift re-sampling augmentation (Section 4):
 /// "Since we do not know when the vehicle actually had the maintenance
@@ -94,6 +117,12 @@ struct ResamplingOptions {
                                           double maintenance_interval_s,
                                           const DatasetOptions& options,
                                           const ResamplingOptions& resampling);
+
+/// The same dataset from an already derived unshifted series (offset 0),
+/// so a caller holding DeriveSeries(u, T_v) does not derive it again.
+[[nodiscard]] Result<ml::Dataset> BuildResampledDataset(
+    const VehicleSeries& series, const DatasetOptions& options,
+    const ResamplingOptions& resampling);
 
 }  // namespace core
 }  // namespace nextmaint

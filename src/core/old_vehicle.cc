@@ -42,28 +42,69 @@ Result<ml::Dataset> BuildTrainingData(const data::DailySeries& train_u,
 
 }  // namespace
 
-Result<VehicleEvaluation> EvaluateAlgorithmOnVehicle(
-    const std::string& algorithm, const data::DailySeries& u,
-    double maintenance_interval_s, const OldVehicleOptions& options) {
-  if (options.train_fraction <= 0.0 || options.train_fraction >= 1.0) {
+VehicleSelection::VehicleSelection(const data::DailySeries& u,
+                                   double maintenance_interval_s,
+                                   const OldVehicleOptions& options)
+    : u_(u), maintenance_interval_s_(maintenance_interval_s),
+      options_(options) {}
+
+Status VehicleSelection::Prepare() {
+  if (full_.has_value()) return Status::OK();
+  if (options_.train_fraction <= 0.0 || options_.train_fraction >= 1.0) {
     return Status::InvalidArgument("train_fraction must be in (0, 1)");
   }
-  if (options.window < 0) {
+  if (options_.window < 0) {
     return Status::InvalidArgument("window must be non-negative");
   }
 
   // Full-series derivation defines the evaluation ground truth; the
   // training slice shares its cycle phase because both start at day 0.
   NM_ASSIGN_OR_RETURN(VehicleSeries full,
-                      DeriveSeries(u, maintenance_interval_s));
+                      DeriveSeries(u_, maintenance_interval_s_));
   const size_t n = full.size();
   const size_t split =
-      static_cast<size_t>(options.train_fraction * static_cast<double>(n));
+      static_cast<size_t>(options_.train_fraction * static_cast<double>(n));
   if (split == 0 || split >= n) {
     return Status::InvalidArgument("degenerate train/test split");
   }
-  const data::DailySeries train_u = u.Slice(0, split);
+  split_ = split;
+  train_u_ = u_.Slice(0, split);
+  full_ = std::move(full);
+  return Status::OK();
+}
 
+Result<const ml::Dataset*> VehicleSelection::TrainingData() {
+  if (!train_data_.has_value()) {
+    NM_ASSIGN_OR_RETURN(
+        train_data_,
+        BuildTrainingData(train_u_, maintenance_interval_s_, options_));
+  }
+  return &*train_data_;
+}
+
+Result<const Records*> VehicleSelection::TestSet() {
+  if (!test_.has_value()) {
+    // Test period: days >= split with a defined target (and >= W so the
+    // feature window exists).
+    DatasetOptions feature_options;
+    feature_options.window = options_.window;
+    feature_options.normalize_features = options_.normalize_features;
+    feature_options.context = options_.context;
+    feature_options.context_forecast_days = options_.context_forecast_days;
+    NM_ASSIGN_OR_RETURN(Records test,
+                        ExtractRecords(*full_, split_, feature_options));
+    if (test.y.empty()) {
+      return Status::InvalidArgument(
+          "no evaluable test day (no completed cycle in the test window)");
+    }
+    test_ = std::move(test);
+  }
+  return &*test_;
+}
+
+Result<VehicleEvaluation> VehicleSelection::Evaluate(
+    const std::string& algorithm) {
+  NM_RETURN_NOT_OK(Prepare());
   VehicleEvaluation eval;
   eval.algorithm = algorithm;
 
@@ -72,65 +113,44 @@ Result<VehicleEvaluation> EvaluateAlgorithmOnVehicle(
   if (algorithm == "BL") {
     // BL: average utilization over the training period (Eq. 5); no
     // training beyond that.
-    NM_ASSIGN_OR_RETURN(double avg, AverageUtilization(train_u));
+    NM_ASSIGN_OR_RETURN(double avg, AverageUtilization(train_u_));
     const double l_scale =
-        options.normalize_features ? 1.0 / maintenance_interval_s : 1.0;
+        options_.normalize_features ? 1.0 / maintenance_interval_s_ : 1.0;
     model = std::make_unique<BaselinePredictor>(avg, l_scale);
   } else {
-    NM_ASSIGN_OR_RETURN(
-        ml::Dataset train_data,
-        BuildTrainingData(train_u, maintenance_interval_s, options));
+    NM_ASSIGN_OR_RETURN(const ml::Dataset* train_data, TrainingData());
     ml::ParamMap params;
-    if (options.tune) {
+    if (options_.tune) {
       NM_ASSIGN_OR_RETURN(ml::RegressorFactory factory,
-                          ml::MakeFactory(algorithm, options.backend));
+                          ml::MakeFactory(algorithm, options_.backend));
       const ml::ParamGrid grid =
-          ml::DefaultGridFor(algorithm, options.grid_budget);
+          ml::DefaultGridFor(algorithm, options_.grid_budget);
       ml::GridSearchOptions search_options;
-      search_options.seed = options.seed;
+      search_options.seed = options_.seed;
       // Tiny training sets cannot sustain 5 folds.
-      search_options.folds =
-          std::min<size_t>(5, std::max<size_t>(2, train_data.num_rows() / 10));
+      search_options.folds = std::min<size_t>(
+          5, std::max<size_t>(2, train_data->num_rows() / 10));
       search_options.early_stopping_patience =
-          options.grid_early_stopping_patience;
-      if (train_data.num_rows() >= 2 * search_options.folds) {
+          options_.grid_early_stopping_patience;
+      if (train_data->num_rows() >= 2 * search_options.folds) {
         NM_ASSIGN_OR_RETURN(
             ml::GridSearchResult search,
-            ml::GridSearchCV(factory, grid, train_data, search_options));
+            ml::GridSearchCV(factory, grid, *train_data, search_options));
         params = search.best_params;
       }
       eval.best_params = params;
     }
     NM_ASSIGN_OR_RETURN(
-        model, ml::MakeRegressor(algorithm, params, options.backend));
-    NM_RETURN_NOT_OK(model->Fit(train_data).WithContext(algorithm));
+        model, ml::MakeRegressor(algorithm, params, options_.backend));
+    NM_RETURN_NOT_OK(model->Fit(*train_data).WithContext(algorithm));
   }
   eval.train_seconds = NowSeconds() - t_start;
 
-  // Test period: days >= split with a defined target (and >= W so the
-  // feature window exists).
-  DatasetOptions feature_options;
-  feature_options.window = options.window;
-  feature_options.normalize_features = options.normalize_features;
-  feature_options.context = options.context;
-  feature_options.context_forecast_days = options.context_forecast_days;
-  const size_t first_test_day =
-      std::max(split, static_cast<size_t>(options.window));
-  ml::Matrix test_x;
-  for (size_t t = first_test_day; t < n; ++t) {
-    if (!full.HasTarget(t)) continue;
-    NM_ASSIGN_OR_RETURN(std::vector<double> row,
-                        BuildFeatureRow(full, t, feature_options));
-    test_x.AppendRow(std::span<const double>(row.data(), row.size()));
-    eval.test_truth.push_back(full.d[t]);
-  }
-  if (eval.test_truth.empty()) {
-    return Status::InvalidArgument(
-        "no evaluable test day (no completed cycle in the test window)");
-  }
+  NM_ASSIGN_OR_RETURN(const Records* test, TestSet());
+  eval.test_truth = test->y;
   // One batched call for the whole test window (RF/XGB amortize the
   // per-call dispatch); results are bit-identical to the per-row loop.
-  NM_ASSIGN_OR_RETURN(eval.test_predicted, model->PredictBatch(test_x));
+  NM_ASSIGN_OR_RETURN(eval.test_predicted, model->PredictBatch(test->x));
 
   NM_ASSIGN_OR_RETURN(eval.eglobal,
                       GlobalError(eval.test_truth, eval.test_predicted));
@@ -138,24 +158,20 @@ Result<VehicleEvaluation> EvaluateAlgorithmOnVehicle(
   // surface that as an error to the caller rather than reporting 0.
   NM_ASSIGN_OR_RETURN(
       eval.emre, MeanResidualError(eval.test_truth, eval.test_predicted,
-                                   options.eval_days));
+                                   options_.eval_days));
   eval.model = std::move(model);
   return eval;
 }
 
-Result<ModelSelectionResult> SelectBestModelForVehicle(
-    const std::vector<std::string>& algorithms, const data::DailySeries& u,
-    double maintenance_interval_s, const OldVehicleOptions& options) {
+Result<ModelSelectionResult> VehicleSelection::SelectBest(
+    const std::vector<std::string>& algorithms) {
   if (algorithms.empty()) {
     return Status::InvalidArgument("empty algorithm list");
   }
   ModelSelectionResult result;
   double best = std::numeric_limits<double>::infinity();
   for (const std::string& algorithm : algorithms) {
-    NM_ASSIGN_OR_RETURN(
-        VehicleEvaluation eval,
-        EvaluateAlgorithmOnVehicle(algorithm, u, maintenance_interval_s,
-                                   options));
+    NM_ASSIGN_OR_RETURN(VehicleEvaluation eval, Evaluate(algorithm));
     if (eval.emre < best) {
       best = eval.emre;
       result.best_index = result.evaluations.size();
@@ -163,6 +179,20 @@ Result<ModelSelectionResult> SelectBestModelForVehicle(
     result.evaluations.push_back(std::move(eval));
   }
   return result;
+}
+
+Result<VehicleEvaluation> EvaluateAlgorithmOnVehicle(
+    const std::string& algorithm, const data::DailySeries& u,
+    double maintenance_interval_s, const OldVehicleOptions& options) {
+  return VehicleSelection(u, maintenance_interval_s, options)
+      .Evaluate(algorithm);
+}
+
+Result<ModelSelectionResult> SelectBestModelForVehicle(
+    const std::vector<std::string>& algorithms, const data::DailySeries& u,
+    double maintenance_interval_s, const OldVehicleOptions& options) {
+  return VehicleSelection(u, maintenance_interval_s, options)
+      .SelectBest(algorithms);
 }
 
 std::vector<double> PerDayResiduals(const VehicleEvaluation& eval, int lo,

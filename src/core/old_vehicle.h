@@ -2,6 +2,7 @@
 #define NEXTMAINT_CORE_OLD_VEHICLE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,7 +67,9 @@ struct VehicleEvaluation {
   /// Hyper-parameters chosen by the grid search (empty without tuning).
   ml::ParamMap best_params;
   /// Wall-clock seconds spent in training (including the grid search),
-  /// reproducing the Section 5.1 timing analysis.
+  /// reproducing the Section 5.1 timing analysis. Candidates of one
+  /// VehicleSelection share one training dataset: its construction is
+  /// charged to the first non-BL candidate that trains on it.
   double train_seconds = 0.0;
   /// Test-period ground truth / predictions, aligned pairwise (only days
   /// with a defined target). Kept so callers can compute E_MRE({d}) for
@@ -77,8 +80,57 @@ struct VehicleEvaluation {
   std::shared_ptr<ml::Regressor> model;
 };
 
-/// Trains `algorithm` ("BL", "LR", "LSVR", "RF" or "XGB") on the vehicle's
-/// training window and evaluates it on the held-out tail.
+/// The evaluations of a candidate list plus the index of the winner by
+/// E_MRE — the paper's per-vehicle model selection rule.
+struct ModelSelectionResult {
+  std::vector<VehicleEvaluation> evaluations;
+  size_t best_index = 0;
+};
+
+/// One vehicle under the 70/30 protocol, prepared once and shared by every
+/// candidate it evaluates: the full-history derivation (the test ground
+/// truth), the split, the training slice, the test matrix with its truth,
+/// and the training dataset every non-BL candidate fits on. Each part is
+/// built on first use, so errors surface in the order a lone candidate
+/// meets them: setup, then training, then the test window.
+class VehicleSelection {
+ public:
+  /// Keeps a reference to `u`, which must outlive the selection.
+  VehicleSelection(const data::DailySeries& u, double maintenance_interval_s,
+                   const OldVehicleOptions& options);
+
+  /// Trains `algorithm` ("BL", "LR", "LSVR", "RF" or "XGB") on the
+  /// training window and evaluates it on the held-out tail.
+  [[nodiscard]] Result<VehicleEvaluation> Evaluate(const std::string& algorithm);
+
+  /// Evaluates every algorithm in list order and picks the lowest E_MRE
+  /// (the first on ties). Fails with the first candidate's error.
+  [[nodiscard]] Result<ModelSelectionResult> SelectBest(
+      const std::vector<std::string>& algorithms);
+
+  /// DeriveSeries(u, T_v), e.g. for the deployment refit on the full
+  /// history; null until an Evaluate/SelectBest got past the setup.
+  const VehicleSeries* series() const {
+    return full_.has_value() ? &*full_ : nullptr;
+  }
+
+ private:
+  Status Prepare();
+  Result<const ml::Dataset*> TrainingData();
+  Result<const Records*> TestSet();
+
+  const data::DailySeries& u_;
+  double maintenance_interval_s_;
+  OldVehicleOptions options_;
+  std::optional<VehicleSeries> full_;
+  data::DailySeries train_u_;
+  size_t split_ = 0;
+  std::optional<ml::Dataset> train_data_;
+  std::optional<Records> test_;
+};
+
+/// Trains `algorithm` on the vehicle's training window and evaluates it on
+/// the held-out tail: VehicleSelection's one-candidate case.
 ///
 /// Requirements: the series must contain at least one completed cycle in
 /// the training window and one evaluable day in the test window; fails with
@@ -88,13 +140,8 @@ struct VehicleEvaluation {
     const std::string& algorithm, const data::DailySeries& u,
     double maintenance_interval_s, const OldVehicleOptions& options);
 
-/// Runs every algorithm in `algorithms` and returns the evaluations plus
-/// the index of the winner by E_MRE — the paper's per-vehicle model
-/// selection rule.
-struct ModelSelectionResult {
-  std::vector<VehicleEvaluation> evaluations;
-  size_t best_index = 0;
-};
+/// Runs every algorithm in `algorithms` on one shared VehicleSelection and
+/// returns the evaluations plus the winner's index.
 [[nodiscard]] Result<ModelSelectionResult> SelectBestModelForVehicle(
     const std::vector<std::string>& algorithms, const data::DailySeries& u,
     double maintenance_interval_s, const OldVehicleOptions& options);

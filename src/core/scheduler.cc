@@ -325,21 +325,21 @@ Status FleetScheduler::TrainOneVehicle(
   if (category == VehicleCategory::kOld) {
     // Select the best algorithm under the 70/30 protocol, then refit it
     // on the complete history for deployment. The vehicle's binning cache
-    // (created by TrainVehicles; absent when training is entered another
-    // way) makes every grid-search candidate and the refit bin each
-    // training matrix once.
+    // (created by TrainVehicles when a candidate is a tree learner; absent
+    // otherwise or when training is entered another way) makes every
+    // grid-search candidate and the refit bin each training matrix once.
     OldVehicleOptions selection_options = options_.selection;
     if (auto cache_it = binning_caches_.find(id);
         cache_it != binning_caches_.end()) {
       selection_options.backend.binning_cache = cache_it->second;
     }
     std::string chosen = "BL";
+    VehicleSelection vehicle_selection(
+        state.usage, options_.maintenance_interval_s, selection_options);
     Result<ModelSelectionResult> selection = [&] {
       telemetry::ScopedTimer selection_timer(
           "scheduler.train.selection.seconds");
-      return SelectBestModelForVehicle(
-          options_.algorithms, state.usage,
-          options_.maintenance_interval_s, selection_options);
+      return vehicle_selection.SelectBest(options_.algorithms);
     }();
     if (selection.ok()) {
       const ModelSelectionResult& result = selection.ValueOrDie();
@@ -366,11 +366,11 @@ Status FleetScheduler::TrainOneVehicle(
     ResamplingOptions resampling;
     resampling.num_shifts = options_.selection.resampling_shifts;
     resampling.seed = options_.selection.seed;
+    // The selection already derived the full history; refit on it.
     NM_ASSIGN_OR_RETURN(
         ml::Dataset full_data,
-        BuildResampledDataset(state.usage,
-                              options_.maintenance_interval_s,
-                              dataset_options, resampling));
+        BuildResampledDataset(*vehicle_selection.series(), dataset_options,
+                              resampling));
     NM_ASSIGN_OR_RETURN(
         std::unique_ptr<ml::Regressor> model,
         ml::MakeRegressor(chosen, {}, selection_options.backend));
@@ -447,6 +447,11 @@ Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids) {
   std::vector<size_t> order;
   std::vector<size_t> cold_start;
   if (!unified_fitted_) order.push_back(kUnifiedTask);
+  // Only the tree learners read a per-vehicle binning cache.
+  const bool per_vehicle_caches =
+      options_.tree_core == ml::TreeCore::kBinned &&
+      std::any_of(options_.algorithms.begin(), options_.algorithms.end(),
+                  ml::IsTreeLearner);
   std::set<std::string_view> seen;
   for (const std::string& id : ids) {
     auto it = vehicles_.find(id);
@@ -459,7 +464,7 @@ Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids) {
     }
     // Pre-create each vehicle's binning cache here, in the serial pass:
     // the training fan-out below only ever reads binning_caches_.
-    if (options_.tree_core == ml::TreeCore::kBinned &&
+    if (per_vehicle_caches &&
         binning_caches_.find(id) == binning_caches_.end()) {
       binning_caches_.emplace(id, std::make_shared<ml::BinningCache>());
     }
@@ -629,10 +634,10 @@ Result<MaintenanceForecast> FleetScheduler::Forecast(
   feature_options.window = options_.window;
   feature_options.normalize_features =
       options_.selection.normalize_features;
-  NM_ASSIGN_OR_RETURN(
-      std::vector<double> row,
-      AssembleFeatureRow(usage_left, state->usage, today,
-                         options_.maintenance_interval_s, feature_options));
+  std::vector<double> row(FeatureCount(feature_options));
+  NM_RETURN_NOT_OK(AssembleFeatureRow(usage_left, state->usage, today,
+                                      options_.maintenance_interval_s,
+                                      feature_options, row));
   NM_ASSIGN_OR_RETURN(
       double days_left,
       state->model->Predict(std::span<const double>(row.data(), row.size())));

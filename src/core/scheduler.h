@@ -341,8 +341,9 @@ class FleetScheduler {
 
   /// The binning cache currently attached to `id`'s per-vehicle training
   /// (grid-search candidates and refits share it). Nullptr before the
-  /// vehicle's first training and after new data invalidated the cache;
-  /// the next TrainVehicles recreates it. Diagnostics/testing surface.
+  /// vehicle's first training, after new data invalidated the cache, and
+  /// always when no candidate is a tree learner; the next TrainVehicles
+  /// recreates it. Diagnostics/testing surface.
   std::shared_ptr<const ml::BinningCache> VehicleBinningCache(
       const std::string& id) const;
 
@@ -428,8 +429,8 @@ class FleetScheduler {
   /// fit failed); valid only while `unified_fitted_` is true.
   std::shared_ptr<ml::Regressor> unified_;
   bool unified_fitted_ = false;
-  /// Per-vehicle bin-mapper caches (binned core), created in TrainVehicles'
-  /// serial validation pass (the training fan-out only reads the map) and
+  /// Per-vehicle bin-mapper caches (binned core, a tree learner among the
+  /// candidates), created in TrainVehicles' serial validation pass (the training fan-out only reads the map) and
   /// dropped whenever new data for the vehicle arrives — keys are
   /// content-addressed, so a stale entry could never be hit again anyway;
   /// eviction just bounds memory.

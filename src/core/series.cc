@@ -12,8 +12,9 @@ Result<VehicleSeries> DeriveSeries(const data::DailySeries& u,
   if (maintenance_interval_s <= 0.0) {
     return Status::InvalidArgument("maintenance_interval_s must be positive");
   }
-  const data::DailySeries shifted =
-      offset == 0 ? u : u.Slice(offset, u.size());
+  VehicleSeries out;
+  out.u = offset == 0 ? u : u.Slice(offset, u.size());
+  const data::DailySeries& shifted = out.u;
   if (shifted.empty()) {
     return Status::InvalidArgument("utilization series is empty");
   }
@@ -24,8 +25,6 @@ Result<VehicleSeries> DeriveSeries(const data::DailySeries& u,
   }
 
   const size_t n = shifted.size();
-  VehicleSeries out;
-  out.u = shifted;
   out.maintenance_interval_s = maintenance_interval_s;
   out.c.resize(n);
   out.l.resize(n);

@@ -40,22 +40,39 @@ Status LinearRegression::FitImpl(const Dataset& train) {
     target_mean /= static_cast<double>(n);
   }
 
-  Matrix centered(n, p);
-  std::vector<double> centered_y(n);
+  // One pass accumulates the centered Gram matrix and the centered X^T y,
+  // row by row, without materializing the centered matrix. Each upper
+  // entry sees the additions of Matrix::Gram and
+  // Matrix::TransposeMultiplyVector in the same order, zero skips included,
+  // so the solve matches SolveLeastSquares on the explicitly centered data
+  // bit for bit. Whole rows of `gram` are accumulated, because full-width
+  // inner loops run faster than the triangle's short ones; the lower
+  // triangle is then overwritten by the mirror of the upper one.
+  Matrix gram(p, p);
+  std::vector<double> xty(p, 0.0);
+  std::vector<double> centered(p);
   for (size_t r = 0; r < n; ++r) {
     std::span<const double> row = train.x().Row(r);
-    for (size_t c = 0; c < p; ++c) {
-      centered(r, c) = row[c] - feature_means[c];
+    for (size_t c = 0; c < p; ++c) centered[c] = row[c] - feature_means[c];
+    for (size_t i = 0; i < p; ++i) {
+      const double xi = centered[i];
+      if (xi == 0.0) continue;
+      std::span<double> gram_row = gram.MutableRow(i);
+      for (size_t j = 0; j < p; ++j) gram_row[j] += xi * centered[j];
     }
-    centered_y[r] = train.y()[r] - target_mean;
+    const double yr = train.y()[r] - target_mean;
+    if (yr == 0.0) continue;
+    for (size_t c = 0; c < p; ++c) xty[c] += yr * centered[c];
+  }
+  for (size_t i = 0; i < p; ++i) {
+    for (size_t j = 0; j < i; ++j) gram(i, j) = gram(j, i);
   }
 
   NM_ASSIGN_OR_RETURN(
       weights_,
-      SolveLeastSquares(
-          centered,
-          std::span<const double>(centered_y.data(), centered_y.size()),
-          options_.l2));
+      SolveNormalEquations(std::move(gram),
+                           std::span<const double>(xty.data(), xty.size()),
+                           options_.l2));
 
   intercept_ = target_mean;
   for (size_t c = 0; c < p; ++c) intercept_ -= weights_[c] * feature_means[c];

@@ -195,13 +195,21 @@ Result<std::vector<double>> SolveLeastSquares(const Matrix& x,
   if (x.rows() == 0 || x.cols() == 0) {
     return Status::InvalidArgument("empty design matrix");
   }
-  Matrix gram = x.Gram();
   std::vector<double> xty = x.TransposeMultiplyVector(y);
+  return SolveNormalEquations(x.Gram(),
+                              std::span<const double>(xty.data(), xty.size()),
+                              l2);
+}
 
+Result<std::vector<double>> SolveNormalEquations(Matrix gram,
+                                                 std::span<const double> xty,
+                                                 double l2) {
+  if (gram.rows() == 0) {
+    return Status::InvalidArgument("empty design matrix");
+  }
   for (size_t i = 0; i < gram.rows(); ++i) gram(i, i) += l2;
 
-  Result<std::vector<double>> solution =
-      CholeskySolve(gram, std::span<const double>(xty.data(), xty.size()));
+  Result<std::vector<double>> solution = CholeskySolve(gram, xty);
   if (solution.ok()) return solution;
 
   // Singular normal equations (e.g. perfectly collinear features): retry
@@ -212,8 +220,7 @@ Result<std::vector<double>> SolveLeastSquares(const Matrix& x,
       1e-10 * (trace > 0 ? trace / static_cast<double>(gram.rows()) : 1.0) +
       1e-12;
   for (size_t i = 0; i < gram.rows(); ++i) gram(i, i) += jitter;
-  Result<std::vector<double>> retry =
-      CholeskySolve(gram, std::span<const double>(xty.data(), xty.size()));
+  Result<std::vector<double>> retry = CholeskySolve(gram, xty);
   if (!retry.ok()) {
     return retry.status().WithContext("least squares failed even with jitter");
   }

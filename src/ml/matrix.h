@@ -103,6 +103,12 @@ class Matrix {
                                               std::span<const double> y,
                                               double l2 = 0.0);
 
+/// Solves the normal equations (gram + l2 I) w = xty, where `gram` is
+/// X^T X and `xty` is X^T y. With l2 = 0 a tiny jitter is retried on
+/// numerically singular systems.
+[[nodiscard]] Result<std::vector<double>> SolveNormalEquations(
+    Matrix gram, std::span<const double> xty, double l2);
+
 /// Dot product over equal-length spans.
 double Dot(std::span<const double> a, std::span<const double> b);
 

@@ -14,6 +14,10 @@ std::vector<std::string> RegisteredModelNames() {
   return {"LR", "LSVR", "Tree", "RF", "XGB"};
 }
 
+bool IsTreeLearner(const std::string& name) {
+  return name == "Tree" || name == "RF" || name == "XGB";
+}
+
 Result<std::unique_ptr<Regressor>> MakeRegressor(
     const std::string& name, const ParamMap& params,
     const TrainingBackend& backend) {

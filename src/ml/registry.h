@@ -23,6 +23,10 @@ namespace ml {
 /// Names of the generic regressors this registry can build.
 std::vector<std::string> RegisteredModelNames();
 
+/// True for the tree learners ("Tree", "RF", "XGB"): the models that read
+/// a TrainingBackend.
+bool IsTreeLearner(const std::string& name);
+
 /// Builds a model by name with the given hyper-parameters (each model
 /// documents its recognised keys on its OptionsFromParams). Unknown names
 /// fail with NotFound.

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/macros.h"
+#include "common/rng.h"
 
 namespace nextmaint {
 namespace core {
@@ -182,6 +189,205 @@ TEST(BuildResampledDatasetTest, InvalidOptionsRejected) {
   EXPECT_FALSE(BuildResampledDataset(u, 300.0, options, resampling).ok());
 }
 
+
+/// Rows of a dataset as built before the in-place writer: one
+/// AssembleFeatureRow call per kept day, each into its own vector.
+struct RowwiseRecords {
+  std::vector<std::vector<double>> rows;
+  std::vector<double> y;
+};
+
+Status AppendRowwise(const VehicleSeries& s, const DatasetOptions& options,
+                     RowwiseRecords& out) {
+  if (options.window < 0) {
+    return Status::InvalidArgument("window must be non-negative");
+  }
+  for (size_t t = static_cast<size_t>(options.window); t < s.size(); ++t) {
+    if (!s.HasTarget(t)) continue;
+    if (options.target_filter.has_value() &&
+        !options.target_filter->Contains(s.d[t])) {
+      continue;
+    }
+    std::vector<double> row(FeatureCount(options));
+    NM_RETURN_NOT_OK(AssembleFeatureRow(s.l[t], s.u, t,
+                                        s.maintenance_interval_s, options,
+                                        row));
+    out.rows.push_back(std::move(row));
+    out.y.push_back(s.d[t]);
+  }
+  return Status::OK();
+}
+
+/// BuildResampledDataset's shift draws, spelled out over AppendRowwise.
+RowwiseRecords ResampledRowwise(const data::DailySeries& u, double tv,
+                                const DatasetOptions& options,
+                                const ResamplingOptions& resampling) {
+  RowwiseRecords out;
+  EXPECT_TRUE(
+      AppendRowwise(DeriveSeries(u, tv).ValueOrDie(), options, out).ok());
+  Rng rng(resampling.seed);
+  const size_t max_shift = static_cast<size_t>(
+      resampling.max_shift_fraction * static_cast<double>(u.size()));
+  for (int k = 0; k < resampling.num_shifts && max_shift > 0; ++k) {
+    const size_t offset =
+        1 + static_cast<size_t>(rng.UniformInt(max_shift));
+    const Result<VehicleSeries> shifted = DeriveSeries(u, tv, offset);
+    if (!shifted.ok()) continue;
+    DatasetOptions shifted_options = options;
+    std::vector<double> shifted_context;
+    if (options.context != nullptr && options.context_forecast_days > 0) {
+      if (offset >= options.context->size()) continue;
+      shifted_context.assign(
+          options.context->begin() + static_cast<ptrdiff_t>(offset),
+          options.context->end());
+      shifted_options.context = &shifted_context;
+    }
+    RowwiseRecords extra;
+    if (!AppendRowwise(shifted.ValueOrDie(), shifted_options, extra).ok() ||
+        extra.rows.empty()) {
+      continue;
+    }
+    out.rows.insert(out.rows.end(), extra.rows.begin(), extra.rows.end());
+    out.y.insert(out.y.end(), extra.y.begin(), extra.y.end());
+  }
+  return out;
+}
+
+std::vector<std::string> ExpectedNames(int window, int context_days) {
+  std::vector<std::string> names = {"L"};
+  for (int k = 1; k <= window; ++k) {
+    names.push_back("U(t-" + std::to_string(k) + ")");
+  }
+  for (int k = 0; k < context_days; ++k) {
+    names.push_back("CTX(t+" + std::to_string(k) + ")");
+  }
+  return names;
+}
+
+void ExpectSameRecords(const ml::Dataset& got, const RowwiseRecords& want,
+                       const DatasetOptions& options,
+                       const std::string& label) {
+  ASSERT_EQ(got.num_rows(), want.rows.size()) << label;
+  ASSERT_EQ(got.num_features(), FeatureCount(options)) << label;
+  EXPECT_EQ(got.feature_names(),
+            ExpectedNames(options.window, options.context_forecast_days))
+      << label;
+  for (size_t r = 0; r < want.rows.size(); ++r) {
+    for (size_t c = 0; c < want.rows[r].size(); ++c) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(got.x()(r, c)),
+                std::bit_cast<uint64_t>(want.rows[r][c]))
+          << label << " row " << r << " col " << c;
+    }
+    ASSERT_EQ(std::bit_cast<uint64_t>(got.y()[r]),
+              std::bit_cast<uint64_t>(want.y[r]))
+        << label << " row " << r;
+  }
+}
+
+/// 90 days of uneven usage with T = 500 s: cycles of a few days each.
+data::DailySeries UnevenUsage() {
+  Rng rng(31);
+  std::vector<double> values(90);
+  for (double& v : values) v = rng.Uniform(40.0, 160.0);
+  return data::DailySeries(Day(0), values);
+}
+
+TEST(InPlaceRowsTest, DatasetsMatchRowByRowReference) {
+  const data::DailySeries u = UnevenUsage();
+  const double tv = 500.0;
+  const VehicleSeries series = DeriveSeries(u, tv).ValueOrDie();
+  std::vector<double> context(u.size());
+  for (size_t i = 0; i < context.size(); ++i) {
+    context[i] = 0.1 * static_cast<double>(i % 13);
+  }
+  for (const int window : {0, 3, 6}) {
+    for (const int context_days : {0, 2}) {
+      for (const bool normalize : {true, false}) {
+        for (const bool last29 : {false, true}) {
+          DatasetOptions options;
+          options.window = window;
+          options.normalize_features = normalize;
+          if (context_days > 0) {
+            options.context = &context;
+            options.context_forecast_days = context_days;
+          }
+          if (last29) options.target_filter = DaySet::Last29();
+          const std::string label =
+              "W=" + std::to_string(window) +
+              " ctx=" + std::to_string(context_days) +
+              " normalize=" + std::to_string(normalize) +
+              " last29=" + std::to_string(last29);
+
+          RowwiseRecords plain;
+          ASSERT_TRUE(AppendRowwise(series, options, plain).ok()) << label;
+          ExpectSameRecords(BuildDataset(series, options).ValueOrDie(), plain,
+                            options, label);
+
+          ResamplingOptions resampling;
+          resampling.num_shifts = 3;
+          const RowwiseRecords resampled =
+              ResampledRowwise(u, tv, options, resampling);
+          ASSERT_GT(resampled.rows.size(), plain.rows.size()) << label;
+          ExpectSameRecords(
+              BuildResampledDataset(u, tv, options, resampling).ValueOrDie(),
+              resampled, options, label + " resampled");
+          ExpectSameRecords(
+              BuildResampledDataset(series, options, resampling)
+                  .ValueOrDie(),
+              resampled, options, label + " resampled from series");
+        }
+      }
+    }
+  }
+}
+
+TEST(InPlaceRowsTest, ErrorsMatchRowByRowReference) {
+  const VehicleSeries series = DeriveSeries(UnevenUsage(), 500.0).ValueOrDie();
+  DatasetOptions negative_window;
+  negative_window.window = -1;
+  DatasetOptions missing_context;
+  missing_context.window = 2;
+  missing_context.context_forecast_days = 2;
+  DatasetOptions negative_context;
+  negative_context.context_forecast_days = -1;
+  for (const DatasetOptions& options :
+       {negative_window, missing_context, negative_context}) {
+    RowwiseRecords ignored;
+    const Status expected = AppendRowwise(series, options, ignored);
+    ASSERT_FALSE(expected.ok());
+    const Result<ml::Dataset> built = BuildDataset(series, options);
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().ToString(), expected.ToString());
+  }
+  // With no kept day the writer never runs: the empty result is reported
+  // even though the context options are invalid.
+  missing_context.target_filter = DaySet::Range(1000, 1001);
+  const Result<ml::Dataset> empty = BuildDataset(series, missing_context);
+  ASSERT_FALSE(empty.ok());
+  EXPECT_NE(empty.status().message().find("no records extracted"),
+            std::string::npos);
+}
+
+TEST(InPlaceRowsTest, ExtractRecordsStartsAtFirstDayAndWindow) {
+  const VehicleSeries series = DeriveSeries(UnevenUsage(), 500.0).ValueOrDie();
+  DatasetOptions options;
+  options.window = 4;
+  const Records all = ExtractRecords(series, 0, options).ValueOrDie();
+  const Records tail = ExtractRecords(series, 60, options).ValueOrDie();
+  const Records past_end = ExtractRecords(series, 500, options).ValueOrDie();
+  EXPECT_TRUE(past_end.y.empty());
+  EXPECT_EQ(past_end.x.cols(), 5u);
+  ASSERT_LT(tail.y.size(), all.y.size());
+  // The tail records are the last rows of the full extraction.
+  const size_t skip = all.y.size() - tail.y.size();
+  for (size_t r = 0; r < tail.y.size(); ++r) {
+    EXPECT_EQ(tail.y[r], all.y[skip + r]);
+    for (size_t c = 0; c < tail.x.cols(); ++c) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(tail.x(r, c)),
+                std::bit_cast<uint64_t>(all.x(skip + r, c)));
+    }
+  }
+}
 
 TEST(ContextFeaturesTest, ForwardContextAppended) {
   const VehicleSeries s = MakeSeries();

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "telematics/fleet.h"
 
@@ -145,6 +150,166 @@ TEST(SelectBestModelTest, PicksMinEmre) {
 TEST(SelectBestModelTest, EmptyListFails) {
   EXPECT_FALSE(
       SelectBestModelForVehicle({}, RegularVehicle(), 1000.0, FastOptions())
+          .ok());
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  for (double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
+}
+
+std::string ModelBytes(const ml::Regressor& model) {
+  std::ostringstream out;
+  EXPECT_TRUE(model.Save(out).ok());
+  return out.str();
+}
+
+void ExpectSameEvaluation(const VehicleEvaluation& got,
+                          const VehicleEvaluation& want,
+                          const std::string& label) {
+  EXPECT_EQ(got.algorithm, want.algorithm) << label;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.emre),
+            std::bit_cast<uint64_t>(want.emre))
+      << label;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.eglobal),
+            std::bit_cast<uint64_t>(want.eglobal))
+      << label;
+  EXPECT_EQ(got.best_params, want.best_params) << label;
+  EXPECT_EQ(Bits(got.test_truth), Bits(want.test_truth)) << label;
+  EXPECT_EQ(Bits(got.test_predicted), Bits(want.test_predicted)) << label;
+  ASSERT_NE(got.model, nullptr) << label;
+  ASSERT_NE(want.model, nullptr) << label;
+  EXPECT_EQ(ModelBytes(*got.model), ModelBytes(*want.model)) << label;
+}
+
+/// The first error the candidates meet when each is evaluated on its own,
+/// in list order (OK when every candidate succeeds).
+Status FirstCandidateError(const std::vector<std::string>& algorithms,
+                           const data::DailySeries& u, double tv,
+                           const OldVehicleOptions& options) {
+  for (const std::string& algorithm : algorithms) {
+    const Result<VehicleEvaluation> eval =
+        EvaluateAlgorithmOnVehicle(algorithm, u, tv, options);
+    if (!eval.ok()) return eval.status();
+  }
+  return Status::OK();
+}
+
+/// Candidates scored against one shared selection (one derivation, one
+/// test matrix, one training dataset) match separate per-candidate
+/// evaluations bit for bit.
+TEST(SelectBestModelTest, SharedSelectionMatchesPerCandidateEvaluation) {
+  const data::DailySeries u = SimulatedVehicle(40);
+  const double tv = 500'000.0;
+  std::vector<double> context(u.size());
+  for (size_t i = 0; i < context.size(); ++i) {
+    context[i] = 0.5 + 0.05 * static_cast<double>(i % 9);
+  }
+  struct Case {
+    std::vector<std::string> algorithms;
+    bool last29;
+    int shifts;
+    bool with_context;
+  };
+  std::vector<Case> cases;
+  for (const std::vector<std::string>& algorithms :
+       {std::vector<std::string>{"BL", "LR"},
+        std::vector<std::string>{"BL", "LR", "RF"}}) {
+    for (const bool last29 : {false, true}) {
+      for (const int shifts : {0, 2}) {
+        cases.push_back({algorithms, last29, shifts, false});
+      }
+    }
+  }
+  cases.push_back({{"BL", "LR"}, false, 2, true});
+
+  for (const Case& c : cases) {
+    OldVehicleOptions options = FastOptions();
+    options.window = 3;
+    options.train_on_last29_only = c.last29;
+    options.resampling_shifts = c.shifts;
+    if (c.with_context) {
+      options.context = &context;
+      options.context_forecast_days = 2;
+    }
+    std::string label = "last29=" + std::to_string(c.last29) +
+                        " shifts=" + std::to_string(c.shifts) +
+                        " context=" + std::to_string(c.with_context) + " [";
+    for (const std::string& algorithm : c.algorithms) label += algorithm + " ";
+    label += "]";
+
+    const ModelSelectionResult selected =
+        SelectBestModelForVehicle(c.algorithms, u, tv, options).ValueOrDie();
+    ASSERT_EQ(selected.evaluations.size(), c.algorithms.size()) << label;
+    size_t best = 0;
+    for (size_t i = 0; i < c.algorithms.size(); ++i) {
+      const VehicleEvaluation alone =
+          EvaluateAlgorithmOnVehicle(c.algorithms[i], u, tv, options)
+              .ValueOrDie();
+      ExpectSameEvaluation(selected.evaluations[i], alone,
+                           label + " " + c.algorithms[i]);
+      if (alone.emre < selected.evaluations[best].emre) best = i;
+    }
+    EXPECT_EQ(selected.best_index, best) << label;
+  }
+}
+
+/// A shared selection fails with exactly the error, and at exactly the
+/// candidate, that separate per-candidate evaluations meet first.
+TEST(SelectBestModelTest, SharedSelectionKeepsErrorOrder) {
+  const double tv = 1000.0;
+  // 100 s/day for 140 days, then idle: the 60-day test window completes
+  // no cycle, so no test day is evaluable.
+  std::vector<double> idle_tail(200, 0.0);
+  std::fill(idle_tail.begin(), idle_tail.begin() + 140, 100.0);
+  const data::DailySeries no_test_day(Day(0), idle_tail);
+  // At T = 15,000 s the first cycle closes on day 149, after the 140-day
+  // training slice: no completed training cycle, yet a scored test window.
+  const data::DailySeries no_train_cycle = RegularVehicle();
+  const double late_tv = 15'000.0;
+
+  struct Case {
+    std::string name;
+    const data::DailySeries* u;
+    double tv;
+    std::vector<std::string> algorithms;
+    OldVehicleOptions options;
+    std::string error;
+  };
+  OldVehicleOptions missing_context = FastOptions();
+  missing_context.context_forecast_days = 2;
+  const std::string no_test = "no evaluable test day";
+  const std::string no_records = "no records extracted";
+  const std::string no_context = "no context series supplied";
+  const std::vector<Case> cases = {
+      {"no test day", &no_test_day, tv, {"BL", "LR"}, FastOptions(), no_test},
+      {"no test day, LR first", &no_test_day, tv, {"LR", "BL"}, FastOptions(),
+       no_test},
+      {"no training cycle", &no_train_cycle, late_tv, {"BL", "LR"},
+       FastOptions(), no_records},
+      {"no training cycle, LR first", &no_train_cycle, late_tv, {"LR", "BL"},
+       FastOptions(), no_records},
+      {"missing context", &no_train_cycle, tv, {"BL", "LR"}, missing_context,
+       no_context},
+      {"missing context, LR first", &no_train_cycle, tv, {"LR", "BL"},
+       missing_context, no_context},
+  };
+  for (const Case& c : cases) {
+    const Status expected =
+        FirstCandidateError(c.algorithms, *c.u, c.tv, c.options);
+    ASSERT_FALSE(expected.ok()) << c.name;
+    EXPECT_NE(expected.message().find(c.error), std::string::npos)
+        << c.name << ": " << expected.ToString();
+    const Result<ModelSelectionResult> selected =
+        SelectBestModelForVehicle(c.algorithms, *c.u, c.tv, c.options);
+    ASSERT_FALSE(selected.ok()) << c.name;
+    EXPECT_EQ(selected.status().ToString(), expected.ToString()) << c.name;
+  }
+  // BL alone scores the vehicle without a training cycle: the error above
+  // is LR's, met after BL succeeded.
+  EXPECT_TRUE(
+      SelectBestModelForVehicle({"BL"}, no_train_cycle, late_tv, FastOptions())
           .ok());
 }
 

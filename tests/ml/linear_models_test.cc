@@ -3,11 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "ml/linear_regression.h"
 #include "ml/linear_svr.h"
+#include "ml/serialization.h"
 
 namespace nextmaint {
 namespace ml {
@@ -133,6 +139,172 @@ TEST(LinearRegressionTest, CloneCarriesFittedState) {
 TEST(LinearRegressionTest, OptionsFromParams) {
   const auto options = LinearRegression::OptionsFromParams({{"l2", 0.5}});
   EXPECT_DOUBLE_EQ(options.l2, 0.5);
+}
+
+/// The fit as it was before the fused normal equations: center every
+/// entry explicitly, then Matrix::Gram + TransposeMultiplyVector, then the
+/// shared solve. `cholesky_failed` reports whether the solve needed its
+/// jitter retry.
+struct ReferenceFit {
+  std::vector<double> weights;
+  double intercept = 0.0;
+  bool cholesky_failed = false;
+};
+
+ReferenceFit FitByExplicitCentering(const Dataset& d,
+                                    const LinearRegression::Options& options) {
+  const size_t n = d.num_rows();
+  const size_t p = d.num_features();
+  std::vector<double> means(p, 0.0);
+  double target_mean = 0.0;
+  if (options.fit_intercept) {
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t c = 0; c < p; ++c) means[c] += d.x()(r, c);
+      target_mean += d.y()[r];
+    }
+    for (double& m : means) m /= static_cast<double>(n);
+    target_mean /= static_cast<double>(n);
+  }
+  Matrix centered(n, p);
+  std::vector<double> centered_y(n);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < p; ++c) centered(r, c) = d.x()(r, c) - means[c];
+    centered_y[r] = d.y()[r] - target_mean;
+  }
+  Matrix gram = centered.Gram();
+  const std::vector<double> xty = centered.TransposeMultiplyVector(
+      std::span<const double>(centered_y.data(), n));
+
+  ReferenceFit fit;
+  Matrix regularized = gram;
+  for (size_t i = 0; i < p; ++i) regularized(i, i) += options.l2;
+  fit.cholesky_failed =
+      !CholeskySolve(regularized, std::span<const double>(xty.data(), p)).ok();
+  fit.weights = SolveNormalEquations(std::move(gram),
+                                     std::span<const double>(xty.data(), p),
+                                     options.l2)
+                    .ValueOrDie();
+  fit.intercept = target_mean;
+  for (size_t c = 0; c < p; ++c) fit.intercept -= fit.weights[c] * means[c];
+  if (!options.fit_intercept) fit.intercept = 0.0;
+  return fit;
+}
+
+Dataset FromRows(const std::vector<std::vector<double>>& rows,
+                 const std::vector<double>& y) {
+  return Dataset::Create(Matrix::FromRows(rows), y).ValueOrDie();
+}
+
+std::string SaveBytes(const Regressor& model) {
+  std::ostringstream out;
+  EXPECT_TRUE(model.Save(out).ok());
+  return out.str();
+}
+
+/// Save bytes of an LR model holding exactly `weights` and `intercept`.
+std::string ReferenceSaveBytes(const std::vector<double>& weights,
+                               double intercept) {
+  std::string body;
+  ModelWriter writer(body);
+  writer.Put("weights ").Put(weights.size());
+  for (double w : weights) writer.Put(' ').Put(w);
+  writer.Put('\n');
+  writer.Line("intercept", intercept);
+  writer.Line("end");
+  ModelReader reader(body);
+  return SaveBytes(LinearRegression::LoadBody(reader).ValueOrDie());
+}
+
+/// The fused single-pass fit reproduces the explicit-centering reference
+/// bit for bit, including the cases where a zero skip decides the sign of
+/// a zero sum and where the solve needs its jitter retry.
+TEST(LinearRegressionTest, FusedFitMatchesExplicitCenteringBitForBit) {
+  struct Case {
+    std::string name;
+    Dataset data;
+    bool needs_jitter_with_intercept;
+  };
+  std::vector<Case> cases;
+  {
+    // Column 0 takes its own mean (2) on every fifth row; column 1 is
+    // constant, so its centered entries are all exactly zero and the
+    // centered Gram matrix is singular.
+    std::vector<std::vector<double>> rows;
+    std::vector<double> y;
+    for (int r = 0; r < 60; ++r) {
+      rows.push_back({static_cast<double>(r % 5), 5.0,
+                      0.25 * static_cast<double>((r * 7) % 11)});
+      y.push_back(static_cast<double>(r % 3));  // mean 1: zero centered targets
+    }
+    cases.push_back({"mean_valued_and_constant", FromRows(rows, y), true});
+  }
+  {
+    // Signed zeros in features and targets.
+    std::vector<std::vector<double>> rows;
+    std::vector<double> y;
+    const double values[] = {-0.0, 0.0, 1.5, -2.25, -0.0};
+    for (int r = 0; r < 40; ++r) {
+      rows.push_back({values[r % 5], values[(r + 2) % 5],
+                      static_cast<double>(r) * 0.125});
+      y.push_back(r % 4 == 0 ? -0.0 : values[(r + 1) % 5] + 0.5 * r);
+    }
+    cases.push_back({"signed_zeros", FromRows(rows, y), false});
+  }
+  {
+    // Exactly collinear columns: x1 = 2 * x0, x2 = x0 + 1. The centered
+    // entries are +-0.5 and +-1, so the Cholesky pivots cancel exactly.
+    std::vector<std::vector<double>> rows;
+    std::vector<double> y;
+    for (int r = 0; r < 64; ++r) {
+      const double x0 = static_cast<double>(r % 2);
+      rows.push_back({x0, 2.0 * x0, x0 + 1.0});
+      y.push_back(3.0 * x0 - 1.0 + 0.125 * static_cast<double>(r % 3));
+    }
+    cases.push_back({"collinear", FromRows(rows, y), true});
+  }
+  cases.push_back({"noisy", MakeLinearData(300, 0.5, 11), false});
+
+  for (const Case& c : cases) {
+    for (const bool fit_intercept : {true, false}) {
+      for (const double l2 : {0.0, 0.75}) {
+        LinearRegression::Options options;
+        options.fit_intercept = fit_intercept;
+        options.l2 = l2;
+        const std::string label = c.name + " intercept=" +
+                                  std::to_string(fit_intercept) +
+                                  " l2=" + std::to_string(l2);
+        const ReferenceFit reference = FitByExplicitCentering(c.data, options);
+        if (c.needs_jitter_with_intercept && fit_intercept && l2 == 0.0) {
+          EXPECT_TRUE(reference.cholesky_failed) << label;
+        }
+        LinearRegression model(options);
+        ASSERT_TRUE(model.Fit(c.data).ok()) << label;
+        ASSERT_EQ(model.weights().size(), reference.weights.size()) << label;
+        for (size_t i = 0; i < reference.weights.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(model.weights()[i]),
+                    std::bit_cast<uint64_t>(reference.weights[i]))
+              << label << " w" << i;
+        }
+        EXPECT_EQ(std::bit_cast<uint64_t>(model.intercept()),
+                  std::bit_cast<uint64_t>(reference.intercept))
+            << label;
+        EXPECT_EQ(SaveBytes(model),
+                  ReferenceSaveBytes(reference.weights, reference.intercept))
+            << label;
+      }
+    }
+  }
+}
+
+TEST(LinearRegressionTest, ZeroFeatureDatasetIsAnEmptyDesignMatrix) {
+  const Dataset d =
+      Dataset::Create(Matrix(3, 0), std::vector<double>{1.0, 2.0, 3.0})
+          .ValueOrDie();
+  LinearRegression model;
+  const Status status = model.Fit(d);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("empty design matrix"), std::string::npos);
+  EXPECT_FALSE(model.is_fitted());
 }
 
 TEST(LinearSvrTest, FitsCleanLinearData) {

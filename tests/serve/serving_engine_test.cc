@@ -314,6 +314,28 @@ TEST(ServingEngineTest, BinningCacheInvalidationFollowsIngest) {
   EXPECT_EQ(batch.UnifiedBinningCache()->stats().entries, 0u);
 }
 
+/// Only tree learners read a per-vehicle binning cache, so a BL/LR fleet
+/// (binned core or not) never creates one.
+TEST(ServingEngineTest, LinearFleetCreatesNoVehicleBinningCache) {
+  const core::SchedulerOptions options = FastOptions(1);
+  ASSERT_EQ(options.tree_core, ml::TreeCore::kBinned);
+  ServingEngine engine(options);
+  const data::DailySeries s1 = SimulatedVehicle(201, 600);
+  const data::DailySeries s2 = SimulatedVehicle(202, 600);
+  ASSERT_TRUE(engine.Register("v1", s1.start_date()).ok());
+  ASSERT_TRUE(engine.Register("v2", s2.start_date()).ok());
+  ASSERT_TRUE(engine.LoadHistory("v1", s1.Slice(0, 599)).ok());
+  ASSERT_TRUE(engine.LoadHistory("v2", s2).ok());
+  ASSERT_TRUE(engine.RefreshForecasts().ok());
+  EXPECT_EQ(engine.scheduler().VehicleBinningCache("v1"), nullptr);
+  EXPECT_EQ(engine.scheduler().VehicleBinningCache("v2"), nullptr);
+
+  ASSERT_TRUE(engine.Append("v1", s1.start_date().AddDays(599), s1[599]).ok());
+  ASSERT_TRUE(engine.RefreshForecasts().ok());
+  EXPECT_EQ(engine.scheduler().VehicleBinningCache("v1"), nullptr);
+  EXPECT_EQ(engine.scheduler().VehicleBinningCache("v2"), nullptr);
+}
+
 TEST(ServingEngineTest, CachedStateMatchesBatchDerivation) {
   const data::DailySeries series = SimulatedVehicle(7, 600);
   ServingEngine engine(FastOptions());
