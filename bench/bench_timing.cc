@@ -10,10 +10,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,11 +17,9 @@
 #include "core/baseline.h"
 #include "core/dataset_builder.h"
 #include "core/series.h"
-#include "ml/binned_dataset.h"
 #include "ml/hist_gradient_boosting.h"
 #include "ml/random_forest.h"
 #include "ml/registry.h"
-#include "ml/serialization.h"
 
 namespace {
 
@@ -120,122 +114,6 @@ void RegisterAll() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Binned-vs-row grid-search sweep (docs/binned-training.md): fit the same
-// candidate grid on both training cores, verify the serialized models are
-// byte-identical, and report the train-time ratio. The binned side shares
-// one BinningCache across all candidates, exactly as the scheduler's grid
-// search does, so the measured delta includes the bin-once-reuse-everywhere
-// effect and not just the per-access gap. Emits a JSON record (also written
-// to NEXTMAINT_BENCH_JSON) and exits non-zero on any byte divergence.
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-struct GridCandidate {
-  std::string algorithm;
-  nextmaint::ml::ParamMap params;
-};
-
-std::vector<GridCandidate> SweepGrid() {
-  std::vector<GridCandidate> grid;
-  for (const double estimators : {60.0, 120.0}) {
-    for (const double leaf : {5.0, 20.0}) {
-      grid.push_back({"RF",
-                      {{"num_estimators", estimators},
-                       {"max_depth", 10.0},
-                       {"min_samples_leaf", leaf}}});
-    }
-  }
-  for (const double iterations : {60.0, 120.0}) {
-    for (const double depth : {4.0, 6.0}) {
-      grid.push_back({"XGB",
-                      {{"num_iterations", iterations},
-                       {"max_depth", depth}}});
-    }
-  }
-  return grid;
-}
-
-/// Fits every grid candidate on `core`; returns serialized model bytes per
-/// candidate (empty on failure) and the total fit wall time.
-std::vector<std::string> FitGridOnCore(const nextmaint::ml::Dataset& data,
-                                       const std::vector<GridCandidate>& grid,
-                                       nextmaint::ml::TreeCore core,
-                                       double* seconds) {
-  nextmaint::ml::TrainingBackend backend;
-  backend.core = core;
-  if (core == nextmaint::ml::TreeCore::kBinned) {
-    backend.binning_cache = std::make_shared<nextmaint::ml::BinningCache>();
-  }
-  std::vector<std::string> models;
-  const auto start = std::chrono::steady_clock::now();
-  for (const GridCandidate& candidate : grid) {
-    auto model = nextmaint::ml::MakeRegressor(candidate.algorithm,
-                                              candidate.params, backend)
-                     .MoveValueOrDie();
-    if (!model->Fit(data).ok()) return {};
-    std::string& bytes = models.emplace_back();
-    nextmaint::ml::ModelWriter writer(bytes);
-    if (!model->Save(writer).ok()) return {};
-  }
-  *seconds = SecondsSince(start);
-  return models;
-}
-
-int RunBinnedVsRowSweep() {
-  const nextmaint::ml::Dataset data = MakeTrainingData(6);
-  const std::vector<GridCandidate> grid = SweepGrid();
-
-  double row_seconds = 0.0;
-  double binned_seconds = 0.0;
-  const std::vector<std::string> row_models = FitGridOnCore(
-      data, grid, nextmaint::ml::TreeCore::kRowOriented, &row_seconds);
-  const std::vector<std::string> binned_models = FitGridOnCore(
-      data, grid, nextmaint::ml::TreeCore::kBinned, &binned_seconds);
-  if (row_models.empty() || binned_models.empty()) {
-    std::fprintf(stderr, "grid-search sweep failed to train\n");
-    return 1;
-  }
-  const bool identical = row_models == binned_models;
-  const double speedup =
-      binned_seconds > 0.0 ? row_seconds / binned_seconds : 0.0;
-
-  char json[512];
-  std::snprintf(
-      json, sizeof(json),
-      "{\"bench\":\"timing_binned_vs_row\",\"schema\":1,\"candidates\":%zu,"
-      "\"rows\":%zu,\"features\":%zu,\"row_seconds\":%.6f,"
-      "\"binned_seconds\":%.6f,\"speedup\":%.2f,"
-      "\"models_identical\":%s}",
-      grid.size(), data.num_rows(), data.num_features(), row_seconds,
-      binned_seconds, speedup, identical ? "true" : "false");
-  std::printf("%s\n", json);
-
-  if (const char* path = std::getenv("NEXTMAINT_BENCH_JSON")) {
-    if (*path != '\0') {
-      std::FILE* file = std::fopen(path, "w");
-      if (file == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return 1;
-      }
-      std::fprintf(file, "%s\n", json);
-      std::fclose(file);
-    }
-  }
-
-  if (!identical) {
-    std::fprintf(stderr,
-                 "binned and row-oriented cores produced different model "
-                 "bytes — the shared-grower bit-identity contract broke\n");
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -248,5 +126,5 @@ int main(int argc, char** argv) {
     benchmark::RunSpecifiedBenchmarks();
   }
   benchmark::Shutdown();
-  return RunBinnedVsRowSweep();
+  return 0;
 }

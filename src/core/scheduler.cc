@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string_view>
 #include <utility>
 
@@ -77,7 +73,7 @@ Status FleetScheduler::IngestUsage(const std::string& id, Date day,
   }
   // New data means the cached binnings of this vehicle's matrices can never
   // be hit again; drop them so the next training starts a fresh cache.
-  binning_caches_.erase(id);
+  state.binning_cache.reset();
   telemetry::Count("scheduler.ingest.days");
   return Status::OK();
 }
@@ -99,7 +95,7 @@ Status FleetScheduler::IngestSeries(const std::string& id,
   for (const double seconds : series.values()) cycles.Advance(seconds);
   it->second.model.reset();
   it->second.pending_segment = storage::SegmentView();
-  binning_caches_.erase(id);
+  it->second.binning_cache.reset();
   // Unlike Append, a wholesale series replacement can change the vehicle's
   // first cycle and therefore the cold-start corpus: mark it for the next
   // RefreshCorpus, and reset the shared cold-start cache too (entries are
@@ -329,9 +325,8 @@ Status FleetScheduler::TrainOneVehicle(
     // otherwise or when training is entered another way) makes every
     // grid-search candidate and the refit bin each training matrix once.
     OldVehicleOptions selection_options = options_.selection;
-    if (auto cache_it = binning_caches_.find(id);
-        cache_it != binning_caches_.end()) {
-      selection_options.backend.binning_cache = cache_it->second;
+    if (state.binning_cache != nullptr) {
+      selection_options.backend.binning_cache = state.binning_cache;
     }
     std::string chosen = "BL";
     VehicleSelection vehicle_selection(
@@ -463,10 +458,9 @@ Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids) {
                                      "' in TrainVehicles");
     }
     // Pre-create each vehicle's binning cache here, in the serial pass:
-    // the training fan-out below only ever reads binning_caches_.
-    if (per_vehicle_caches &&
-        binning_caches_.find(id) == binning_caches_.end()) {
-      binning_caches_.emplace(id, std::make_shared<ml::BinningCache>());
+    // the training fan-out below only ever reads it.
+    if (per_vehicle_caches && it->second.binning_cache == nullptr) {
+      it->second.binning_cache = std::make_shared<ml::BinningCache>();
     }
     // Only semi-new and new vehicles with data read Model_Uni.
     const bool reads_unified =
@@ -785,8 +779,8 @@ DegradationReport FleetScheduler::LastDegradationReport() const {
 
 std::shared_ptr<const ml::BinningCache> FleetScheduler::VehicleBinningCache(
     const std::string& id) const {
-  auto it = binning_caches_.find(id);
-  return it == binning_caches_.end() ? nullptr : it->second;
+  auto it = vehicles_.find(id);
+  return it == vehicles_.end() ? nullptr : it->second.binning_cache;
 }
 
 std::shared_ptr<const ml::BinningCache> FleetScheduler::UnifiedBinningCache()
@@ -854,21 +848,6 @@ Result<storage::VehicleRecord> FleetScheduler::CheckpointRecord(
   return record;
 }
 
-Status FleetScheduler::WriteCheckpointPayload(std::ostream& out) const {
-  NEXTMAINT_FAILPOINT("scheduler.save_models");
-  for (const auto& [id, state] : vehicles_) {
-    if (state.model == nullptr && !state.pending_segment.valid()) continue;
-    NM_ASSIGN_OR_RETURN(storage::VehicleRecord record,
-                        CheckpointRecord(id, state));
-    out << "vehicle " << id << " " << record.model_name << "\n";
-    out.write(record.payload.data(),
-              static_cast<std::streamsize>(record.payload.size()));
-  }
-  out << "fleet-end\n";
-  if (!out) return Status::IOError("fleet model serialization failed");
-  return Status::OK();
-}
-
 Status FleetScheduler::SaveCheckpoint(const std::string& path) const {
   NEXTMAINT_FAILPOINT("scheduler.save_models");
   std::vector<decltype(vehicles_)::const_pointer> saved;
@@ -910,8 +889,8 @@ Status FleetScheduler::SaveVehicleCheckpoint(const std::string& path,
   NM_ASSIGN_OR_RETURN(storage::CheckpointFormat format,
                       storage::SniffCheckpointFormat(path));
   if (format != storage::CheckpointFormat::kSegmented) {
-    // Nothing segmented to update in place (first save, or a legacy file
-    // that must be migrated wholesale): write a full checkpoint.
+    // Nothing segmented to update in place (first save, or a file that is
+    // not a checkpoint): write a full checkpoint.
     return SaveCheckpoint(path);
   }
   NEXTMAINT_FAILPOINT("scheduler.save_models");
@@ -926,101 +905,14 @@ Status FleetScheduler::SaveVehicleCheckpoint(const std::string& path,
   return Status::OK();
 }
 
-Status FleetScheduler::SaveLegacyCheckpoint(const std::string& path) const {
-  // Write-to-temp + rename so a mid-stream failure never leaves a
-  // truncated checkpoint at `path`: readers see either the previous
-  // complete file or the new complete file. Assumes a single writer per
-  // path (concurrent savers would share the temp name).
-  const std::string tmp_path = path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::trunc);
-    if (!out) {
-      return Status::IOError("cannot open '" + tmp_path + "' for writing");
-    }
-    Status status = WriteCheckpointPayload(out).WithContext(path);
-    if (status.ok()) {
-      out.flush();
-      if (!out) {
-        status = Status::IOError("write to '" + tmp_path + "' failed");
-      }
-    }
-    if (!status.ok()) {
-      out.close();
-      std::remove(tmp_path.c_str());
-      return status;
-    }
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IOError("cannot rename '" + tmp_path + "' to '" + path +
-                           "'");
-  }
-  return Status::OK();
-}
-
-Status FleetScheduler::ReadCheckpointPayload(std::string_view text) {
-  NEXTMAINT_FAILPOINT("scheduler.load_models");
-  // Parse into a staging map and commit only after the fleet-end marker:
-  // a truncated or corrupt stream must not leave the scheduler half-loaded
-  // (some vehicles on new models, some on old ones).
-  struct StagedModel {
-    std::shared_ptr<ml::Regressor> model;
-    std::string model_name;
-  };
-  std::map<std::string, StagedModel> staged;
-  ml::ModelReader in(text);
-  for (std::string_view token = in.Token(); !token.empty();
-       token = in.Token()) {
-    if (token == "fleet-end") {
-      for (auto& [id, entry] : staged) {
-        VehicleState& state = vehicles_.at(id);
-        state.model = std::move(entry.model);
-        state.model_name = std::move(entry.model_name);
-        state.pending_segment = storage::SegmentView();
-      }
-      return Status::OK();
-    }
-    if (token != "vehicle") {
-      return Status::DataError("expected 'vehicle', got '" +
-                               std::string(token) + "'");
-    }
-    const std::string id(in.Token());
-    std::string model_name(in.Token());
-    if (model_name.empty()) {
-      return Status::DataError("truncated vehicle model header");
-    }
-    if (vehicles_.count(id) == 0) {
-      return Status::NotFound("model for unregistered vehicle '" + id +
-                              "'");
-    }
-    NM_ASSIGN_OR_RETURN(std::unique_ptr<ml::Regressor> model,
-                        LoadAnyModel(in));
-    // Duplicate entries keep the last occurrence, matching the previous
-    // in-place loader.
-    staged[id] = StagedModel{std::move(model), std::move(model_name)};
-  }
-  return Status::DataError("missing fleet-end marker");
-}
-
 Status FleetScheduler::LoadCheckpoint(const std::string& path) {
   NM_ASSIGN_OR_RETURN(storage::CheckpointFormat format,
                       storage::SniffCheckpointFormat(path));
   if (format == storage::CheckpointFormat::kMissing) {
     return Status::IOError("cannot open '" + path + "' for reading");
   }
-  if (format == storage::CheckpointFormat::kLegacyText) {
-    // Migration read path: eager parse of the monolithic text checkpoint,
-    // read once and walked in place.
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return Status::IOError("cannot open '" + path + "' for reading");
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    return ReadCheckpointPayload(text.view()).WithContext(path);
-  }
   // Segmented (kUnrecognized falls through too: the store reports the
-  // garbage superblock as DataLoss with the detail).
+  // garbage superblock as DataLoss with the detail, committing nothing).
   NEXTMAINT_FAILPOINT("scheduler.load_models");
   NM_ASSIGN_OR_RETURN(std::shared_ptr<storage::CheckpointStore> store,
                       storage::CheckpointStore::Open(path));
@@ -1028,7 +920,7 @@ Status FleetScheduler::LoadCheckpoint(const std::string& path) {
   if (!loaded.ok()) return loaded.status();
   const storage::CheckpointManifest& manifest = loaded.ValueOrDie();
   // Validate before mutating anything: every referenced vehicle must be
-  // registered, mirroring the legacy reader's commit-at-end semantics.
+  // registered, so a rejected checkpoint commits nothing.
   for (const storage::ManifestEntry& entry : manifest.vehicles) {
     if (vehicles_.count(entry.vehicle_id) == 0) {
       return Status::NotFound("model for unregistered vehicle '" +

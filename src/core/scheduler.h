@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/date.h"
@@ -294,12 +293,6 @@ class FleetScheduler {
   /// before forecasting with a loaded checkpoint.
   [[nodiscard]] Status SaveCheckpoint(const std::string& path) const;
 
-  /// SaveCheckpoint in the legacy monolithic text format ("vehicle <id>
-  /// <model-name>" headers + model bodies + "fleet-end"), kept for
-  /// migration tooling and the mmap-vs-legacy load bench. Same tmp+rename
-  /// atomicity.
-  [[nodiscard]] Status SaveLegacyCheckpoint(const std::string& path) const;
-
   /// Persists exactly one vehicle into the segmented checkpoint at `path`:
   /// storage::CheckpointStore::SaveVehicle appends the new segment, and
   /// Commit publishes it through the alternate superblock slot — the rest
@@ -315,12 +308,13 @@ class FleetScheduler {
   /// mmapped, only the superblock + index are read eagerly, and each
   /// vehicle's model deserializes on first touch (Forecast/WarmStart) from
   /// its CRC-guarded segment — corruption there surfaces as DataLoss from
-  /// the touching call. The legacy text format is still recognized and
-  /// parsed eagerly (the migration read path). Every referenced vehicle
-  /// must already be registered (NotFound otherwise); vehicles absent from
-  /// the checkpoint keep their current model. Nothing is committed unless
-  /// the whole index (legacy: the whole stream) validates, so a truncated
-  /// or corrupt checkpoint changes nothing.
+  /// the touching call. Any other file, including a text checkpoint from
+  /// before the segmented format, is DataLoss; regenerate it with
+  /// `nextmaint forecast --save-models`. Every referenced vehicle must
+  /// already be registered (NotFound otherwise); vehicles absent from the
+  /// checkpoint keep their current model. Nothing is committed unless the
+  /// whole index validates, so a truncated or corrupt checkpoint changes
+  /// nothing.
   [[nodiscard]] Status LoadCheckpoint(const std::string& path);
 
   /// Runs the CUSUM usage-drift monitor for one vehicle: the reference
@@ -367,6 +361,13 @@ class FleetScheduler {
     /// Unparsed checkpoint segment staged by a lazy LoadCheckpoint;
     /// cleared when the model materializes, retrains or re-ingests.
     mutable storage::SegmentView pending_segment;
+    /// Bin-mapper cache of this vehicle's training matrices (binned core, a
+    /// tree learner among the candidates), created in TrainVehicles' serial
+    /// validation pass (the training fan-out only reads it) and dropped
+    /// whenever new data for the vehicle arrives — keys are
+    /// content-addressed, so a stale entry could never be hit again anyway;
+    /// eviction just bounds memory.
+    std::shared_ptr<ml::BinningCache> binning_cache;
     /// Set when the corpus contribution may have changed since the last
     /// RefreshCorpus: the first cycle closed, or (with `history_replaced`)
     /// IngestSeries replaced the history.
@@ -413,12 +414,6 @@ class FleetScheduler {
   [[nodiscard]] Result<storage::VehicleRecord> CheckpointRecord(
       const std::string& id, const VehicleState& state) const;
 
-  /// Writes/reads the legacy text checkpoint payload (the migration
-  /// format behind SaveLegacyCheckpoint and LoadCheckpoint's legacy read
-  /// path).
-  [[nodiscard]] Status WriteCheckpointPayload(std::ostream& out) const;
-  [[nodiscard]] Status ReadCheckpointPayload(std::string_view text);
-
   SchedulerOptions options_;
   std::map<std::string, VehicleState> vehicles_;
   /// The cold-start corpus in vehicle-id order, as of the last
@@ -429,12 +424,6 @@ class FleetScheduler {
   /// fit failed); valid only while `unified_fitted_` is true.
   std::shared_ptr<ml::Regressor> unified_;
   bool unified_fitted_ = false;
-  /// Per-vehicle bin-mapper caches (binned core, a tree learner among the
-  /// candidates), created in TrainVehicles' serial validation pass (the training fan-out only reads the map) and
-  /// dropped whenever new data for the vehicle arrives — keys are
-  /// content-addressed, so a stale entry could never be hit again anyway;
-  /// eviction just bounds memory.
-  std::map<std::string, std::shared_ptr<ml::BinningCache>> binning_caches_;
   /// Cache behind every cold-start fit; lives in
   /// options_.cold_start.backend (attached by the constructor), kept here
   /// for invalidation and the UnifiedBinningCache accessor.

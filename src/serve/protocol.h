@@ -18,7 +18,7 @@
 ///
 /// One protocol, three consumers: the daemon (src/serve/daemon.h), the
 /// client library (src/serve/client.h) and the load generator
-/// (bench/bench_fleet_load.cc) all speak exactly these bytes — there is no
+/// (perfbench/serve.cc) all speak exactly these bytes — there is no
 /// second framing implementation to drift.
 ///
 /// Wire layout. Every message is one *frame*:

@@ -45,8 +45,9 @@
 /// instead of retraining them cold. A warm-refreshed fleet is still
 /// deterministic at any thread count, but its forecasts are no longer
 /// bit-identical to the batch run — they track it within a measured
-/// divergence bound enforced by bench_serving (docs/warm-start.md). A warm
-/// resume that fails degrades to the cold retrain, never to a dropped
+/// divergence bound (docs/warm-start.md), enforced by the test
+/// ServingEngineWarmStartTest.ReferenceFleetStaysWithinDivergenceBound. A
+/// warm resume that fails degrades to the cold retrain, never to a dropped
 /// vehicle.
 ///
 /// Threading contract: one writer (Register/Append/LoadHistory/

@@ -11,7 +11,7 @@
 /// \file checkpoint_format.h
 /// On-disk layout of the segmented fleet checkpoint (format "NMCKPT1").
 ///
-/// The legacy checkpoint was one monolithic text stream: loading it parsed
+/// The earlier checkpoint was one monolithic text stream: loading it parsed
 /// every model eagerly, and updating one vehicle rewrote the fleet. The
 /// segmented format makes both operations proportional to what actually
 /// changed, while keeping crash safety:
@@ -27,7 +27,8 @@
 /// alternate shadow-paging style:
 ///
 ///  - A full SaveAll writes a fresh tmp file (slot A = generation 1,
-///    slot B zeroed) and renames it into place — the legacy atomicity.
+///    slot B zeroed) and renames it into place, so a reader sees either
+///    the previous complete file or the new one.
 ///  - A single-vehicle update appends the new segment and a new index copy
 ///    to the data region, then publishes them by overwriting the *other*
 ///    slot with generation + 1. Readers take the valid slot with the

@@ -208,12 +208,6 @@ Result<CheckpointFormat> SniffCheckpointFormat(const std::string& path) {
       std::memcmp(head, kCheckpointMagic, sizeof(kCheckpointMagic)) == 0) {
     return CheckpointFormat::kSegmented;
   }
-  // The legacy text checkpoint starts with a vehicle header or, for an
-  // empty fleet, the terminating marker.
-  const std::string_view prefix(head, static_cast<size_t>(n));
-  if (prefix.starts_with("vehicle ") || prefix.starts_with("fleet-end")) {
-    return CheckpointFormat::kLegacyText;
-  }
   return CheckpointFormat::kUnrecognized;
 }
 
@@ -232,10 +226,6 @@ Result<CheckpointManifest> CheckpointStore::Load() {
   switch (format) {
     case CheckpointFormat::kMissing:
       return Status::IOError("cannot open '" + path_ + "' for reading");
-    case CheckpointFormat::kLegacyText:
-      return Status::FailedPrecondition(
-          "'" + path_ + "' holds a legacy text checkpoint; read it through "
-          "the migration path (FleetScheduler::LoadCheckpoint)");
     case CheckpointFormat::kUnrecognized:
       return Status::DataLoss("'" + path_ + "' is not a checkpoint " +
                               "(garbage superblock)");
@@ -317,9 +307,9 @@ Result<uint64_t> CheckpointStore::SaveAll(std::vector<VehicleRecord> records) {
   slot.index_crc32 = Crc32(index);
   slot.file_used = offset + index.size();
 
-  // Same atomicity as the legacy writer: everything goes to `path.tmp`,
-  // which replaces `path` only after a successful fsync. A failure at any
-  // seam removes the temp file and leaves the previous checkpoint intact.
+  // Everything goes to `path.tmp`, which replaces `path` only after a
+  // successful fsync. A failure at any seam removes the temp file and
+  // leaves the previous checkpoint intact.
   const std::string tmp_path = path_ + ".tmp";
   Status status = [&]() -> Status {
     NEXTMAINT_FAILPOINT("storage.checkpoint.open");
@@ -367,8 +357,7 @@ Result<uint64_t> CheckpointStore::SaveAll(std::vector<VehicleRecord> records) {
 Status CheckpointStore::RefreshCommittedState() {
   NEXTMAINT_FAILPOINT("storage.checkpoint.open");
   NM_ASSIGN_OR_RETURN(CheckpointFormat format, SniffCheckpointFormat(path_));
-  if (format == CheckpointFormat::kMissing ||
-      format == CheckpointFormat::kLegacyText) {
+  if (format == CheckpointFormat::kMissing) {
     return Status::FailedPrecondition(
         "'" + path_ + "' has no segmented checkpoint to update; write one "
         "with SaveAll first");

@@ -103,14 +103,13 @@ struct CheckpointManifest {
   std::vector<ManifestEntry> vehicles;
 };
 
-/// What a checkpoint path holds, for migration routing.
+/// What a checkpoint path holds.
 enum class CheckpointFormat {
   kMissing,
   /// The segmented "NMCKPT1" format this store reads and writes.
   kSegmented,
-  /// The legacy monolithic text checkpoint ("vehicle <id> <model>" lines);
-  /// kept as a read path in FleetScheduler::LoadCheckpoint.
-  kLegacyText,
+  /// Anything else, including a text checkpoint from before the segmented
+  /// format: Load/SaveVehicle report it as DataLoss.
   kUnrecognized,
 };
 
@@ -123,19 +122,19 @@ enum class CheckpointFormat {
 /// mutex serializes staged writes, so one store can be shared by a serving
 /// engine's writer and background checkpointers. Distinct processes still
 /// must not write one path concurrently (the tmp name and the alternate
-/// slot are per-file resources, same contract as the legacy format).
+/// slot are per-file resources).
 class CheckpointStore {
  public:
-  /// Binds a store to `path`. The file may be absent (SaveAll creates it)
-  /// or hold a legacy checkpoint (Load/SaveVehicle then fail with
-  /// FailedPrecondition; SaveAll migrates by overwriting).
+  /// Binds a store to `path`. The file may be absent (SaveAll creates it;
+  /// Load and SaveVehicle then fail) or not a checkpoint at all (Load and
+  /// SaveVehicle then fail with DataLoss; SaveAll overwrites it).
   static Result<std::unique_ptr<CheckpointStore>> Open(std::string path);
 
   /// mmaps the committed checkpoint and returns its manifest with lazy
   /// segment views. The index is decoded and bounds/CRC-checked eagerly
   /// (it is small); segment payloads stay untouched until
   /// SegmentView::Payload(). kDataLoss when no valid superblock slot
-  /// exists or the index is corrupt; FailedPrecondition on a legacy file.
+  /// exists, the file is not a checkpoint, or the index is corrupt.
   [[nodiscard]] Result<CheckpointManifest> Load() EXCLUDES(mu_);
 
   /// Atomically replaces the checkpoint with exactly `records` (sorted

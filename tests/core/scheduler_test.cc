@@ -620,30 +620,6 @@ TEST(FleetSchedulerTest, LoadCheckpointFailureCommitsNothing) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST(FleetSchedulerTest, LegacyLoadCheckpointFailureCommitsNothing) {
-  FleetScheduler trained(FastOptions());
-  ASSERT_TRUE(trained.RegisterVehicle("v1", Day(0)).ok());
-  ASSERT_TRUE(trained.IngestSeries("v1", SimulatedVehicle(53, 600)).ok());
-  ASSERT_TRUE(trained.TrainAll().ok());
-  const std::string path = ::testing::TempDir() + "/checkpoint_commit.txt";
-  ASSERT_TRUE(trained.SaveLegacyCheckpoint(path).ok());
-  const std::string full = ReadAll(path);
-
-  // Cut the payload after v1's complete model but before the fleet-end
-  // marker: every record parses, yet nothing may commit.
-  const size_t cut = full.rfind("fleet-end");
-  ASSERT_NE(cut, std::string::npos);
-  WriteAll(path, full.substr(0, cut));
-  FleetScheduler restored(FastOptions());
-  ASSERT_TRUE(restored.RegisterVehicle("v1", Day(0)).ok());
-  ASSERT_TRUE(restored.IngestSeries("v1", SimulatedVehicle(53, 600)).ok());
-  EXPECT_EQ(restored.LoadCheckpoint(path).code(), StatusCode::kDataError);
-  std::remove(path.c_str());
-  // No partially loaded model leaks into serving.
-  EXPECT_EQ(restored.Forecast("v1").status().code(),
-            StatusCode::kFailedPrecondition);
-}
-
 /// A fleet whose cold-start ids sort before, between and after its old
 /// ids, so TrainVehicles' claim order (Model_Uni, then old vehicles, then
 /// cold-start vehicles) differs from the id order.

@@ -203,13 +203,18 @@ TEST(SchedulerFailureTest, TelemetryOutageRepairedUpstream) {
 TEST(SchedulerFailureTest, LoadCheckpointFromGarbageFails) {
   core::SchedulerOptions options;
   core::FleetScheduler scheduler(options);
+  ASSERT_TRUE(scheduler.RegisterVehicle("v1", Day(0)).ok());
   const std::string path = ::testing::TempDir() + "/garbage_checkpoint.txt";
   {
     std::ofstream out(path, std::ios::trunc);
     out << "vehicle v1 RF\nnot-a-model\n";
   }
-  EXPECT_FALSE(scheduler.LoadCheckpoint(path).ok());
+  // A text file (this one shaped like a pre-segmented-format checkpoint) is
+  // not a checkpoint: DataLoss, and no model is committed.
+  EXPECT_EQ(scheduler.LoadCheckpoint(path).code(), StatusCode::kDataLoss);
   std::remove(path.c_str());
+  EXPECT_EQ(scheduler.Forecast("v1").status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -19,8 +19,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/dataset_builder.h"
 #include "ml/binned_dataset.h"
 #include "ml/registry.h"
+#include "telematics/fleet.h"
 
 namespace nextmaint {
 namespace ml {
@@ -251,6 +253,70 @@ TEST(BinnedEqualityTest, ForecastsAreBitIdenticalAcrossCores) {
           << config.id << " probe " << i;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The grid-search sweep on real fleet data: the candidate grid a tuned
+// selection searches (library-default bins, larger ensembles, leaf sizes the
+// grid above never sets), fit on one reference vehicle's resampled training
+// set. The binned side shares one BinningCache across every candidate, as
+// the scheduler's grid search does; the row side binds no cache. No golden
+// pin: the equality itself is the contract.
+
+const std::vector<SweepConfig>& FleetSweepGrid() {
+  static const std::vector<SweepConfig> kGrid = {
+      {"RF_e60_d10_leaf5",
+       "RF",
+       {{"num_estimators", 60}, {"max_depth", 10}, {"min_samples_leaf", 5}}},
+      {"RF_e60_d10_leaf20",
+       "RF",
+       {{"num_estimators", 60}, {"max_depth", 10}, {"min_samples_leaf", 20}}},
+      {"RF_e120_d10_leaf5",
+       "RF",
+       {{"num_estimators", 120}, {"max_depth", 10}, {"min_samples_leaf", 5}}},
+      {"RF_e120_d10_leaf20",
+       "RF",
+       {{"num_estimators", 120}, {"max_depth", 10}, {"min_samples_leaf", 20}}},
+      {"XGB_i60_d4", "XGB", {{"num_iterations", 60}, {"max_depth", 4}}},
+      {"XGB_i60_d6", "XGB", {{"num_iterations", 60}, {"max_depth", 6}}},
+      {"XGB_i120_d4", "XGB", {{"num_iterations", 120}, {"max_depth", 4}}},
+      {"XGB_i120_d6", "XGB", {{"num_iterations", 120}, {"max_depth", 6}}},
+  };
+  return kGrid;
+}
+
+/// Vehicle v1 of the 5-vehicle reference fleet (1735 days, T_v 2,000,000 s):
+/// W = 6, Last29 targets, 5 time-shift resamplings.
+Dataset ReferenceVehicleTrainingSet() {
+  telem::FleetOptions fleet_options;
+  fleet_options.num_vehicles = 5;
+  fleet_options.start_date = Date::FromYmd(2015, 1, 1).ValueOrDie();
+  const telem::Fleet fleet = telem::SimulateFleet(fleet_options).ValueOrDie();
+  const telem::VehicleHistory& vehicle = fleet.vehicles[0];
+  core::DatasetOptions options;
+  options.window = 6;
+  options.target_filter = core::DaySet::Last29();
+  core::ResamplingOptions resampling;
+  resampling.num_shifts = 5;
+  return core::BuildResampledDataset(vehicle.utilization,
+                                     vehicle.profile.maintenance_interval_s,
+                                     options, resampling)
+      .ValueOrDie();
+}
+
+TEST(BinnedEqualityTest, FleetGridSearchSweepIsIdenticalAcrossCores) {
+  const Dataset train = ReferenceVehicleTrainingSet();
+  auto cache = std::make_shared<BinningCache>();
+  for (const SweepConfig& config : FleetSweepGrid()) {
+    // Thread count 0 is the default pool: bytes do not depend on it.
+    EXPECT_EQ(TrainedModelBytes(config, TreeCore::kRowOriented, 0, train),
+              TrainedModelBytes(config, TreeCore::kBinned, 0, train, cache))
+        << config.id << ": binned core diverges from row core";
+  }
+  // Every candidate uses the default bin count, so only the first one
+  // bins the matrix and the rest reuse it.
+  EXPECT_EQ(cache->stats().lookups, FleetSweepGrid().size());
+  EXPECT_EQ(cache->stats().hits, FleetSweepGrid().size() - 1);
 }
 
 // Absolute pin: the grower's arithmetic is frozen by fingerprint. A diff

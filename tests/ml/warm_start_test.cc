@@ -243,7 +243,7 @@ double MeanRelativeDivergence(const Regressor& warm, const Regressor& cold,
 }
 
 TEST(WarmStartTest, WarmTracksColdWithinDivergenceBound) {
-  // Bound shared with bench_serving and docs/warm-start.md.
+  // Bound shared with ServingEngineWarmStartTest and docs/warm-start.md.
   constexpr double kBound = 0.25;
   const Dataset full = MakeFleetData(555, 320);
   const Dataset probes = MakeFleetData(556, 80);

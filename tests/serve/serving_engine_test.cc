@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -396,6 +397,19 @@ TEST(ServingEngineTest, DirtyTrackingRefreshesOnlyChangedVehicles) {
   EXPECT_EQ(second.reused, 2u);
   EXPECT_FALSE(second.corpus_rebuilt);
   EXPECT_EQ(engine.LastRefreshStats().epoch, 2u);
+  // The one-vehicle refresh leaves the fleet bit-identical to a batch run
+  // over the same data.
+  core::FleetScheduler batch(FastOptions());
+  for (int v = 1; v <= 3; ++v) {
+    const std::string id = std::string("v") + std::to_string(v);
+    data::DailySeries series = SimulatedVehicle(40 + v, 600);
+    if (v == 2) series.Append(9'000.0);
+    ASSERT_TRUE(batch.RegisterVehicle(id, series.start_date()).ok());
+    ASSERT_TRUE(batch.IngestSeries(id, series).ok());
+  }
+  ASSERT_TRUE(batch.TrainAll().ok());
+  ExpectForecastsIdentical(engine.Snapshot()->forecasts,
+                           batch.FleetForecast().ValueOrDie(), "one dirty");
 
   // A clean fleet refresh is a no-op that still publishes a new epoch.
   const RefreshStats third = engine.RefreshForecasts().ValueOrDie();
@@ -671,6 +685,111 @@ TEST(ServingEngineWarmStartTest, DisabledFlagNeverWarmStarts) {
   const RefreshStats stats = engine.RefreshForecasts().ValueOrDie();
   EXPECT_EQ(stats.refreshed, 1u);
   EXPECT_EQ(stats.warm_started, 0u);
+}
+
+/// The 50-vehicle reference serving fleet: 500 days at T_v 500,000 s from
+/// the default fleet seed. Short cycles make nearly every vehicle old, so
+/// each carries its own model: the expensive case for a refresh.
+telem::Fleet ReferenceServingFleet() {
+  telem::FleetOptions options;
+  options.num_vehicles = 50;
+  options.num_days = 500;
+  options.maintenance_interval_s = kTv;
+  options.seed = 20150101;
+  options.start_date = Day(0);
+  return telem::SimulateFleet(options).ValueOrDie();
+}
+
+/// Loads every vehicle's history except its trailing `held_out` days and
+/// publishes the first snapshot.
+void SeedEngine(ServingEngine& engine, const telem::Fleet& fleet,
+                size_t held_out) {
+  for (const telem::VehicleHistory& vehicle : fleet.vehicles) {
+    const data::DailySeries& series = vehicle.utilization;
+    ASSERT_TRUE(engine.Register(vehicle.profile.id, series.start_date()).ok());
+    ASSERT_TRUE(engine
+                    .LoadHistory(vehicle.profile.id,
+                                 series.Slice(0, series.size() - held_out))
+                    .ok());
+  }
+  ASSERT_TRUE(engine.RefreshForecasts().ok());
+}
+
+/// Delivers each vehicle's trailing `held_out` days in `batches` equal
+/// batches, refreshing after each batch. Returns the summed warm resumes.
+size_t ReplayHeldOutDays(ServingEngine& engine, const telem::Fleet& fleet,
+                         size_t held_out, size_t batches) {
+  const size_t per_batch = held_out / batches;
+  size_t warm_started = 0;
+  for (size_t batch = 0; batch < batches; ++batch) {
+    for (const telem::VehicleHistory& vehicle : fleet.vehicles) {
+      const data::DailySeries& series = vehicle.utilization;
+      const size_t base = series.size() - held_out + batch * per_batch;
+      for (size_t d = base; d < base + per_batch; ++d) {
+        const Status appended = engine.Append(
+            vehicle.profile.id,
+            series.start_date().AddDays(static_cast<int64_t>(d)), series[d]);
+        EXPECT_TRUE(appended.ok()) << appended;
+      }
+    }
+    const Result<RefreshStats> stats = engine.RefreshForecasts();
+    EXPECT_TRUE(stats.ok()) << stats.status();
+    if (stats.ok()) warm_started += stats.ValueOrDie().warm_started;
+  }
+  return warm_started;
+}
+
+/// The warm-start gate (docs/warm-start.md) on the reference fleet: an
+/// append-heavy schedule against an exact and a warm engine. The exact
+/// engine never resumes, the warm one does, and the E_MRE-style mean
+/// relative days_left gap between their snapshots stays within the
+/// documented bound.
+TEST(ServingEngineWarmStartTest, ReferenceFleetStaysWithinDivergenceBound) {
+  constexpr double kDivergenceBound = 0.25;
+  constexpr size_t kHeldOut = 6;
+  constexpr size_t kBatches = 3;
+  const auto options_for = [](bool warm_start) {
+    core::SchedulerOptions options = FastOptions();
+    options.algorithms = {"RF"};
+    options.unified_algorithm = "XGB";
+    options.selection.train_on_last29_only = true;
+    options.cold_start.model_params = {{"num_estimators", 20},
+                                       {"num_iterations", 12},
+                                       {"max_depth", 5},
+                                       {"max_bins", 128},
+                                       {"min_samples_leaf", 2}};
+    options.warm_start = warm_start;
+    options.warm_start_rounds = 4;
+    return options;
+  };
+  const telem::Fleet fleet = ReferenceServingFleet();
+  ServingEngine exact(options_for(false));
+  ServingEngine warm(options_for(true));
+  ASSERT_NO_FATAL_FAILURE(SeedEngine(exact, fleet, kHeldOut));
+  ASSERT_NO_FATAL_FAILURE(SeedEngine(warm, fleet, kHeldOut));
+
+  EXPECT_EQ(ReplayHeldOutDays(exact, fleet, kHeldOut, kBatches), 0u);
+  EXPECT_GE(ReplayHeldOutDays(warm, fleet, kHeldOut, kBatches), 1u);
+
+  // Joined by vehicle id: a vehicle the engines degraded differently drops
+  // out of the mean instead of poisoning it. A 1-day floor keeps the
+  // denominator away from zero.
+  std::map<std::string, double> exact_days;
+  for (const core::MaintenanceForecast& f : exact.Snapshot()->forecasts) {
+    exact_days[f.vehicle_id] = f.days_left;
+  }
+  double total = 0.0;
+  size_t joined = 0;
+  for (const core::MaintenanceForecast& f : warm.Snapshot()->forecasts) {
+    const auto it = exact_days.find(f.vehicle_id);
+    if (it == exact_days.end()) continue;
+    total += std::fabs(f.days_left - it->second) /
+             std::max(std::fabs(it->second), 1.0);
+    ++joined;
+  }
+  ASSERT_GT(joined, 0u);
+  const double divergence = total / static_cast<double>(joined);
+  EXPECT_LE(divergence, kDivergenceBound);
 }
 
 /// The serve.refresh.warm failpoint contract: a failed warm resume must

@@ -158,11 +158,12 @@ TEST_F(CheckpointStoreTest, SaveVehicleOnMissingOrLegacyFileFails) {
   EXPECT_EQ(store->SaveVehicle({"v", "BL", "p"}).code(),
             StatusCode::kFailedPrecondition);
 
+  // A text checkpoint from before the segmented format is not a
+  // checkpoint: it is rejected as DataLoss like any other garbage.
   WriteFileBytes(path_, "vehicle v1 BL\nsome model text\nfleet-end\n");
-  auto legacy = CheckpointStore::Open(path_).ValueOrDie();
-  EXPECT_EQ(legacy->SaveVehicle({"v", "BL", "p"}).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(legacy->Load().status().code(), StatusCode::kFailedPrecondition);
+  auto text = CheckpointStore::Open(path_).ValueOrDie();
+  EXPECT_EQ(text->SaveVehicle({"v", "BL", "p"}).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(text->Load().status().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(CheckpointStoreTest, CommitWithNothingStagedIsANoOp) {
@@ -226,7 +227,7 @@ TEST_F(CheckpointStoreTest, SniffRoutesEveryFormat) {
 
   WriteFileBytes(path_, "vehicle v1 BL\n...\nfleet-end\n");
   EXPECT_EQ(SniffCheckpointFormat(path_).ValueOrDie(),
-            CheckpointFormat::kLegacyText);
+            CheckpointFormat::kUnrecognized);
 
   WriteFileBytes(path_, "total nonsense");
   EXPECT_EQ(SniffCheckpointFormat(path_).ValueOrDie(),

@@ -1,8 +1,8 @@
-// Legacy-to-segmented checkpoint migration compat suite (ISSUE 10):
-// a fleet saved in the legacy monolithic text format and re-saved through
-// the segmented store must forecast bit-identically, lazy loads must
-// materialize on first touch only, and re-saving a lazily loaded fleet
-// must reproduce the checkpoint byte-for-byte without parsing a model.
+// Segmented checkpoint load compat suite: a fleet restored from its
+// checkpoint must forecast bit-identically to the fleet that saved it,
+// lazy loads must materialize on first touch only, and re-saving a lazily
+// loaded fleet must reproduce the checkpoint byte-for-byte without parsing
+// a model.
 
 #include <gtest/gtest.h>
 
@@ -60,17 +60,12 @@ class MigrationTest : public ::testing::Test {
     const std::string stem =
         ::testing::TempDir() + "migration_test_" +
         ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    legacy_path_ = stem + ".legacy.ckpt";
     segmented_path_ = stem + ".ckpt";
-    std::remove(legacy_path_.c_str());
     std::remove(segmented_path_.c_str());
   }
-  void TearDown() override {
-    std::remove(legacy_path_.c_str());
-    std::remove(segmented_path_.c_str());
-  }
+  void TearDown() override { std::remove(segmented_path_.c_str()); }
 
-  /// A trained 3-vehicle fleet with both checkpoint formats on disk.
+  /// A trained 3-vehicle fleet with its checkpoint on disk.
   FleetScheduler TrainedFleet() {
     FleetScheduler scheduler(FastOptions());
     for (int v = 0; v < 3; ++v) {
@@ -83,7 +78,6 @@ class MigrationTest : public ::testing::Test {
               .ok());
     }
     EXPECT_TRUE(scheduler.TrainAll().ok());
-    EXPECT_TRUE(scheduler.SaveLegacyCheckpoint(legacy_path_).ok());
     EXPECT_TRUE(scheduler.SaveCheckpoint(segmented_path_).ok());
     return scheduler;
   }
@@ -104,42 +98,26 @@ class MigrationTest : public ::testing::Test {
     return scheduler;
   }
 
-  std::string legacy_path_;
   std::string segmented_path_;
 };
 
-TEST_F(MigrationTest, LegacyAndSegmentedLoadsForecastBitIdentically) {
-  TrainedFleet();
-
-  FleetScheduler from_legacy = FreshFleet();
-  ASSERT_TRUE(from_legacy.LoadCheckpoint(legacy_path_).ok());
+TEST_F(MigrationTest, SegmentedLoadForecastsBitIdenticallyToTrainedFleet) {
+  const FleetScheduler trained = TrainedFleet();
   FleetScheduler from_segmented = FreshFleet();
   ASSERT_TRUE(from_segmented.LoadCheckpoint(segmented_path_).ok());
 
   for (int v = 0; v < 3; ++v) {
     const std::string id = "v" + std::to_string(v);
-    const MaintenanceForecast a = from_legacy.Forecast(id).ValueOrDie();
+    const MaintenanceForecast a = trained.Forecast(id).ValueOrDie();
     const MaintenanceForecast b = from_segmented.Forecast(id).ValueOrDie();
     EXPECT_EQ(a.model_name, b.model_name) << id;
-    // Bit-identical, not approximately equal: the migration contract.
+    // Bit-identical, not approximately equal: a checkpoint is a cache of
+    // the trained models.
     EXPECT_EQ(a.days_left, b.days_left) << id;
     EXPECT_EQ(a.usage_seconds_left, b.usage_seconds_left) << id;
     EXPECT_EQ(a.predicted_date.day_number(), b.predicted_date.day_number())
         << id;
   }
-}
-
-TEST_F(MigrationTest, MigrationRoundTripKeepsSegmentedBytesIdentical) {
-  TrainedFleet();
-  const std::string original = ReadFileBytes(segmented_path_);
-
-  // legacy -> (load, parse) -> segmented re-save must equal the segmented
-  // file the original scheduler wrote: serialization is deterministic and
-  // the store is byte-deterministic.
-  FleetScheduler migrator = FreshFleet();
-  ASSERT_TRUE(migrator.LoadCheckpoint(legacy_path_).ok());
-  ASSERT_TRUE(migrator.SaveCheckpoint(segmented_path_).ok());
-  EXPECT_EQ(ReadFileBytes(segmented_path_), original);
 }
 
 TEST_F(MigrationTest, LazyLoadMaterializesOnFirstTouchOnly) {
