@@ -785,8 +785,8 @@ Status RunServe(const ParsedArgs& args, std::ostream& out) {
       engine.Snapshot();
   ReportDegradationReport(snapshot->degradations, out);
   out << "fleet snapshot at epoch " << snapshot->epoch << " ("
-      << snapshot->vehicles << " vehicles, " << snapshot->forecasts.size()
-      << " forecasts)\n";
+      << snapshot->vehicle_ids.size() << " vehicles, "
+      << snapshot->forecasts.size() << " forecasts)\n";
   PrintForecastTable(snapshot->forecasts, out);
   return Status::OK();
 }

@@ -43,17 +43,18 @@ Status FleetScheduler::RegisterVehicle(const std::string& id, Date first_day) {
   VehicleState state;
   state.usage = data::DailySeries(first_day, {});
   state.cycles.maintenance_interval_s = options_.maintenance_interval_s;
-  vehicles_.emplace(id, std::move(state));
+  MarkDirty(vehicles_.emplace(id, std::move(state)).first->second);
   return Status::OK();
 }
 
 Status FleetScheduler::IngestUsage(const std::string& id, Date day,
                                    double seconds) {
-  NEXTMAINT_FAILPOINT("scheduler.ingest");
   auto it = vehicles_.find(id);
   if (it == vehicles_.end()) {
     return Status::NotFound("vehicle '" + id + "' is not registered");
   }
+  // After the lookup: an unknown id is never an ingest to fail.
+  NEXTMAINT_FAILPOINT("scheduler.ingest");
   VehicleState& state = it->second;
   const Date expected = state.usage.next_date();
   if (day != expected) {
@@ -74,17 +75,19 @@ Status FleetScheduler::IngestUsage(const std::string& id, Date day,
   // New data means the cached binnings of this vehicle's matrices can never
   // be hit again; drop them so the next training starts a fresh cache.
   state.binning_cache.reset();
+  MarkDirty(state);
   telemetry::Count("scheduler.ingest.days");
   return Status::OK();
 }
 
 Status FleetScheduler::IngestSeries(const std::string& id,
                                     const data::DailySeries& series) {
-  NEXTMAINT_FAILPOINT("scheduler.ingest");
   auto it = vehicles_.find(id);
   if (it == vehicles_.end()) {
     return Status::NotFound("vehicle '" + id + "' is not registered");
   }
+  // After the lookup: an unknown id is never an ingest to fail.
+  NEXTMAINT_FAILPOINT("scheduler.ingest");
   if (!series.IsComplete()) {
     return Status::DataError(
         "series contains missing values; run the cleaning step first");
@@ -103,6 +106,7 @@ Status FleetScheduler::IngestSeries(const std::string& id,
   it->second.corpus_pending = it->second.history_replaced = true;
   corpus_pending_ = true;
   unified_binning_cache_->Clear();
+  MarkDirty(it->second);
   telemetry::Count("scheduler.ingest.series");
   telemetry::Count("scheduler.ingest.days", series.size());
   return Status::OK();
@@ -136,6 +140,25 @@ std::vector<std::string> FleetScheduler::VehicleIds() const {
   ids.reserve(vehicles_.size());
   for (const auto& [id, state] : vehicles_) ids.push_back(id);
   return ids;
+}
+
+Result<bool> FleetScheduler::IsDirty(const std::string& id) const {
+  NM_ASSIGN_OR_RETURN(const VehicleState* state, FindVehicle(id));
+  return state->dirty;
+}
+
+std::vector<std::string> FleetScheduler::DirtyVehicleIds() const {
+  std::vector<std::string> ids;
+  ids.reserve(dirty_count_);
+  for (const auto& [id, state] : vehicles_) {
+    if (state.dirty) ids.push_back(id);
+  }
+  return ids;
+}
+
+void FleetScheduler::ClearDirty() {
+  for (auto& [id, state] : vehicles_) state.dirty = false;
+  dirty_count_ = 0;
 }
 
 Status FleetScheduler::ValidateOptions() const {
@@ -238,7 +261,13 @@ Result<bool> FleetScheduler::RefreshCorpus() {
   }
   corpus_ = std::move(corpus);
   corpus_pending_ = false;
-  if (changed) unified_fitted_ = false;
+  if (changed) {
+    unified_fitted_ = false;
+    // Semi-new vehicles train Model_Sim on the corpus, new ones Model_Uni.
+    for (auto& [id, state] : vehicles_) {
+      if (Categorize(state.cycles) != VehicleCategory::kOld) MarkDirty(state);
+    }
+  }
   return changed;
 }
 

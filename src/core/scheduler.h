@@ -172,6 +172,21 @@ class FleetScheduler {
   /// Registered ids, sorted.
   std::vector<std::string> VehicleIds() const;
 
+  /// True when `id` is registered. O(log n).
+  bool IsRegistered(const std::string& id) const {
+    return vehicles_.count(id) != 0;
+  }
+
+  /// Dirty bits: the refresh set of serve::ServingEngine, which alone clears
+  /// them. RegisterVehicle, a successful IngestUsage or IngestSeries and a
+  /// RefreshCorpus that changed the corpus (for every vehicle that is not
+  /// old) set them. DirtyCount is O(1); IsDirty is NotFound for unknown ids.
+  size_t DirtyCount() const { return dirty_count_; }
+  [[nodiscard]] Result<bool> IsDirty(const std::string& id) const;
+  /// Sorted.
+  std::vector<std::string> DirtyVehicleIds() const;
+  void ClearDirty();
+
   /// Trains/refreshes every vehicle's model:
   ///  - old vehicles: per-vehicle model selection (E_MRE criterion), then a
   ///    refit of the winning algorithm on the vehicle's full history;
@@ -206,8 +221,8 @@ class FleetScheduler {
   /// cycle closes, IngestSeries whenever it replaces a history. With no
   /// marked vehicle this costs O(1). Returns true when the corpus changed:
   /// a contribution appeared or disappeared, or a replaced history had or
-  /// has one. Model_Uni is then invalid and the next TrainVehicles refits
-  /// it. InvalidArgument for invalid options.
+  /// has one. Then the next TrainVehicles refits Model_Uni and every vehicle
+  /// that is not old turns dirty. InvalidArgument for invalid options.
   [[nodiscard]] Result<bool> RefreshCorpus();
 
   /// Trains the unified cold-start model (Model_Uni) on `corpus`. Returns
@@ -373,7 +388,14 @@ class FleetScheduler {
     /// IngestSeries replaced the history.
     bool corpus_pending = false;
     bool history_replaced = false;
+    /// Set through MarkDirty, which keeps dirty_count_ exact.
+    bool dirty = false;
   };
+
+  void MarkDirty(VehicleState& state) {
+    if (!state.dirty) ++dirty_count_;
+    state.dirty = true;
+  }
 
   [[nodiscard]] Result<const VehicleState*> FindVehicle(const std::string& id) const;
 
@@ -416,6 +438,7 @@ class FleetScheduler {
 
   SchedulerOptions options_;
   std::map<std::string, VehicleState> vehicles_;
+  size_t dirty_count_ = 0;
   /// The cold-start corpus in vehicle-id order, as of the last
   /// RefreshCorpus; `corpus_pending_` is set while any vehicle is marked.
   std::vector<FirstCycleData> corpus_;

@@ -81,14 +81,12 @@ struct FleetDaemon::Shard {
   std::thread worker;
 
   // Worker-thread-only state (no locking needed once Start() ran).
-  std::unordered_set<std::string> registered;
   uint64_t applied_ops = 0;
   uint64_t appends_since_refresh = 0;
 
   // Cross-thread mirrors read by Stats()/readers without touching the
   // engine (whose bookkeeping is not thread-safe against the worker).
   std::atomic<uint64_t> vehicles{0};
-  std::atomic<uint64_t> epoch{0};
   std::atomic<uint64_t> dirty{0};
   std::atomic<uint64_t> appends{0};
   std::atomic<uint64_t> overloaded{0};
@@ -404,9 +402,8 @@ void FleetDaemon::ApplyOp(Shard& shard, PendingOp& op) {
 
 Status FleetDaemon::EnsureRegistered(Shard& shard, const std::string& id,
                                      Date first_day) {
-  if (shard.registered.count(id) != 0) return Status::OK();
+  if (shard.engine.scheduler().IsRegistered(id)) return Status::OK();
   NM_RETURN_NOT_OK(shard.engine.Register(id, first_day));
-  shard.registered.insert(id);
   shard.vehicles.fetch_add(1);
   telemetry::Count("serve.daemon.registered");
   return Status::OK();
@@ -453,7 +450,7 @@ Result<RefreshStats> FleetDaemon::RefreshShard(Shard& shard) {
   // exactly shard 1's leg regardless of worker scheduling.
   failpoints::ScopedOrdinal ordinal(shard.index + 1);
   NEXTMAINT_FAILPOINT("serve.daemon.refresh");
-  if (shard.registered.empty()) {
+  if (shard.vehicles.load() == 0) {
     // An empty shard has nothing to refresh; report its current epoch so
     // the barrier's max-epoch stays meaningful.
     RefreshStats stats;
@@ -463,7 +460,6 @@ Result<RefreshStats> FleetDaemon::RefreshShard(Shard& shard) {
   telemetry::ScopedTimer timer("serve.daemon.refresh.seconds");
   Result<RefreshStats> result = shard.engine.RefreshForecasts();
   if (result.ok()) {
-    shard.epoch.store(shard.engine.epoch());
     shard.dirty.store(shard.engine.DirtyCount());
     shard.dirty_gauge->Set(static_cast<double>(shard.engine.DirtyCount()));
     telemetry::Count("serve.daemon.refreshes");
@@ -489,7 +485,7 @@ protocol::Response FleetDaemon::ReadForecasts(
     protocol::ForecastEntry entry;
     entry.vehicle_id = id;
     entry.epoch = snapshot.epoch;
-    if (!snapshot.IsRegistered(id)) {
+    if (snapshot.Find(id) == nullptr) {
       entry.status_code = StatusCode::kNotFound;
       entry.status_message = "vehicle not in any published snapshot";
     } else if (const core::MaintenanceForecast* forecast =
@@ -524,7 +520,7 @@ protocol::StatsResponse FleetDaemon::Stats() const {
     protocol::ShardStats s;
     s.shard = static_cast<uint32_t>(shard->index);
     s.vehicles = shard->vehicles.load();
-    s.epoch = shard->epoch.load();
+    s.epoch = shard->engine.epoch();
     s.queue_depth = shard->queue_depth.load();
     s.dirty = shard->dirty.load();
     s.appends = shard->appends.load();

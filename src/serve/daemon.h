@@ -11,7 +11,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -153,7 +152,7 @@ class FleetDaemon {
   /// Refreshes one shard (worker thread). Returns the engine's stats;
   /// empty-fleet shards refresh to "nothing" successfully.
   [[nodiscard]] Result<RefreshStats> RefreshShard(Shard& shard);
-  /// Registers `id` on the shard's engine if this daemon has not seen it
+  /// Registers `id` on the shard's engine unless the engine already has it
   /// (the auto-registration path for Append/LoadHistory).
   [[nodiscard]] Status EnsureRegistered(Shard& shard, const std::string& id,
                                         Date first_day);

@@ -2,9 +2,7 @@
 #define NEXTMAINT_SERVE_SERVING_ENGINE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,10 +21,15 @@
 /// delivers utilization one day at a time, yet FleetScheduler is a batch
 /// facade — one appended day costs a full-fleet retrain and re-forecast.
 /// The ServingEngine closes that gap with dirty-tracking:
-/// `Append(id, day, seconds)` invalidates only that vehicle, and
+/// `Append(id, day, seconds)` dirties only that vehicle, and
 /// `RefreshForecasts()` retrains and re-forecasts only dirty vehicles
 /// (fanning out over the shared thread pool), reusing every clean vehicle's
-/// cached model and forecast.
+/// model and published forecast.
+///
+/// The engine keeps no per-vehicle container: each vehicle's one record
+/// (history, cycle state, model, dirty bit) is in the scheduler's registry,
+/// and the published FleetSnapshot is the cache, one row per vehicle that
+/// the next refresh copies when clean and replaces when dirty.
 ///
 /// The non-negotiable invariant: after any interleaving of appends and
 /// refreshes, the published forecasts are **bit-identical** to a
@@ -36,8 +39,8 @@
 /// (RefreshCorpus / TrainVehicles, whose fan-out refits Model_Uni with
 /// TrainUnifiedFromCorpus / ForecastVehicles, FleetForecast's fan-out),
 /// only on the subset that changed. The scheduler owns the cold-start
-/// corpus; when RefreshCorpus reports it changed, the engine dirties every
-/// cold-start consumer.
+/// corpus; when RefreshCorpus reports it changed, the scheduler dirties
+/// every cold-start consumer itself.
 /// See docs/serving.md for the full argument.
 ///
 /// The one opt-in exception: SchedulerOptions::warm_start resumes eligible
@@ -59,23 +62,12 @@
 namespace nextmaint {
 namespace serve {
 
-/// Per-vehicle serving state. The cycle fields are read from the
-/// scheduler's core::CycleAccumulator — the recurrence DeriveSeries itself
-/// runs — so they equal a from-scratch derivation's values for the day
-/// after the last observation, the day the forecast is made for.
+/// Per-vehicle serving state.
 struct VehicleServeState {
-  /// Days of utilization ingested.
-  uint64_t days_observed = 0;
-  /// Running fleet-telemetry total: sum of all ingested seconds.
-  double total_usage_s = 0.0;
-  /// C_v(today): days since the cycle-opening maintenance, for the day
-  /// after the last observation.
-  double days_since_maintenance = 0.0;
-  /// L_v(today): utilization seconds left until the next maintenance is
-  /// due, for the day after the last observation.
-  double usage_seconds_left = 0.0;
-  /// Completed maintenance cycles so far.
-  uint64_t completed_cycles = 0;
+  /// The scheduler's cycle recurrence after the last ingested day — the
+  /// recurrence DeriveSeries itself runs, so its C and L equal a
+  /// from-scratch derivation's values for the day the forecast is made for.
+  core::CycleAccumulator cycles;
   /// True when the vehicle has changes not yet covered by a refresh.
   bool dirty = true;
   /// True when the last refresh produced a forecast for this vehicle.
@@ -89,26 +81,38 @@ struct VehicleServeState {
 /// a consistent view; later refreshes publish new snapshots and never
 /// mutate old ones.
 struct FleetSnapshot {
+  /// Row::forecast of a vehicle without a forecast.
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// One vehicle's published state; rows[i] belongs to vehicle_ids[i].
+  struct Row {
+    /// Position of its forecast in `forecasts`, or kNone.
+    uint32_t forecast = kNone;
+    /// Epoch of the refresh that last recomputed this vehicle.
+    uint64_t last_refresh_epoch = 0;
+    /// Its "train" and "forecast" entries of `degradations`, if any.
+    std::shared_ptr<const core::VehicleDegradation> train_degradation;
+    std::shared_ptr<const core::VehicleDegradation> forecast_degradation;
+  };
+
   /// Refresh generation: 0 before the first refresh, +1 per refresh.
   uint64_t epoch = 0;
-  /// Vehicles registered when the snapshot was published.
-  size_t vehicles = 0;
   /// Forecasts sorted by predicted date (most urgent first) — the same
   /// content and order FleetForecast would return.
   std::vector<core::MaintenanceForecast> forecasts;
   /// Ids registered when the snapshot was published, sorted. Vehicles
   /// registered after this epoch are invisible until the next refresh.
   std::vector<std::string> vehicle_ids;
-  /// Position in `forecasts` by vehicle id (subset of `vehicle_ids`:
-  /// degraded-forecast vehicles have no entry).
-  std::map<std::string, size_t> forecast_index;
+  /// One row per entry of `vehicle_ids`.
+  std::vector<Row> rows;
   /// Vehicles currently served degraded (train entries in vehicle-id
   /// order, then forecast entries in vehicle-id order), reflecting the
   /// cached state of the whole fleet — not just the last refresh.
   core::DegradationReport degradations;
 
-  /// True when `id` was registered at publish time. O(log n).
-  bool IsRegistered(const std::string& id) const;
+  /// The row of `id`, or nullptr when it was not registered at publish
+  /// time. O(log n).
+  const Row* Find(const std::string& id) const;
   /// The published forecast for `id`, or nullptr when it has none
   /// (unregistered, never refreshed, or served degraded). O(log n).
   const core::MaintenanceForecast* FindForecast(const std::string& id) const;
@@ -118,8 +122,6 @@ struct FleetSnapshot {
 struct RefreshStats {
   /// Epoch this refresh published.
   uint64_t epoch = 0;
-  /// Vehicles dirty at entry (before corpus invalidation fan-out).
-  size_t dirty_on_entry = 0;
   /// Vehicles retrained and re-forecast by this refresh.
   size_t refreshed = 0;
   /// Vehicles whose cached model and forecast were reused untouched.
@@ -141,7 +143,9 @@ class ServingEngine {
 
   /// Registers a vehicle whose data starts on `first_day`.
   /// AlreadyExists on duplicates. The vehicle starts dirty.
-  [[nodiscard]] Status Register(const std::string& id, Date first_day);
+  [[nodiscard]] Status Register(const std::string& id, Date first_day) {
+    return scheduler_.RegisterVehicle(id, first_day);
+  }
 
   /// Appends one day of utilization and marks only this vehicle dirty.
   /// O(1): the vehicle's cycle state advances by one day; nothing is
@@ -159,10 +163,12 @@ class ServingEngine {
   /// FleetSnapshot and bumps the epoch. When the cold-start corpus changed
   /// (FleetScheduler::RefreshCorpus), every cold-start (non-old) vehicle is
   /// dirtied too and Model_Uni refitted — the price of staying
-  /// bit-identical to a batch run. InvalidArgument for invalid options. FailedPrecondition on
-  /// an empty fleet (as FleetForecast does); strict mode aborts on the
-  /// first per-vehicle error, otherwise failing vehicles are quarantined
-  /// behind BL fallbacks exactly as the batch facade would.
+  /// bit-identical to a batch run. InvalidArgument for invalid options.
+  /// FailedPrecondition on an empty fleet (as FleetForecast does); strict
+  /// mode aborts on the first per-vehicle error, otherwise failing vehicles
+  /// are quarantined behind BL fallbacks exactly as the batch facade would.
+  /// A failed refresh publishes nothing and leaves every dirty vehicle
+  /// dirty.
   [[nodiscard]] Result<RefreshStats> RefreshForecasts();
 
   /// The current published snapshot. Never null; epoch 0 with no
@@ -183,22 +189,17 @@ class ServingEngine {
   [[nodiscard]] std::vector<Result<core::MaintenanceForecast>> GetForecasts(
       std::span<const std::string> ids) const;
 
-  /// Serving state of one vehicle (NotFound when unregistered). O(1): the
-  /// cycle fields come from FleetScheduler::CycleStateOf, no series walk.
+  /// Serving state of one vehicle (NotFound when unregistered). O(log n):
+  /// FleetScheduler::CycleStateOf and a snapshot lookup, no series walk.
   [[nodiscard]] Result<VehicleServeState> CachedState(const std::string& id) const;
 
-  /// Vehicles with changes not yet covered by a refresh. O(1): tracked
-  /// incrementally so the daemon can publish it per write.
-  size_t DirtyCount() const;
+  /// Vehicles with changes not yet covered by a refresh. O(1), so the
+  /// daemon can publish it per write.
+  size_t DirtyCount() const { return scheduler_.DirtyCount(); }
 
-  /// Stats of the most recent refresh (all zeros before the first).
-  const RefreshStats& LastRefreshStats() const { return last_stats_; }
-
-  /// Registered ids, sorted.
-  std::vector<std::string> VehicleIds() const { return scheduler_.VehicleIds(); }
-
-  /// Current refresh generation.
-  uint64_t epoch() const { return epoch_; }
+  /// Current refresh generation, the published snapshot's. Thread-safe
+  /// against the writer, like Snapshot().
+  uint64_t epoch() const { return Published()->epoch; }
 
   /// Persists the fleet's trained models as a segmented checkpoint
   /// (delegate; see FleetScheduler::SaveCheckpoint). Writer-side: follows
@@ -222,36 +223,12 @@ class ServingEngine {
   const core::FleetScheduler& scheduler() const { return scheduler_; }
 
  private:
-  /// Internal per-vehicle cache: the outputs of the last refresh plus the
-  /// dirty bookkeeping.
-  struct CacheEntry {
-    /// True when the vehicle's cached model can be warm-start resumed: the
-    /// last refresh trained it clean (no quarantine) onto a per-vehicle
-    /// ensemble model, and its history has only grown since (LoadHistory
-    /// replaces the history and clears this).
-    bool warm_capable = false;
-    // Cached outputs of the last refresh that touched this vehicle.
-    std::optional<core::MaintenanceForecast> forecast;
-    std::optional<core::VehicleDegradation> train_degradation;
-    std::optional<core::VehicleDegradation> forecast_degradation;
-    uint64_t last_refresh_epoch = 0;
-    bool dirty = true;
-  };
-
-  /// Flags one entry dirty, keeping the incremental dirty count exact.
-  void MarkDirty(CacheEntry& entry);
-
-  /// Assembles and publishes the snapshot for the current cache contents.
-  void PublishSnapshot() EXCLUDES(snapshot_mu_);
+  /// The published snapshot, without Snapshot()'s read count.
+  std::shared_ptr<const FleetSnapshot> Published() const
+      EXCLUDES(snapshot_mu_);
 
   core::SchedulerOptions options_;
   core::FleetScheduler scheduler_;
-  std::map<std::string, CacheEntry> entries_;
-  /// Count of entries with dirty == true (kept exact by MarkDirty /
-  /// RefreshForecasts so DirtyCount() is O(1) on the daemon's write path).
-  size_t dirty_count_ = 0;
-  uint64_t epoch_ = 0;
-  RefreshStats last_stats_;
   /// The only lock in the engine: everything else follows the single-writer
   /// contract (see the file comment) and is touched by the writer alone.
   mutable Mutex snapshot_mu_;

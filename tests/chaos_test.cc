@@ -147,7 +147,7 @@ class ChaosSweepTest : public testing::Test {
     const Date start = Date::FromYmd(2015, 1, 1).ValueOrDie();
     for (int v = 1; v <= 3; ++v) {
       LoadHistoryRequest load;
-      load.vehicle_id = "v" + std::to_string(v);
+      load.vehicle_id = std::string("v") + std::to_string(v);
       load.start_day = start;
       for (int i = 0; i < 120; ++i) {
         load.values.push_back(3000.0 + 500.0 * ((i * 7 + v * 13) % 11));
@@ -157,7 +157,7 @@ class ChaosSweepTest : public testing::Test {
     for (int day = 0; day < 3; ++day) {
       for (int v = 1; v <= 3; ++v) {
         AppendRequest append;
-        append.vehicle_id = "v" + std::to_string(v);
+        append.vehicle_id = std::string("v") + std::to_string(v);
         append.day = start.AddDays(120 + day);
         append.seconds = 4000.0 + 250.0 * ((day * 5 + v) % 7);
         run(append);

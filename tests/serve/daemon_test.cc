@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <map>
 #include <span>
@@ -247,6 +248,46 @@ TEST(FleetDaemonTest, AppendAutoRegistersAndServesAfterRefresh) {
     EXPECT_GE(batch->entries[0].epoch, 1u);
   }
   daemon.Stop();
+}
+
+/// Auto-registration asks the shard's engine whether it knows the id: an
+/// empty id registers nothing, a first append registers the id once with
+/// its day as the first day, even when the append itself is rejected.
+TEST(FleetDaemonTest, FirstAppendRegistersOnceWithItsDay) {
+  FleetDaemon daemon(Options(1));
+  ASSERT_TRUE(daemon.Start().ok());
+  const auto append = [&](const std::string& id, int day, double seconds) {
+    AppendRequest request;
+    request.vehicle_id = id;
+    request.day = Day(day);
+    request.seconds = seconds;
+    return daemon.Execute(request);
+  };
+  const auto error_code = [](const Response& response) {
+    const auto* error = std::get_if<ErrorResponse>(&response);
+    return error == nullptr ? StatusCode::kOk : error->code;
+  };
+  const auto vehicles = [&] { return daemon.Stats().shards[0].vehicles; };
+
+  EXPECT_EQ(error_code(append("", 0, 1'000.0)), StatusCode::kInvalidArgument);
+  EXPECT_EQ(vehicles(), 0u);
+
+  // A rejected first append registers the id; the retry reuses it.
+  EXPECT_EQ(error_code(append("v1", 5, std::nan(""))),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(vehicles(), 1u);
+  EXPECT_TRUE(std::holds_alternative<AckResponse>(append("v1", 5, 1'000.0)));
+  EXPECT_EQ(vehicles(), 1u);
+
+  // Day 5 is v2's first day: day 4 precedes it, day 6 follows it.
+  EXPECT_TRUE(std::holds_alternative<AckResponse>(append("v2", 5, 1'000.0)));
+  EXPECT_EQ(error_code(append("v2", 4, 1'000.0)),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(std::holds_alternative<AckResponse>(append("v2", 6, 1'000.0)));
+  EXPECT_EQ(vehicles(), 2u);
+  daemon.Stop();
+  EXPECT_EQ(daemon.engine(0).CachedState("v1").ValueOrDie().cycles.days, 1u);
+  EXPECT_EQ(daemon.engine(0).CachedState("v2").ValueOrDie().cycles.days, 2u);
 }
 
 TEST(FleetDaemonTest, MixedFleetMatchesBatchAtOneShard) {

@@ -361,14 +361,14 @@ TEST(ServingEngineTest, CachedStateMatchesBatchDerivation) {
   // The O(1) cached mirror reproduces the full DeriveSeries walk bit for
   // bit: L_v(today) is the forecast's usage_seconds_left.
   const VehicleServeState state = engine.CachedState("v1").ValueOrDie();
-  EXPECT_EQ(state.days_observed, series.size());
-  EXPECT_EQ(state.usage_seconds_left, want.usage_seconds_left);
+  EXPECT_EQ(state.cycles.days, series.size());
+  EXPECT_EQ(state.cycles.UsageLeft(), want.usage_seconds_left);
   EXPECT_TRUE(state.has_forecast);
   EXPECT_FALSE(state.dirty);
-  EXPECT_GE(state.completed_cycles, 1u);
+  EXPECT_GE(state.cycles.completed_cycles, 1u);
   double total = 0.0;
   for (size_t i = 0; i < series.size(); ++i) total += series[i];
-  EXPECT_EQ(state.total_usage_s, total);
+  EXPECT_EQ(state.cycles.total_usage, total);
 }
 
 TEST(ServingEngineTest, DirtyTrackingRefreshesOnlyChangedVehicles) {
@@ -396,7 +396,7 @@ TEST(ServingEngineTest, DirtyTrackingRefreshesOnlyChangedVehicles) {
   EXPECT_EQ(second.refreshed, 1u);
   EXPECT_EQ(second.reused, 2u);
   EXPECT_FALSE(second.corpus_rebuilt);
-  EXPECT_EQ(engine.LastRefreshStats().epoch, 2u);
+  EXPECT_EQ(engine.epoch(), 2u);
   // The one-vehicle refresh leaves the fleet bit-identical to a batch run
   // over the same data.
   core::FleetScheduler batch(FastOptions());
@@ -415,6 +415,57 @@ TEST(ServingEngineTest, DirtyTrackingRefreshesOnlyChangedVehicles) {
   const RefreshStats third = engine.RefreshForecasts().ValueOrDie();
   EXPECT_EQ(third.refreshed, 0u);
   EXPECT_EQ(third.reused, 3u);
+
+  // A rejected append (out-of-order day, NaN seconds, unknown id) leaves
+  // the dirty bookkeeping as it was, on a clean vehicle and on a dirty one.
+  const auto is_dirty = [](const ServingEngine& e, const std::string& id) {
+    return e.CachedState(id).ValueOrDie().dirty;
+  };
+  const auto reject_appends = [&] {
+    EXPECT_EQ(engine.Append("v1", Day(602), 9'000.0).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine.Append("v1", Day(600), std::nan("")).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine.Append("ghost", Day(600), 9'000.0).code(),
+              StatusCode::kNotFound);
+  };
+  reject_appends();
+  EXPECT_EQ(engine.DirtyCount(), 0u);
+  EXPECT_FALSE(is_dirty(engine, "v1"));
+  ASSERT_TRUE(engine.Append("v3", Day(600), 9'000.0).ok());
+  reject_appends();
+  EXPECT_EQ(engine.DirtyCount(), 1u);
+  EXPECT_FALSE(is_dirty(engine, "v1"));
+  EXPECT_TRUE(is_dirty(engine, "v3"));
+
+  // A closing first cycle dirties exactly the vehicles that are not old,
+  // and a strict refresh that fails afterwards (a vehicle too short to
+  // forecast) keeps every dirty vehicle dirty.
+  core::SchedulerOptions strict_options = FastOptions();
+  strict_options.strict = true;
+  ServingEngine strict(strict_options);
+  const std::map<std::string, data::DailySeries> fleet = {
+      {"new", data::DailySeries(Day(0), std::vector<double>(10, 500.0))},
+      {"old", SimulatedVehicle(44, 600)},
+      // 495k of T_v = 500k: semi-new until one more 15000 s day.
+      {"semi", data::DailySeries(Day(0), std::vector<double>(33, 15'000.0))},
+  };
+  for (const auto& [id, series] : fleet) {
+    ASSERT_TRUE(strict.Register(id, series.start_date()).ok());
+    ASSERT_TRUE(strict.LoadHistory(id, series).ok());
+  }
+  ASSERT_TRUE(strict.RefreshForecasts().ok());
+  ASSERT_TRUE(strict.Append("semi", Day(33), 15'000.0).ok());
+  ASSERT_TRUE(strict.Register("short", Day(0)).ok());
+  ASSERT_TRUE(strict.Append("short", Day(0), 500.0).ok());
+  EXPECT_EQ(strict.DirtyCount(), 2u);
+  EXPECT_FALSE(strict.RefreshForecasts().ok());
+  EXPECT_EQ(strict.epoch(), 1u);
+  EXPECT_EQ(strict.DirtyCount(), 3u);
+  EXPECT_TRUE(is_dirty(strict, "new"));
+  EXPECT_FALSE(is_dirty(strict, "old"));
+  EXPECT_TRUE(is_dirty(strict, "semi"));
+  EXPECT_TRUE(is_dirty(strict, "short"));
 }
 
 /// Each corpus event of the refresh contract: whether it rebuilds the
@@ -557,8 +608,8 @@ TEST(ServingEngineTest, ErrorContract) {
   EXPECT_FALSE(engine.Append("v1", Day(5), 1'000.0).ok());  // gap
   EXPECT_FALSE(engine.Append("v1", Day(1), -3.0).ok());     // bad value
   const VehicleServeState state = engine.CachedState("v1").ValueOrDie();
-  EXPECT_EQ(state.days_observed, 1u);
-  EXPECT_EQ(state.total_usage_s, 1'000.0);
+  EXPECT_EQ(state.cycles.days, 1u);
+  EXPECT_EQ(state.cycles.total_usage, 1'000.0);
   // The first refresh counts as a corpus rebuild even with no old vehicle.
   EXPECT_TRUE(engine.RefreshForecasts().ValueOrDie().corpus_rebuilt);
 

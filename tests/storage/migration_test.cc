@@ -69,7 +69,7 @@ class MigrationTest : public ::testing::Test {
   FleetScheduler TrainedFleet() {
     FleetScheduler scheduler(FastOptions());
     for (int v = 0; v < 3; ++v) {
-      const std::string id = "v" + std::to_string(v);
+      const std::string id = std::string("v") + std::to_string(v);
       EXPECT_TRUE(scheduler.RegisterVehicle(id, Day(0)).ok());
       EXPECT_TRUE(
           scheduler
@@ -87,7 +87,7 @@ class MigrationTest : public ::testing::Test {
   FleetScheduler FreshFleet() {
     FleetScheduler scheduler(FastOptions());
     for (int v = 0; v < 3; ++v) {
-      const std::string id = "v" + std::to_string(v);
+      const std::string id = std::string("v") + std::to_string(v);
       EXPECT_TRUE(scheduler.RegisterVehicle(id, Day(0)).ok());
       EXPECT_TRUE(
           scheduler
@@ -107,7 +107,7 @@ TEST_F(MigrationTest, SegmentedLoadForecastsBitIdenticallyToTrainedFleet) {
   ASSERT_TRUE(from_segmented.LoadCheckpoint(segmented_path_).ok());
 
   for (int v = 0; v < 3; ++v) {
-    const std::string id = "v" + std::to_string(v);
+    const std::string id = std::string("v") + std::to_string(v);
     const MaintenanceForecast a = trained.Forecast(id).ValueOrDie();
     const MaintenanceForecast b = from_segmented.Forecast(id).ValueOrDie();
     EXPECT_EQ(a.model_name, b.model_name) << id;
