@@ -148,8 +148,8 @@ Result<VehicleEvaluation> VehicleSelection::Evaluate(
 
   NM_ASSIGN_OR_RETURN(const Records* test, TestSet());
   eval.test_truth = test->y;
-  // One batched call for the whole test window (RF/XGB amortize the
-  // per-call dispatch); results are bit-identical to the per-row loop.
+  // One batched call for the whole test window, timed and counted once
+  // (ml.predict_batch.*).
   NM_ASSIGN_OR_RETURN(eval.test_predicted, model->PredictBatch(test->x));
 
   NM_ASSIGN_OR_RETURN(eval.eglobal,

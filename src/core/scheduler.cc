@@ -349,7 +349,8 @@ Status FleetScheduler::TrainOneVehicle(
 
   if (category == VehicleCategory::kOld) {
     // Select the best algorithm under the 70/30 protocol, then refit it
-    // on the complete history for deployment. The vehicle's binning cache
+    // with its tuned hyper-parameters (none without tuning) on the
+    // complete history for deployment. The vehicle's binning cache
     // (created by TrainVehicles when a candidate is a tree learner; absent
     // otherwise or when training is entered another way) makes every
     // grid-search candidate and the refit bin each training matrix once.
@@ -358,6 +359,7 @@ Status FleetScheduler::TrainOneVehicle(
       selection_options.backend.binning_cache = state.binning_cache;
     }
     std::string chosen = "BL";
+    ml::ParamMap chosen_params;
     VehicleSelection vehicle_selection(
         state.usage, options_.maintenance_interval_s, selection_options);
     Result<ModelSelectionResult> selection = [&] {
@@ -368,6 +370,7 @@ Status FleetScheduler::TrainOneVehicle(
     if (selection.ok()) {
       const ModelSelectionResult& result = selection.ValueOrDie();
       chosen = result.evaluations[result.best_index].algorithm;
+      chosen_params = result.evaluations[result.best_index].best_params;
     } else {
       NM_LOG(Warning) << id << ": model selection failed ("
                       << selection.status().ToString()
@@ -397,7 +400,7 @@ Status FleetScheduler::TrainOneVehicle(
                               resampling));
     NM_ASSIGN_OR_RETURN(
         std::unique_ptr<ml::Regressor> model,
-        ml::MakeRegressor(chosen, {}, selection_options.backend));
+        ml::MakeRegressor(chosen, chosen_params, selection_options.backend));
     NM_RETURN_NOT_OK(model->Fit(full_data).WithContext(id));
     state.model = std::move(model);
     state.model_name = chosen;

@@ -40,41 +40,23 @@ Status DecisionTreeRegressor::FitIndices(const Dataset& train,
   if (options_.max_bins < 2 || options_.max_bins > 65535) {
     return Status::InvalidArgument("tree requires 2 <= max_bins <= 65535");
   }
-  // The mapper always covers the full training matrix (not the bootstrap
-  // subset), so every tree of a forest — and both tree cores — see the same
-  // bin boundaries.
-  if (options_.core == TreeCore::kBinned && options_.binning_cache) {
-    const std::shared_ptr<const PreBinned> cached =
-        options_.binning_cache->GetOrCompute(train.x(), options_.max_bins);
-    return FitBinned(train, cached->mapper, &cached->binned, indices);
-  }
-  BinMapper mapper;
-  mapper.Compute(train.x(), options_.max_bins);
-  if (options_.core == TreeCore::kBinned) {
-    BinnedDataset binned;
-    binned.Build(train.x(), mapper);
-    return FitBinned(train, mapper, &binned, indices);
-  }
-  return FitBinned(train, mapper, nullptr, indices);
-}
-
-Status DecisionTreeRegressor::FitBinned(const Dataset& train,
-                                        const BinMapper& mapper,
-                                        const BinnedDataset* binned,
-                                        const std::vector<size_t>& indices) {
-  nodes_.clear();
-  if (train.empty() || indices.empty()) {
-    return Status::InvalidArgument("cannot fit a tree on an empty dataset");
-  }
   if (!train.x().AllFinite()) {
     return Status::InvalidArgument("tree features contain non-finite values");
   }
+  const TreeBinning binning(train.x(), options_.max_bins, options_.core,
+                            options_.binning_cache, /*num_threads=*/1);
+  return FitBinned(train, binning, indices);
+}
+
+Status DecisionTreeRegressor::FitBinned(const Dataset& train,
+                                        const TreeBinning& binning,
+                                        const std::vector<size_t>& indices) {
+  nodes_.clear();
   if (options_.min_samples_leaf < 1) {
     return Status::InvalidArgument("min_samples_leaf must be >= 1");
   }
   num_features_ = train.num_features();
 
-  const HistogramLayout layout(mapper);
   GrowSpec spec;
   spec.depth_limited = options_.max_depth >= 0;
   spec.max_depth = options_.max_depth;
@@ -91,17 +73,7 @@ Status DecisionTreeRegressor::FitBinned(const Dataset& train,
 
   DataPartition partition;
   partition.Reset(indices);
-  const std::vector<GrowNode> grown =
-      binned != nullptr
-          ? GrowHistTree(*binned, mapper, layout, train.y(), &partition,
-                         spec)
-          : GrowHistTree(OnTheFlyBins{&train.x(), &mapper}, mapper, layout,
-                         train.y(), &partition, spec);
-  nodes_.reserve(grown.size());
-  for (const GrowNode& node : grown) {
-    nodes_.push_back(Node{node.left, node.right, node.feature,
-                          node.threshold, node.value, node.gain});
-  }
+  nodes_ = binning.Grow(train.y(), &partition, spec);
   return Status::OK();
 }
 
@@ -115,37 +87,16 @@ Result<double> DecisionTreeRegressor::Predict(
         "feature count mismatch: got " + std::to_string(features.size()) +
         ", trained with " + std::to_string(num_features_));
   }
-  return PredictUnchecked(features);
-}
-
-double DecisionTreeRegressor::PredictUnchecked(
-    std::span<const double> features) const {
-  const Node* node = &nodes_[0];
-  while (!node->is_leaf()) {
-    node = features[static_cast<size_t>(node->feature)] <= node->threshold
-               ? &nodes_[static_cast<size_t>(node->left)]
-               : &nodes_[static_cast<size_t>(node->right)];
-  }
-  return node->value;
+  return LeafValue(nodes_, features);
 }
 
 std::vector<double> DecisionTreeRegressor::FeatureImportances() const {
-  std::vector<double> importances(num_features_, 0.0);
-  double total = 0.0;
-  for (const Node& node : nodes_) {
-    if (node.is_leaf()) continue;
-    importances[static_cast<size_t>(node.feature)] += node.gain;
-    total += node.gain;
-  }
-  if (total > 0.0) {
-    for (double& v : importances) v /= total;
-  }
-  return importances;
+  return GainImportances({&nodes_, 1}, num_features_);
 }
 
 size_t DecisionTreeRegressor::leaf_count() const {
   size_t count = 0;
-  for (const Node& node : nodes_) {
+  for (const GrowNode& node : nodes_) {
     if (node.is_leaf()) ++count;
   }
   return count;
@@ -160,7 +111,7 @@ int DecisionTreeRegressor::depth() const {
     auto [index, d] = stack.back();
     stack.pop_back();
     max_depth = std::max(max_depth, d);
-    const Node& node = nodes_[static_cast<size_t>(index)];
+    const GrowNode& node = nodes_[static_cast<size_t>(index)];
     if (!node.is_leaf()) {
       stack.push_back({node.left, d + 1});
       stack.push_back({node.right, d + 1});
@@ -169,46 +120,20 @@ int DecisionTreeRegressor::depth() const {
   return max_depth;
 }
 
-
 void DecisionTreeRegressor::SaveBody(ModelWriter& out) const {
   out.Line("features", num_features_);
-  out.Line("nodes", nodes_.size());
-  for (const Node& node : nodes_) {
-    out.Line(node.left, node.right, node.feature, node.threshold, node.value);
-  }
+  WriteTreeNodes(out, nodes_);
   out.Line("end");
 }
 
 Result<DecisionTreeRegressor> DecisionTreeRegressor::LoadBody(
     ModelReader& in) {
   DecisionTreeRegressor model;
-  size_t node_count = 0;
   if (!in.Expect("features") || !in.Read(model.num_features_)) {
     return Status::DataError("Tree: expected 'features <p>'");
   }
-  if (!in.Expect("nodes") || !in.Read(node_count)) {
-    return Status::DataError("Tree: expected 'nodes <n>'");
-  }
-  // Five tokens per node line: a count the remaining text cannot hold is
-  // corrupt, and is rejected before it sizes the node array.
-  if (node_count == 0 || !in.CanHold(node_count, 5)) {
-    return Status::DataError("Tree: implausible node count");
-  }
-  model.nodes_.resize(node_count);
-  for (Node& node : model.nodes_) {
-    if (!in.Read(node.left, node.right, node.feature, node.threshold,
-                 node.value)) {
-      return Status::DataError("Tree: truncated node list");
-    }
-  }
-  // Validate child indices so a corrupt file cannot cause out-of-range
-  // or endless traversal.
-  for (size_t i = 0; i < node_count; ++i) {
-    if (!ValidTreeNode(model.nodes_[i], i, node_count,
-                       model.num_features_)) {
-      return Status::DataError("Tree: node indices out of range");
-    }
-  }
+  NM_ASSIGN_OR_RETURN(model.nodes_,
+                      ReadTreeNodes(in, "Tree", model.num_features_));
   if (!in.Expect("end")) {
     return Status::DataError("Tree: missing end marker");
   }

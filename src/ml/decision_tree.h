@@ -7,6 +7,7 @@
 
 #include "ml/binned_dataset.h"
 #include "ml/regressor.h"
+#include "ml/tree_node.h"
 
 /// \file decision_tree.h
 /// CART regression tree: binary axis-aligned splits chosen by histogram
@@ -18,6 +19,8 @@
 
 namespace nextmaint {
 namespace ml {
+
+class TreeBinning;  // ml/histogram.h
 
 /// A single regression tree.
 class DecisionTreeRegressor final : public Regressor {
@@ -51,18 +54,9 @@ class DecisionTreeRegressor final : public Regressor {
   /// Recognised ParamMap keys: "max_depth", "min_samples_leaf", "max_bins".
   static Options OptionsFromParams(const ParamMap& params);
 
-  /// Fits on the subset of `train` given by `indices` (duplicates allowed;
-  /// this is the bootstrap entry point used by the forest). Resolves the
-  /// binning per this tree's own options (core, max_bins, cache).
+  /// Fits on the subset of `train` given by `indices` (duplicates allowed).
+  /// Bins train.x() per this tree's own options (core, max_bins, cache).
   [[nodiscard]] Status FitIndices(const Dataset& train, const std::vector<size_t>& indices);
-
-  /// Like FitIndices with the binning supplied by the caller: `mapper` must
-  /// cover train.x(), and `binned` (when non-null) must have been built from
-  /// it — the forest computes both once and shares them across trees. A null
-  /// `binned` runs the row-oriented reference core.
-  [[nodiscard]] Status FitBinned(const Dataset& train, const BinMapper& mapper,
-                                 const BinnedDataset* binned,
-                                 const std::vector<size_t>& indices);
 
   [[nodiscard]] Result<double> Predict(std::span<const double> features) const override;
   std::string name() const override { return "Tree"; }
@@ -94,29 +88,18 @@ class DecisionTreeRegressor final : public Regressor {
   void SaveBody(ModelWriter& out) const override;
 
  private:
-  // The forest's out-of-bag loop already knows the row width.
+  // The forest grows every tree on one shared binning.
   friend class RandomForestRegressor;
 
-  /// Leaf value for `features`; the caller has checked that the tree is
-  /// fitted and that features.size() == num_features().
-  double PredictUnchecked(std::span<const double> features) const;
-
-  struct Node {
-    // Internal node: children indices and split definition.
-    int32_t left = -1;
-    int32_t right = -1;
-    int32_t feature = -1;
-    double threshold = 0.0;
-    // Leaf payload (also kept on internal nodes for robustness).
-    double value = 0.0;
-    /// SSE reduction achieved by this split (0 for leaves).
-    double gain = 0.0;
-    bool is_leaf() const { return left < 0; }
-  };
+  /// FitIndices on `binning`, which the caller built over train.x() after
+  /// checking that train is non-empty and finite.
+  [[nodiscard]] Status FitBinned(const Dataset& train,
+                                 const TreeBinning& binning,
+                                 const std::vector<size_t>& indices);
 
   Options options_;
   size_t num_features_ = 0;
-  std::vector<Node> nodes_;
+  std::vector<GrowNode> nodes_;
 };
 
 }  // namespace ml

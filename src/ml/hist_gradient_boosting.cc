@@ -1,7 +1,6 @@
 #include "ml/hist_gradient_boosting.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/macros.h"
 #include "common/parallel.h"
@@ -62,33 +61,10 @@ Status HistGradientBoostingRegressor::BoostRounds(const Dataset& train,
   const size_t n = TrainRowCount(total_rows);
   const size_t valid_rows = total_rows - n;
 
-  // Binning: the mapper covers the full training matrix, shared by both
-  // tree cores (and cacheable across fits on the same matrix); the binned
-  // core additionally materializes columnar bins, the row-oriented core
-  // re-derives each bin per access. A warm resume goes through the same
-  // cache, so repeated resumes on one grown matrix bin it once.
-  std::shared_ptr<const PreBinned> cached;
-  BinMapper local_mapper;
-  BinnedDataset local_binned;
-  const BinMapper* mapper = nullptr;
-  const BinnedDataset* binned = nullptr;
-  if (options_.core == TreeCore::kBinned && options_.binning_cache) {
-    cached = options_.binning_cache->GetOrCompute(
-        train.x(), options_.max_bins, options_.num_threads);
-    mapper = &cached->mapper;
-    binned = &cached->binned;
-  } else {
-    local_mapper.Compute(train.x(), options_.max_bins);
-    mapper = &local_mapper;
-    if (options_.core == TreeCore::kBinned) {
-      local_binned.Build(train.x(), *mapper, options_.num_threads);
-      binned = &local_binned;
-    }
-  }
-  bins_ = *mapper;
-
-  const HistogramLayout layout(*mapper);
-  const OnTheFlyBins on_the_fly{&train.x(), mapper};
+  // A warm resume bins through the same cache, so repeated resumes on one
+  // grown matrix bin it once.
+  const TreeBinning binning(train.x(), options_.max_bins, options_.core,
+                            options_.binning_cache, options_.num_threads);
   GrowSpec spec;
   spec.depth_limited = options_.max_depth > 0;
   spec.max_depth = options_.max_depth;
@@ -110,8 +86,8 @@ Status HistGradientBoostingRegressor::BoostRounds(const Dataset& train,
         [&](size_t chunk_begin, size_t chunk_end) -> Status {
           for (size_t i = chunk_begin; i < chunk_end; ++i) {
             double score = 0.0;
-            for (const Tree& tree : trees_) {
-              score += PredictTree(tree, train.x().Row(i));
+            for (const std::vector<GrowNode>& tree : trees_) {
+              score += LeafValue(tree, train.x().Row(i));
             }
             if (i < n) {
               predictions[i] += score;
@@ -140,18 +116,7 @@ Status HistGradientBoostingRegressor::BoostRounds(const Dataset& train,
     train_loss_.push_back(loss / static_cast<double>(n));
 
     partition.Reset(n);
-    const std::vector<GrowNode> grown =
-        binned != nullptr
-            ? GrowHistTree(*binned, *mapper, layout, gradients, &partition,
-                           spec)
-            : GrowHistTree(on_the_fly, *mapper, layout, gradients,
-                           &partition, spec);
-    Tree tree;
-    tree.reserve(grown.size());
-    for (const GrowNode& node : grown) {
-      tree.push_back(TreeNode{node.left, node.right, node.feature,
-                              node.threshold, node.value, node.gain});
-    }
+    std::vector<GrowNode> tree = binning.Grow(gradients, &partition, spec);
     if (tree.size() == 1 && iter > 0) {
       // Root could not split and contributes a constant; gradients have
       // plateaued, so further iterations would stack identical constants.
@@ -164,7 +129,7 @@ Status HistGradientBoostingRegressor::BoostRounds(const Dataset& train,
         0, n, kPredictGrain,
         [&](size_t chunk_begin, size_t chunk_end) -> Status {
           for (size_t i = chunk_begin; i < chunk_end; ++i) {
-            predictions[i] += PredictTree(tree, train.x().Row(i));
+            predictions[i] += LeafValue(tree, train.x().Row(i));
           }
           return Status::OK();
         },
@@ -172,7 +137,7 @@ Status HistGradientBoostingRegressor::BoostRounds(const Dataset& train,
     if (valid_rows > 0) {
       double valid_mse = 0.0;
       for (size_t i = 0; i < valid_rows; ++i) {
-        valid_predictions[i] += PredictTree(tree, train.x().Row(n + i));
+        valid_predictions[i] += LeafValue(tree, train.x().Row(n + i));
         const double err = valid_predictions[i] - train.y()[n + i];
         valid_mse += err * err;
       }
@@ -270,32 +235,9 @@ Status HistGradientBoostingRegressor::ContinueFitImpl(const Dataset& train,
   return Status::OK();
 }
 
-double HistGradientBoostingRegressor::PredictTree(
-    const Tree& tree, std::span<const double> features) const {
-  const TreeNode* node = &tree[0];
-  while (!node->is_leaf()) {
-    node = features[static_cast<size_t>(node->feature)] <= node->threshold
-               ? &tree[static_cast<size_t>(node->left)]
-               : &tree[static_cast<size_t>(node->right)];
-  }
-  return node->value;
-}
-
 std::vector<double> HistGradientBoostingRegressor::FeatureImportances()
     const {
-  std::vector<double> importances(num_features_, 0.0);
-  double total = 0.0;
-  for (const Tree& tree : trees_) {
-    for (const TreeNode& node : tree) {
-      if (node.is_leaf()) continue;
-      importances[static_cast<size_t>(node.feature)] += node.gain;
-      total += node.gain;
-    }
-  }
-  if (total > 0.0) {
-    for (double& v : importances) v /= total;
-  }
-  return importances;
+  return GainImportances(trees_, num_features_);
 }
 
 Result<double> HistGradientBoostingRegressor::Predict(
@@ -309,37 +251,11 @@ Result<double> HistGradientBoostingRegressor::Predict(
         ", trained with " + std::to_string(num_features_));
   }
   double score = base_score_;
-  for (const Tree& tree : trees_) {
-    score += PredictTree(tree, features);
+  for (const std::vector<GrowNode>& tree : trees_) {
+    score += LeafValue(tree, features);
   }
   return score;
 }
-
-Result<std::vector<double>> HistGradientBoostingRegressor::PredictBatchImpl(
-    const Matrix& x) const {
-  std::vector<double> out;
-  out.reserve(x.rows());
-  if (x.rows() == 0) return out;
-  if (!fitted_) {
-    return Status::FailedPrecondition("XGB model is not fitted");
-  }
-  if (x.cols() != num_features_) {
-    return Status::InvalidArgument(
-        "feature count mismatch: got " + std::to_string(x.cols()) +
-        ", trained with " + std::to_string(num_features_));
-  }
-  // Same accumulation order as Predict (base score, then trees in boosting
-  // order), so batch and per-row results are bit-identical.
-  for (size_t r = 0; r < x.rows(); ++r) {
-    double score = base_score_;
-    for (const Tree& tree : trees_) {
-      score += PredictTree(tree, x.Row(r));
-    }
-    out.push_back(score);
-  }
-  return out;
-}
-
 
 void HistGradientBoostingRegressor::SaveBody(ModelWriter& out) const {
   out.Line("base", base_score_);
@@ -353,12 +269,8 @@ void HistGradientBoostingRegressor::SaveBody(ModelWriter& out) const {
            options_.min_gain, options_.validation_fraction,
            options_.early_stopping_rounds);
   out.Line("trees", trees_.size());
-  for (const Tree& tree : trees_) {
-    out.Line("nodes", tree.size());
-    for (const TreeNode& node : tree) {
-      out.Line(node.left, node.right, node.feature, node.threshold,
-               node.value);
-    }
+  for (const std::vector<GrowNode>& tree : trees_) {
+    WriteTreeNodes(out, tree);
   }
   out.Line("end");
 }
@@ -400,25 +312,8 @@ HistGradientBoostingRegressor::LoadBody(ModelReader& in) {
   }
   model.trees_.reserve(tree_count);
   for (size_t t = 0; t < tree_count; ++t) {
-    size_t node_count = 0;
-    if (!in.Expect("nodes") || !in.Read(node_count)) {
-      return Status::DataError("XGB: expected 'nodes <n>'");
-    }
-    // Five tokens per node line, checked before the count sizes the tree.
-    if (node_count == 0 || !in.CanHold(node_count, 5)) {
-      return Status::DataError("XGB: implausible node count");
-    }
-    Tree tree(node_count);
-    for (size_t i = 0; i < node_count; ++i) {
-      TreeNode& node = tree[i];
-      if (!in.Read(node.left, node.right, node.feature, node.threshold,
-                   node.value)) {
-        return Status::DataError("XGB: truncated node list");
-      }
-      if (!ValidTreeNode(node, i, node_count, model.num_features_)) {
-        return Status::DataError("XGB: node indices out of range");
-      }
-    }
+    NM_ASSIGN_OR_RETURN(std::vector<GrowNode> tree,
+                        ReadTreeNodes(in, "XGB", model.num_features_));
     model.trees_.push_back(std::move(tree));
   }
   if (!in.Expect("end")) {

@@ -7,6 +7,7 @@
 
 #include "ml/binned_dataset.h"
 #include "ml/regressor.h"
+#include "ml/tree_node.h"
 
 /// \file hist_gradient_boosting.h
 /// Histogram-based gradient boosting regressor — the paper's "XGB" model
@@ -115,24 +116,8 @@ class HistGradientBoostingRegressor final : public Regressor {
   /// byte-identical no-op.
   [[nodiscard]] Status ContinueFitImpl(const Dataset& train,
                                        int extra_rounds) override;
-  /// Per-row base_score + tree sum, trees visited in boosting order —
-  /// bit-identical to looping Predict with the checks hoisted out.
-  [[nodiscard]] Result<std::vector<double>> PredictBatchImpl(const Matrix& x) const override;
 
  private:
-  struct TreeNode {
-    int32_t left = -1;
-    int32_t right = -1;
-    int32_t feature = -1;
-    double threshold = 0.0;  ///< raw-value threshold (bin upper bound)
-    double value = 0.0;      ///< leaf weight (already includes learning rate)
-    double gain = 0.0;       ///< split gain (0 for leaves; not persisted)
-    bool is_leaf() const { return left < 0; }
-  };
-  using Tree = std::vector<TreeNode>;
-
-  double PredictTree(const Tree& tree, std::span<const double> features) const;
-
   /// Rows used for tree fitting when the tail-holdout early stopping is
   /// configured (the remainder of `total_rows` is the validation tail).
   size_t TrainRowCount(size_t total_rows) const;
@@ -145,9 +130,8 @@ class HistGradientBoostingRegressor final : public Regressor {
   [[nodiscard]] Status BoostRounds(const Dataset& train, int rounds);
 
   Options options_;
-  BinMapper bins_;
   double base_score_ = 0.0;
-  std::vector<Tree> trees_;
+  std::vector<std::vector<GrowNode>> trees_;
   std::vector<double> train_loss_;
   std::vector<double> valid_loss_;
   size_t num_features_ = 0;

@@ -71,6 +71,35 @@ void RecordScanTally(uint64_t bins_scanned, uint64_t bins_total) {
 
 }  // namespace internal
 
+TreeBinning::TreeBinning(const Matrix& x, int max_bins, TreeCore core,
+                         const std::shared_ptr<BinningCache>& cache,
+                         int num_threads)
+    : x_(x), core_(core) {
+  if (core == TreeCore::kBinned && cache != nullptr) {
+    prebinned_ = cache->GetOrCompute(x, max_bins, num_threads);
+  } else {
+    auto local = std::make_shared<PreBinned>();
+    local->mapper.Compute(x, max_bins);
+    if (core == TreeCore::kBinned) {
+      local->binned.Build(x, local->mapper, num_threads);
+    }
+    prebinned_ = std::move(local);
+  }
+  layout_ = HistogramLayout(prebinned_->mapper);
+}
+
+std::vector<GrowNode> TreeBinning::Grow(std::span<const double> values,
+                                        DataPartition* partition,
+                                        const GrowSpec& spec) const {
+  const BinMapper& mapper = prebinned_->mapper;
+  if (core_ == TreeCore::kBinned) {
+    return GrowHistTree(prebinned_->binned, mapper, layout_, values,
+                        partition, spec);
+  }
+  return GrowHistTree(OnTheFlyBins{&x_, &mapper}, mapper, layout_, values,
+                      partition, spec);
+}
+
 bool DataPartition::LeavesCoverAll() const {
   size_t cursor = 0;
   for (const auto& [begin, end] : leaves_) {

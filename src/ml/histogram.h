@@ -15,6 +15,7 @@
 #include "common/macros.h"
 #include "common/parallel.h"
 #include "ml/binned_dataset.h"
+#include "ml/tree_node.h"
 
 /// \file histogram.h
 /// Histogram-based tree growing shared by DecisionTreeRegressor,
@@ -181,18 +182,6 @@ class DataPartition {
   std::vector<std::pair<size_t, size_t>> leaves_;
 };
 
-/// One grown node; field-compatible with the learners' node structs.
-/// Nodes are emitted in preorder (node, left subtree, right subtree).
-struct GrowNode {
-  int32_t left = -1;
-  int32_t right = -1;
-  int32_t feature = -1;
-  double threshold = 0.0;  ///< raw-value threshold (bin upper bound)
-  double value = 0.0;      ///< leaf payload (mean or Newton weight)
-  double gain = 0.0;       ///< split gain (0 for leaves)
-  bool is_leaf() const { return left < 0; }
-};
-
 /// Growth policy. The two leaf modes cover the learners:
 ///  - newton == false (Tree/RF): leaf value is the target mean, split gain
 ///    is the SSE reduction and min_gain is relative to the parent score;
@@ -260,6 +249,8 @@ class HistTreeGrower {
     BuildNode(0, partition_->size(), 0, root, &rng_state);
     NM_CHECK(partition_->LeavesCoverAll());
     RecordScanTally(bins_scanned_, bins_total_);
+    // The learners store the list as returned: drop the growth slack.
+    nodes_.shrink_to_fit();
     return std::move(nodes_);
   }
 
@@ -536,6 +527,32 @@ std::vector<GrowNode> GrowHistTree(const BinSource& bins,
                                              partition, spec);
   return grower.Grow();
 }
+
+/// The binning preamble every tree-learner fit starts with. It turns
+/// (core, cache) into a BinMapper over the whole training matrix (not a
+/// bootstrap subset, so every tree of a forest and both cores search the
+/// same bin boundaries) plus, on the binned core, the materialized
+/// columns, and grows trees on the BinSource the core names. Only the
+/// binned core looks the matrix up in the cache; the row-oriented
+/// reference core never touches one.
+class TreeBinning {
+ public:
+  /// `x` must outlive the binning. `num_threads` parallelizes the column
+  /// build (any value bins identically).
+  TreeBinning(const Matrix& x, int max_bins, TreeCore core,
+              const std::shared_ptr<BinningCache>& cache, int num_threads);
+
+  /// GrowHistTree over the core's bin source; nodes come back in preorder.
+  std::vector<GrowNode> Grow(std::span<const double> values,
+                             DataPartition* partition,
+                             const GrowSpec& spec) const;
+
+ private:
+  const Matrix& x_;
+  TreeCore core_;
+  std::shared_ptr<const PreBinned> prebinned_;
+  HistogramLayout layout_;
+};
 
 }  // namespace ml
 }  // namespace nextmaint

@@ -1,12 +1,13 @@
 #include "ml/random_forest.h"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/macros.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
+#include "ml/histogram.h"
 #include "ml/serialization.h"
 
 namespace nextmaint {
@@ -35,7 +36,6 @@ RandomForestRegressor::Options RandomForestRegressor::OptionsFromParams(
 
 Status RandomForestRegressor::FitImpl(const Dataset& train) {
   trees_.clear();
-  oob_mae_ = std::numeric_limits<double>::quiet_NaN();
   if (train.empty()) {
     return Status::InvalidArgument("cannot fit RF on an empty dataset");
   }
@@ -52,124 +52,8 @@ Status RandomForestRegressor::FitImpl(const Dataset& train) {
   if (!train.x().AllFinite()) {
     return Status::InvalidArgument("RF features contain non-finite values");
   }
-
-  const size_t n = train.num_rows();
-  const size_t p = train.num_features();
-  int max_features = options_.max_features;
-  if (max_features <= 0) {
-    // All features, matching sklearn's RandomForestRegressor default (the
-    // implementation the paper's experiments used); bagging alone
-    // decorrelates the trees.
-    max_features = static_cast<int>(p);
-  }
-
-  Rng rng(options_.seed);
-  const size_t bootstrap_size = std::max<size_t>(
-      1, static_cast<size_t>(options_.bootstrap_fraction *
-                             static_cast<double>(n)));
-  const size_t num_trees = static_cast<size_t>(options_.num_estimators);
-
-  // Derive every tree's bootstrap sample and seed up front, consuming the
-  // shared rng stream in tree order. The per-tree work below is then a
-  // pure function of (sample, seed), so models are bit-identical at any
-  // thread count.
-  std::vector<std::vector<size_t>> samples(num_trees);
-  std::vector<uint64_t> seeds(num_trees);
-  for (size_t t = 0; t < num_trees; ++t) {
-    samples[t].resize(bootstrap_size);
-    for (size_t i = 0; i < bootstrap_size; ++i) {
-      samples[t][i] = static_cast<size_t>(rng.UniformInt(n));
-    }
-    seeds[t] = rng.NextUint64();
-  }
-
-  // Forest-level binning, computed once over the full training matrix (not
-  // per bootstrap sample) and shared by every tree, so all trees — and both
-  // tree cores — search the same bin boundaries.
-  std::shared_ptr<const PreBinned> cached;
-  BinMapper local_mapper;
-  BinnedDataset local_binned;
-  const BinMapper* mapper = nullptr;
-  const BinnedDataset* binned = nullptr;
-  if (options_.core == TreeCore::kBinned && options_.binning_cache) {
-    cached = options_.binning_cache->GetOrCompute(
-        train.x(), options_.max_bins, options_.num_threads);
-    mapper = &cached->mapper;
-    binned = &cached->binned;
-  } else {
-    local_mapper.Compute(train.x(), options_.max_bins);
-    mapper = &local_mapper;
-    if (options_.core == TreeCore::kBinned) {
-      local_binned.Build(train.x(), *mapper, options_.num_threads);
-      binned = &local_binned;
-    }
-  }
-
-  // Each tree records its out-of-bag predictions privately; the floating
-  // point reduction into oob_sum happens serially in tree order afterwards.
-  std::vector<std::vector<double>> tree_oob_pred(num_trees);
-  std::vector<std::vector<char>> tree_in_bag(num_trees);
-  trees_.resize(num_trees);
-
-  const Status fit_status = ParallelFor(
-      0, num_trees, /*grain=*/1,
-      [&](size_t chunk_begin, size_t chunk_end) -> Status {
-        for (size_t t = chunk_begin; t < chunk_end; ++t) {
-          DecisionTreeRegressor::Options tree_options;
-          tree_options.max_depth = options_.max_depth;
-          tree_options.min_samples_split = options_.min_samples_split;
-          tree_options.min_samples_leaf = options_.min_samples_leaf;
-          tree_options.max_features = max_features;
-          tree_options.seed = seeds[t];
-          tree_options.max_bins = options_.max_bins;
-          tree_options.core = options_.core;
-
-          std::vector<char>& in_bag = tree_in_bag[t];
-          in_bag.assign(n, 0);
-          for (size_t row : samples[t]) in_bag[row] = 1;
-
-          DecisionTreeRegressor tree(tree_options);
-          NM_RETURN_NOT_OK(tree.FitBinned(train, *mapper, binned, samples[t])
-                               .WithContext("tree " + std::to_string(t)));
-
-          // The tree was just fitted on train.x(), so every row has its
-          // width: skip Predict's checks and Result wrapping.
-          std::vector<double>& oob_pred = tree_oob_pred[t];
-          oob_pred.assign(n, 0.0);
-          for (size_t row = 0; row < n; ++row) {
-            if (in_bag[row]) continue;
-            oob_pred[row] = tree.PredictUnchecked(train.x().Row(row));
-          }
-          trees_[t] = std::move(tree);
-        }
-        return Status::OK();
-      },
-      options_.num_threads);
-  if (!fit_status.ok()) {
-    trees_.clear();  // never leave half-fitted placeholder trees behind
-    return fit_status;
-  }
-
-  // Out-of-bag bookkeeping: accumulated prediction and count per sample,
-  // reduced in tree order so the sums match the serial loop exactly.
-  std::vector<double> oob_sum(n, 0.0);
-  std::vector<int> oob_count(n, 0);
-  for (size_t t = 0; t < num_trees; ++t) {
-    for (size_t row = 0; row < n; ++row) {
-      if (tree_in_bag[t][row]) continue;
-      oob_sum[row] += tree_oob_pred[t][row];
-      ++oob_count[row];
-    }
-  }
-
-  double abs_err = 0.0;
-  size_t covered = 0;
-  for (size_t row = 0; row < n; ++row) {
-    if (oob_count[row] == 0) continue;
-    abs_err += std::fabs(oob_sum[row] / oob_count[row] - train.y()[row]);
-    ++covered;
-  }
-  if (covered > 0) oob_mae_ = abs_err / static_cast<double>(covered);
+  NM_RETURN_NOT_OK(
+      GrowTrees(train, static_cast<size_t>(options_.num_estimators)));
   telemetry::Count("ml.rf.trees_fitted", trees_.size());
   return Status::OK();
 }
@@ -190,25 +74,36 @@ Status RandomForestRegressor::ContinueFitImpl(const Dataset& train,
     return Status::InvalidArgument("RF features contain non-finite values");
   }
   if (extra_rounds == 0) return Status::OK();  // byte-identical no-op
+  const size_t extra = static_cast<size_t>(extra_rounds);
+  NM_RETURN_NOT_OK(GrowTrees(train, extra));
+  telemetry::Count("ml.rf.trees_resumed", extra);
+  return Status::OK();
+}
 
+Status RandomForestRegressor::GrowTrees(const Dataset& train, size_t count) {
   const size_t n = train.num_rows();
-  const size_t p = train.num_features();
   int max_features = options_.max_features;
-  if (max_features <= 0) max_features = static_cast<int>(p);
+  if (max_features <= 0) {
+    // All features, matching sklearn's RandomForestRegressor default (the
+    // implementation the paper's experiments used); bagging alone
+    // decorrelates the trees.
+    max_features = static_cast<int>(train.num_features());
+  }
 
-  // Continuation stream: keyed by the current forest size so that resuming
-  // in two steps of k trees equals one step of 2k trees drawn from each
-  // intermediate size, and a save/load round trip (which keeps options_ via
-  // the 'resume' line and trees_ via the tree bodies) resumes identically.
+  // Derive every new tree's bootstrap sample and seed up front, consuming
+  // the stream in tree order. The stream is keyed by the current forest
+  // size, so a save/load round trip (options_ via the 'resume' line,
+  // trees_ via the tree bodies) resumes identically; the per-tree work
+  // below is a pure function of (sample, seed), so models are
+  // bit-identical at any thread count.
   const size_t trees_before = trees_.size();
   Rng rng(options_.seed ^ (0x9e3779b97f4a7c15ULL * trees_before));
   const size_t bootstrap_size = std::max<size_t>(
       1, static_cast<size_t>(options_.bootstrap_fraction *
                              static_cast<double>(n)));
-  const size_t extra = static_cast<size_t>(extra_rounds);
-  std::vector<std::vector<size_t>> samples(extra);
-  std::vector<uint64_t> seeds(extra);
-  for (size_t t = 0; t < extra; ++t) {
+  std::vector<std::vector<size_t>> samples(count);
+  std::vector<uint64_t> seeds(count);
+  for (size_t t = 0; t < count; ++t) {
     samples[t].resize(bootstrap_size);
     for (size_t i = 0; i < bootstrap_size; ++i) {
       samples[t][i] = static_cast<size_t>(rng.UniformInt(n));
@@ -216,28 +111,12 @@ Status RandomForestRegressor::ContinueFitImpl(const Dataset& train,
     seeds[t] = rng.NextUint64();
   }
 
-  std::shared_ptr<const PreBinned> cached;
-  BinMapper local_mapper;
-  BinnedDataset local_binned;
-  const BinMapper* mapper = nullptr;
-  const BinnedDataset* binned = nullptr;
-  if (options_.core == TreeCore::kBinned && options_.binning_cache) {
-    cached = options_.binning_cache->GetOrCompute(
-        train.x(), options_.max_bins, options_.num_threads);
-    mapper = &cached->mapper;
-    binned = &cached->binned;
-  } else {
-    local_mapper.Compute(train.x(), options_.max_bins);
-    mapper = &local_mapper;
-    if (options_.core == TreeCore::kBinned) {
-      local_binned.Build(train.x(), *mapper, options_.num_threads);
-      binned = &local_binned;
-    }
-  }
-
-  trees_.resize(trees_before + extra);
-  const Status fit_status = ParallelFor(
-      0, extra, /*grain=*/1,
+  // One binning over the full training matrix, shared by every tree.
+  const TreeBinning binning(train.x(), options_.max_bins, options_.core,
+                            options_.binning_cache, options_.num_threads);
+  trees_.resize(trees_before + count);
+  const Status status = ParallelFor(
+      0, count, /*grain=*/1,
       [&](size_t chunk_begin, size_t chunk_end) -> Status {
         for (size_t t = chunk_begin; t < chunk_end; ++t) {
           DecisionTreeRegressor::Options tree_options;
@@ -251,24 +130,16 @@ Status RandomForestRegressor::ContinueFitImpl(const Dataset& train,
 
           DecisionTreeRegressor tree(tree_options);
           NM_RETURN_NOT_OK(
-              tree.FitBinned(train, *mapper, binned, samples[t])
-                  .WithContext("tree " +
-                               std::to_string(trees_before + t)));
+              tree.FitBinned(train, binning, samples[t])
+                  .WithContext("tree " + std::to_string(trees_before + t)));
           trees_[trees_before + t] = std::move(tree);
         }
         return Status::OK();
       },
       options_.num_threads);
-  if (!fit_status.ok()) {
-    trees_.resize(trees_before);  // all-or-nothing
-    return fit_status;
-  }
-
-  // The original out-of-bag membership is gone (it is not persisted and the
-  // matrix may have grown), so the estimate cannot be extended coherently.
-  oob_mae_ = std::numeric_limits<double>::quiet_NaN();
-  telemetry::Count("ml.rf.trees_resumed", extra);
-  return Status::OK();
+  // All-or-nothing: never leave half-fitted placeholder trees behind.
+  if (!status.ok()) trees_.resize(trees_before);
+  return status;
 }
 
 std::vector<double> RandomForestRegressor::FeatureImportances() const {
@@ -320,28 +191,6 @@ Result<double> RandomForestRegressor::Predict(
   }
   return sum / static_cast<double>(trees_.size());
 }
-
-Result<std::vector<double>> RandomForestRegressor::PredictBatchImpl(
-    const Matrix& x) const {
-  std::vector<double> out;
-  out.reserve(x.rows());
-  if (x.rows() == 0) return out;
-  if (trees_.empty()) {
-    return Status::FailedPrecondition("RF model is not fitted");
-  }
-  // Same accumulation order as Predict (trees in order, one sum per row),
-  // so batch and per-row results are bit-identical.
-  for (size_t r = 0; r < x.rows(); ++r) {
-    double sum = 0.0;
-    for (const DecisionTreeRegressor& tree : trees_) {
-      NM_ASSIGN_OR_RETURN(double pred, tree.Predict(x.Row(r)));
-      sum += pred;
-    }
-    out.push_back(sum / static_cast<double>(trees_.size()));
-  }
-  return out;
-}
-
 
 void RandomForestRegressor::SaveBody(ModelWriter& out) const {
   // Resumable state: the hyper-parameters and seed ContinueFit needs to

@@ -81,32 +81,28 @@ class RandomForestRegressor final : public Regressor {
   const DecisionTreeRegressor& tree(size_t i) const { return trees_[i]; }
   const Options& options() const { return options_; }
 
-  /// Mean out-of-bag absolute error computed during the last Fit; NaN when
-  /// no sample was ever out of bag (tiny datasets).
-  double oob_mae() const { return oob_mae_; }
-
  protected:
   [[nodiscard]] Status FitImpl(const Dataset& train) override;
   void SaveBody(ModelWriter& out) const override;
   /// Warm-start resume: appends `extra_rounds` trees bootstrapped from the
-  /// grown training set. The continuation draws bootstrap samples and tree
-  /// seeds from Rng(seed ^ golden_ratio * tree_count()), so the appended
-  /// trees are a pure function of (options, current size, data) — a
-  /// save/load round trip resumes identically to the in-memory model, and
-  /// any thread count yields bit-identical forests. oob_mae() becomes NaN
-  /// after a resume (out-of-bag membership is not persisted). All-or-
-  /// nothing on error; `extra_rounds == 0` is a byte-identical no-op.
+  /// grown training set — the Fit loop (GrowTrees) continued from the
+  /// current size, so the appended trees are a pure function of (options,
+  /// current size, data): a save/load round trip resumes identically to
+  /// the in-memory model, and any thread count yields bit-identical
+  /// forests. All-or-nothing on error; `extra_rounds == 0` is a
+  /// byte-identical no-op.
   [[nodiscard]] Status ContinueFitImpl(const Dataset& train,
                                        int extra_rounds) override;
-  /// Per-row tree-sum average, trees visited in order — bit-identical to
-  /// looping Predict, but with the virtual dispatch and fitted checks
-  /// hoisted out of the row loop.
-  [[nodiscard]] Result<std::vector<double>> PredictBatchImpl(const Matrix& x) const override;
 
  private:
+  /// The one tree-growing loop behind FitImpl and ContinueFitImpl: appends
+  /// `count` trees whose bootstrap samples and seeds come from
+  /// Rng(seed ^ golden_ratio * tree_count()), i.e. Rng(seed) for a fresh
+  /// fit. On error the forest shrinks back to its size before the call.
+  [[nodiscard]] Status GrowTrees(const Dataset& train, size_t count);
+
   Options options_;
   std::vector<DecisionTreeRegressor> trees_;
-  double oob_mae_ = 0.0;
 };
 
 }  // namespace ml

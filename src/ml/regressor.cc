@@ -1,5 +1,7 @@
 #include "ml/regressor.h"
 
+#include <optional>
+
 #include "common/failpoints.h"
 #include "common/macros.h"
 #include "common/telemetry.h"
@@ -67,14 +69,11 @@ Status Regressor::Save(std::ostream& out) const {
 }
 
 Result<std::vector<double>> Regressor::PredictBatch(const Matrix& x) const {
-  if (!telemetry::Enabled()) return PredictBatchImpl(x);
-  telemetry::ScopedTimer timer("ml.predict_batch.seconds." + name());
-  telemetry::Count("ml.predict_batch.rows." + name(), x.rows());
-  return PredictBatchImpl(x);
-}
-
-Result<std::vector<double>> Regressor::PredictBatchImpl(
-    const Matrix& x) const {
+  std::optional<telemetry::ScopedTimer> timer;
+  if (telemetry::Enabled()) {
+    timer.emplace("ml.predict_batch.seconds." + name());
+    telemetry::Count("ml.predict_batch.rows." + name(), x.rows());
+  }
   std::vector<double> out;
   out.reserve(x.rows());
   for (size_t r = 0; r < x.rows(); ++r) {

@@ -32,10 +32,10 @@ using ParamMap = std::map<std::string, double>;
 /// Predict/PredictBatch. Fitting again discards the previous state.
 /// Predicting before a successful Fit returns FailedPrecondition.
 ///
-/// Fit and PredictBatch follow the non-virtual-interface pattern: the
-/// public entry points record per-model telemetry (ml.fit.seconds.<name>,
-/// ml.predict_batch.seconds.<name>, ...) and delegate to the protected
-/// FitImpl/PredictBatchImpl that concrete models override. Per-row Predict
+/// Fit follows the non-virtual-interface pattern: the public entry point
+/// records per-model telemetry (ml.fit.seconds.<name>, ...) and delegates
+/// to the protected FitImpl that concrete models override. PredictBatch
+/// records ml.predict_batch.* around a loop over Predict. Per-row Predict
 /// stays a plain virtual — it is the hot path inside tree ensembles and
 /// must not pay an instrumentation check per call.
 class Regressor {
@@ -63,9 +63,8 @@ class Regressor {
   /// training feature count.
   virtual Result<double> Predict(std::span<const double> features) const = 0;
 
-  /// Predicts a batch in one call. Equivalent to looping Predict over the
-  /// rows (bit-identical results), but lets models amortize per-call
-  /// overhead; RF and XGB override the loop.
+  /// Predicts a batch in one call: Predict over the rows in order, failing
+  /// with the first row's error.
   [[nodiscard]] Result<std::vector<double>> PredictBatch(const Matrix& x) const;
 
   /// Short identifier, e.g. "LR", "LSVR", "RF", "XGB".
@@ -99,9 +98,6 @@ class Regressor {
   /// fitted/extra_rounds >= 0 checks. The default refuses with
   /// InvalidArgument — only the ensemble models override it.
   virtual Status ContinueFitImpl(const Dataset& train, int extra_rounds);
-
-  /// Model-specific batch prediction; the default loops over Predict.
-  virtual Result<std::vector<double>> PredictBatchImpl(const Matrix& x) const;
 };
 
 /// Factory signature used by grid search: builds a fresh model for a

@@ -18,6 +18,19 @@ namespace {
 /// The C locale's isspace, which is what `istream >>` splits tokens on.
 bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
+/// Whether decoded tree node `index` of `node_count` is sound (see
+/// ReadTreeNodes).
+bool ValidTreeNode(const GrowNode& node, size_t index, size_t node_count,
+                   size_t num_features) {
+  if (node.is_leaf()) return true;
+  const auto after = [&](int32_t child) {
+    return child > 0 && static_cast<size_t>(child) > index &&
+           static_cast<size_t>(child) < node_count;
+  };
+  return after(node.left) && after(node.right) && node.feature >= 0 &&
+         static_cast<size_t>(node.feature) < num_features;
+}
+
 }  // namespace
 
 ModelWriter& ModelWriter::Put(double value) {
@@ -44,6 +57,42 @@ bool ModelReader::ReadOne(double& value) {
   // never did and Save never writes.
   return result.ec == std::errc() && result.ptr == end &&
          std::isfinite(value);
+}
+
+void WriteTreeNodes(ModelWriter& out, std::span<const GrowNode> nodes) {
+  out.Line("nodes", nodes.size());
+  for (const GrowNode& node : nodes) {
+    out.Line(node.left, node.right, node.feature, node.threshold, node.value);
+  }
+}
+
+Result<std::vector<GrowNode>> ReadTreeNodes(ModelReader& in,
+                                            std::string_view model,
+                                            size_t num_features) {
+  const auto error = [&](std::string_view what) {
+    return Status::DataError(std::string(model) + ": " + std::string(what));
+  };
+  size_t node_count = 0;
+  if (!in.Expect("nodes") || !in.Read(node_count)) {
+    return error("expected 'nodes <n>'");
+  }
+  // Five tokens per node line: a count the remaining text cannot hold is
+  // corrupt, and is rejected before it sizes the node list.
+  if (node_count == 0 || !in.CanHold(node_count, 5)) {
+    return error("implausible node count");
+  }
+  std::vector<GrowNode> nodes(node_count);
+  for (size_t i = 0; i < node_count; ++i) {
+    GrowNode& node = nodes[i];
+    if (!in.Read(node.left, node.right, node.feature, node.threshold,
+                 node.value)) {
+      return error("truncated node list");
+    }
+    if (!ValidTreeNode(node, i, node_count, num_features)) {
+      return error("node indices out of range");
+    }
+  }
+  return nodes;
 }
 
 Result<std::string> ReadModelHeader(ModelReader& in) {

@@ -7,11 +7,14 @@
 #include <cstdint>
 #include <istream>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "ml/regressor.h"
+#include "ml/tree_node.h"
 
 /// \file serialization.h
 /// Model persistence.
@@ -126,22 +129,20 @@ class ModelReader {
   size_t pos_ = 0;
 };
 
-/// Whether decoded tree node `index` of `node_count` is sound: a leaf, or
-/// a split on a feature below `num_features` whose children come after it.
-/// The growers emit nodes depth-first, parent first, so every saved tree
-/// passes; the ordering also rules out the cycles a corrupt file could
-/// otherwise send Predict around forever.
-template <typename Node>
-bool ValidTreeNode(const Node& node, size_t index, size_t node_count,
-                   size_t num_features) {
-  if (node.is_leaf()) return true;
-  const auto after = [&](int32_t child) {
-    return child > 0 && static_cast<size_t>(child) > index &&
-           static_cast<size_t>(child) < node_count;
-  };
-  return after(node.left) && after(node.right) && node.feature >= 0 &&
-         static_cast<size_t>(node.feature) < num_features;
-}
+/// The node-list codec of every tree format (a Tree body, each tree of an
+/// XGB body): a "nodes <n>" line, then one "left right feature threshold
+/// value" line per node. Split gains are not written.
+void WriteTreeNodes(ModelWriter& out, std::span<const GrowNode> nodes);
+
+/// Reads what WriteTreeNodes wrote for a model of `num_features` features.
+/// The count is checked against the unread text before it sizes the list,
+/// and every node must be a leaf or a split on a feature below
+/// `num_features` whose children come after it. The growers emit nodes
+/// depth-first, parent first, so every saved tree passes; the ordering also
+/// rules out the cycles a corrupt file could otherwise send Predict around
+/// forever. Errors are DataErrors prefixed with `model`.
+[[nodiscard]] Result<std::vector<GrowNode>> ReadTreeNodes(
+    ModelReader& in, std::string_view model, size_t num_features);
 
 /// Reads the "nextmaint-model v1 <name>" header and returns the model name,
 /// leaving the reader at the model body. Fails with DataError on malformed

@@ -19,7 +19,9 @@
 #include "common/telemetry.h"
 #include "core/baseline.h"
 #include "core/dataset_builder.h"
+#include "core/old_vehicle.h"
 #include "core/series.h"
+#include "ml/random_forest.h"
 #include "ml/serialization.h"
 #include "storage/checkpoint_store.h"
 #include "telematics/fleet.h"
@@ -717,6 +719,43 @@ TrainedOutputs TrainAllAt(const std::function<void(FleetScheduler&)>& populate,
   populate(scheduler);
   EXPECT_TRUE(scheduler.TrainAll().ok());
   return OutputsOf(scheduler, std::to_string(num_threads));
+}
+
+// A tuned fleet deploys the grid-search winner as tuned: the refit on the
+// full history takes the winner's hyper-parameters, not library defaults.
+TEST(FleetSchedulerTest, TunedRefitDeploysTheWinnersHyperParameters) {
+  SchedulerOptions options = FastOptions();
+  options.algorithms = {"RF"};
+  options.selection.tune = true;
+  const data::DailySeries usage = SimulatedVehicle(1, 600);
+
+  // The selection the scheduler runs: its options carry the window.
+  OldVehicleOptions selection_options = options.selection;
+  selection_options.window = options.window;
+  VehicleSelection selection(usage, kTv, selection_options);
+  const ModelSelectionResult winner =
+      selection.SelectBest(options.algorithms).ValueOrDie();
+  const ml::ParamMap& tuned =
+      winner.evaluations[winner.best_index].best_params;
+  ASSERT_EQ(tuned.count("max_depth"), 1u);
+  ASSERT_EQ(tuned.count("num_estimators"), 1u);
+
+  FleetScheduler scheduler(options);
+  ASSERT_TRUE(scheduler.RegisterVehicle("v1", Day(0)).ok());
+  ASSERT_TRUE(scheduler.IngestSeries("v1", usage).ok());
+  ASSERT_TRUE(scheduler.TrainAll().ok());
+  const std::string payload = OutputsOf(scheduler, "tuned").models.at("v1");
+  ml::ModelReader reader(payload);
+  const std::unique_ptr<ml::Regressor> deployed =
+      ml::LoadRegressor(reader).MoveValueOrDie();
+  const auto* forest = dynamic_cast<const ml::RandomForestRegressor*>(
+      deployed.get());
+  ASSERT_NE(forest, nullptr) << payload.substr(0, 40);
+  // max_depth travels in the 'resume' line, the tree count in 'trees <k>'.
+  EXPECT_EQ(forest->options().max_depth,
+            static_cast<int>(tuned.at("max_depth")));
+  EXPECT_EQ(forest->tree_count(),
+            static_cast<size_t>(tuned.at("num_estimators")));
 }
 
 TEST(FleetSchedulerTest, UnifiedFitInFanOutMatchesCompositionAtAnyThreadCount) {

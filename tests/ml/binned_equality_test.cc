@@ -190,6 +190,14 @@ TEST(BinnedEqualityTest, CoresAndThreadCountsProduceIdenticalModelBytes) {
     EXPECT_EQ(reference,
               TrainedModelBytes(config, TreeCore::kBinned, 4, train))
         << config.id << ": threaded binned core diverges from row core";
+    // The row-oriented reference core bins on its own even when a cache
+    // is attached: it never looks one up.
+    auto cache = std::make_shared<BinningCache>();
+    EXPECT_EQ(reference,
+              TrainedModelBytes(config, TreeCore::kRowOriented, 1, train,
+                                cache))
+        << config.id << ": an attached cache changed the row core";
+    EXPECT_EQ(cache->stats().lookups, 0u) << config.id;
   }
 }
 

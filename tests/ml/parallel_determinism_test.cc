@@ -92,10 +92,8 @@ TEST(ParallelDeterminismTest, RandomForestSerialVsParallelBitIdentical) {
   EXPECT_EQ(Serialized(serial), Serialized(parallel));
   // ... identical predictions (exact double equality, not tolerance) ...
   EXPECT_EQ(PredictAll(serial, train), PredictAll(parallel, train));
-  // ... identical impurity importances and out-of-bag error.
+  // ... and identical impurity importances.
   EXPECT_EQ(serial.FeatureImportances(), parallel.FeatureImportances());
-  ASSERT_FALSE(std::isnan(serial.oob_mae()));
-  EXPECT_EQ(serial.oob_mae(), parallel.oob_mae());
 }
 
 TEST(ParallelDeterminismTest, RandomForestSpreadIdenticalToo) {

@@ -150,15 +150,39 @@ TEST(SerializationTest, TruncatedBodyFails) {
   EXPECT_FALSE(LoadRegressor(truncated).ok());
 }
 
+/// Every model format that decodes a node list (a Tree body, an XGB tree,
+/// a Tree embedded in an RF), each wrapping `nodes` — a "nodes <n>" line
+/// and its node lines — in a one-feature, one-tree model.
+std::vector<std::pair<std::string, std::string>> NodeListFormats(
+    const std::string& nodes) {
+  return {
+      {"Tree", "nextmaint-model v1 Tree\nfeatures 1\n" + nodes + "end\n"},
+      {"XGB", "nextmaint-model v1 XGB\nbase 0\nfeatures 1\ntrees 1\n" +
+                  nodes + "end\n"},
+      {"RF", "nextmaint-model v1 RF\ntrees 1\n"
+             "nextmaint-model v1 Tree\nfeatures 1\n" +
+                 nodes + "end\nend\n"},
+  };
+}
+
+/// Loads of `corrupt_nodes` fail with DataError in every format, while the
+/// same wrapper around a sound one-leaf tree loads.
+void ExpectNodeListRejected(const std::string& corrupt_nodes) {
+  for (const auto& [format, text] :
+       NodeListFormats("nodes 1\n-1 -1 -1 0 1.0\n")) {
+    std::istringstream in(text);
+    EXPECT_TRUE(LoadRegressor(in).ok()) << format;
+  }
+  for (const auto& [format, text] : NodeListFormats(corrupt_nodes)) {
+    std::istringstream in(text);
+    EXPECT_EQ(LoadRegressor(in).status().code(), StatusCode::kDataError)
+        << format;
+  }
+}
+
 TEST(SerializationTest, CorruptTreeIndicesRejected) {
   // Hand-crafted tree whose child index points out of range.
-  std::stringstream in(
-      "nextmaint-model v1 Tree\n"
-      "features 1\n"
-      "nodes 1\n"
-      "5 6 0 0.5 1.0\n"
-      "end\n");
-  EXPECT_EQ(LoadRegressor(in).status().code(), StatusCode::kDataError);
+  ExpectNodeListRejected("nodes 1\n5 6 0 0.5 1.0\n");
 }
 
 TEST(SerializationTest, BaselineRoundTripViaLoadAnyModel) {
@@ -309,14 +333,7 @@ TEST(SerializationTest, ReaderRejectsNonFiniteAndSignedNumbers) {
 
 TEST(SerializationTest, CyclicTreeRejected) {
   // Child 0 points back at the root: Predict would never reach a leaf.
-  std::stringstream in(
-      "nextmaint-model v1 Tree\n"
-      "features 1\n"
-      "nodes 2\n"
-      "1 0 0 0.5 1.0\n"
-      "-1 -1 -1 0 2.0\n"
-      "end\n");
-  EXPECT_EQ(LoadRegressor(in).status().code(), StatusCode::kDataError);
+  ExpectNodeListRejected("nodes 2\n1 0 0 0.5 1.0\n-1 -1 -1 0 2.0\n");
 }
 
 // ---------------------------------------------------------------------------
