@@ -40,13 +40,36 @@ Result<ml::Dataset> BuildTrainingData(const data::DailySeries& train_u,
                                dataset_options, resampling);
 }
 
+/// E_Global and E_MRE(eval_days) of `eval`'s aligned test vectors.
+Status ScoreTestWindow(const DaySet& eval_days, VehicleEvaluation& eval) {
+  NM_ASSIGN_OR_RETURN(eval.eglobal,
+                      GlobalError(eval.test_truth, eval.test_predicted));
+  // E_MRE may be undefined when the test window lacks near-deadline days;
+  // surface that as an error to the caller rather than reporting 0.
+  NM_ASSIGN_OR_RETURN(
+      eval.emre,
+      MeanResidualError(eval.test_truth, eval.test_predicted, eval_days));
+  return Status::OK();
+}
+
+SelectionMemo::iterator FindCandidate(SelectionMemo& memo,
+                                      const std::string& algorithm) {
+  return std::find_if(memo.begin(), memo.end(), [&](const CandidateMemo& m) {
+    return m.algorithm == algorithm;
+  });
+}
+
 }  // namespace
 
 VehicleSelection::VehicleSelection(const data::DailySeries& u,
                                    double maintenance_interval_s,
-                                   const OldVehicleOptions& options)
+                                   const OldVehicleOptions& options,
+                                   SelectionMemo* memo)
     : u_(u), maintenance_interval_s_(maintenance_interval_s),
-      options_(options) {}
+      options_(options),
+      memo_(options.resampling_shifts == 0 && options.context == nullptr
+                ? memo
+                : nullptr) {}
 
 Status VehicleSelection::Prepare() {
   if (full_.has_value()) return Status::OK();
@@ -82,10 +105,14 @@ Result<const ml::Dataset*> VehicleSelection::TrainingData() {
   return &*train_data_;
 }
 
+size_t VehicleSelection::FirstTestDay() const {
+  return std::max(split_, static_cast<size_t>(options_.window));
+}
+
 Result<const Records*> VehicleSelection::TestSet() {
   if (!test_.has_value()) {
     // Test period: days >= split with a defined target (and >= W so the
-    // feature window exists).
+    // feature window exists), i.e. from FirstTestDay() on.
     DatasetOptions feature_options;
     feature_options.window = options_.window;
     feature_options.normalize_features = options_.normalize_features;
@@ -102,11 +129,59 @@ Result<const Records*> VehicleSelection::TestSet() {
   return &*test_;
 }
 
+Result<bool> VehicleSelection::EvaluateFromMemo(VehicleEvaluation& eval,
+                                                size_t slice_cycles) {
+  const auto entry = FindCandidate(*memo_, eval.algorithm);
+  if (entry == memo_->end() || entry->slice_cycles != slice_cycles ||
+      entry->full_cycles != full_->completed_cycles()) {
+    return false;
+  }
+  const double t_start = NowSeconds();
+  // The training would have succeeded as it did for the stored entry, so
+  // the test window is the first thing that can fail, as in a retrain.
+  NM_ASSIGN_OR_RETURN(const Records* test, TestSet());
+  // Tonight's test days are the remembered ones minus those the split
+  // has passed since.
+  const size_t first_test_day = FirstTestDay();
+  if (first_test_day < entry->first_test_day) return false;
+  const size_t passed = first_test_day - entry->first_test_day;
+  std::vector<double>& predicted = entry->test_predicted;
+  if (passed > predicted.size() ||
+      predicted.size() - passed != test->y.size()) {
+    return false;
+  }
+  predicted.erase(predicted.begin(),
+                  predicted.begin() + static_cast<ptrdiff_t>(passed));
+  entry->first_test_day = first_test_day;
+  eval.best_params = entry->best_params;
+  eval.test_truth = test->y;
+  eval.test_predicted = predicted;
+  NM_RETURN_NOT_OK(ScoreTestWindow(options_.eval_days, eval));
+  eval.train_seconds = NowSeconds() - t_start;
+  return true;
+}
+
 Result<VehicleEvaluation> VehicleSelection::Evaluate(
     const std::string& algorithm) {
   NM_RETURN_NOT_OK(Prepare());
   VehicleEvaluation eval;
   eval.algorithm = algorithm;
+  // BL is never remembered: its average covers every day before the
+  // split, which moves with the history.
+  const bool memoized = memo_ != nullptr && algorithm != "BL";
+  size_t slice_cycles = 0;
+  if (memoized) {
+    const std::vector<Cycle>& cycles = full_->cycles;
+    slice_cycles = static_cast<size_t>(
+        std::partition_point(cycles.begin(), cycles.end(),
+                             [&](const Cycle& c) { return c.end < split_; }) -
+        cycles.begin());
+    NM_ASSIGN_OR_RETURN(const bool hit, EvaluateFromMemo(eval, slice_cycles));
+    if (hit) {
+      ++memo_hits_;
+      return eval;
+    }
+  }
 
   const double t_start = NowSeconds();
   std::unique_ptr<ml::Regressor> model;
@@ -151,15 +226,24 @@ Result<VehicleEvaluation> VehicleSelection::Evaluate(
   // One batched call for the whole test window, timed and counted once
   // (ml.predict_batch.*).
   NM_ASSIGN_OR_RETURN(eval.test_predicted, model->PredictBatch(test->x));
-
-  NM_ASSIGN_OR_RETURN(eval.eglobal,
-                      GlobalError(eval.test_truth, eval.test_predicted));
-  // E_MRE may be undefined when the test window lacks near-deadline days;
-  // surface that as an error to the caller rather than reporting 0.
-  NM_ASSIGN_OR_RETURN(
-      eval.emre, MeanResidualError(eval.test_truth, eval.test_predicted,
-                                   options_.eval_days));
+  NM_RETURN_NOT_OK(ScoreTestWindow(options_.eval_days, eval));
   eval.model = std::move(model);
+
+  if (memoized) {
+    auto entry = FindCandidate(*memo_, algorithm);
+    if (entry == memo_->end()) {
+      entry = memo_->emplace(entry);
+      entry->algorithm = algorithm;
+    }
+    entry->slice_cycles = slice_cycles;
+    entry->full_cycles = full_->completed_cycles();
+    entry->first_test_day = FirstTestDay();
+    // In place: a window that did not grow reuses the stored buffer, so a
+    // long-lived fleet does not scatter a fresh one across the heap.
+    entry->test_predicted.assign(eval.test_predicted.begin(),
+                                 eval.test_predicted.end());
+    entry->best_params = eval.best_params;
+  }
   return eval;
 }
 

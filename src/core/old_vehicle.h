@@ -80,6 +80,31 @@ struct VehicleEvaluation {
   std::shared_ptr<ml::Regressor> model;
 };
 
+/// What a VehicleSelection remembers of one trained candidate across
+/// nights, keyed on the labeled data the candidate saw. With no time-shift
+/// re-sampling and no context series, the training dataset is a function
+/// of the training slice's completed cycles (`slice_cycles`, the cycles
+/// that close before the split) and the test window's truth, features and
+/// per-day predictions are a function of the full history's completed
+/// cycles (`full_cycles`): while both counts stay put, the fit, its tuned
+/// parameters and its predictions are the same doubles, and the new test
+/// window is a suffix of the remembered one.
+struct CandidateMemo {
+  std::string algorithm;
+  size_t slice_cycles = 0;
+  size_t full_cycles = 0;
+  /// Day index of test_predicted[0]: max(split, W) when it was stored.
+  size_t first_test_day = 0;
+  std::vector<double> test_predicted;
+  ml::ParamMap best_params;
+};
+
+/// One vehicle's candidate memos, one per non-BL algorithm, owned by the
+/// caller across evaluations (the fleet scheduler keeps one per vehicle).
+/// The caller must drop it when the history is replaced rather than
+/// appended to.
+using SelectionMemo = std::vector<CandidateMemo>;
+
 /// The evaluations of a candidate list plus the index of the winner by
 /// E_MRE — the paper's per-vehicle model selection rule.
 struct ModelSelectionResult {
@@ -95,12 +120,20 @@ struct ModelSelectionResult {
 /// meets them: setup, then training, then the test window.
 class VehicleSelection {
  public:
-  /// Keeps a reference to `u`, which must outlive the selection.
+  /// Keeps a reference to `u`, which must outlive the selection. With a
+  /// `memo` (also kept by reference), a non-BL candidate whose memo key
+  /// still matches is scored from its remembered predictions instead of
+  /// being trained again, and every other trained candidate refills it.
+  /// The memo is ignored when the options re-sample time shifts (their
+  /// offsets are drawn from the series length) or carry a context series.
   VehicleSelection(const data::DailySeries& u, double maintenance_interval_s,
-                   const OldVehicleOptions& options);
+                   const OldVehicleOptions& options,
+                   SelectionMemo* memo = nullptr);
 
   /// Trains `algorithm` ("BL", "LR", "LSVR", "RF" or "XGB") on the
-  /// training window and evaluates it on the held-out tail.
+  /// training window and evaluates it on the held-out tail. A memo hit
+  /// returns the same numbers, parameters and test vectors as the training
+  /// would, with a null `model`.
   [[nodiscard]] Result<VehicleEvaluation> Evaluate(const std::string& algorithm);
 
   /// Evaluates every algorithm in list order and picks the lowest E_MRE
@@ -114,10 +147,17 @@ class VehicleSelection {
     return full_.has_value() ? &*full_ : nullptr;
   }
 
+  /// Candidates this selection scored from the memo.
+  size_t memo_hits() const { return memo_hits_; }
+
  private:
   Status Prepare();
   Result<const ml::Dataset*> TrainingData();
   Result<const Records*> TestSet();
+  /// max(split, W): the day of the test window's first row.
+  size_t FirstTestDay() const;
+  /// Scores `eval` from the memo when its key matches; false on a miss.
+  Result<bool> EvaluateFromMemo(VehicleEvaluation& eval, size_t slice_cycles);
 
   const data::DailySeries& u_;
   double maintenance_interval_s_;
@@ -127,6 +167,8 @@ class VehicleSelection {
   size_t split_ = 0;
   std::optional<ml::Dataset> train_data_;
   std::optional<Records> test_;
+  SelectionMemo* memo_ = nullptr;
+  size_t memo_hits_ = 0;
 };
 
 /// Trains `algorithm` on the vehicle's training window and evaluates it on

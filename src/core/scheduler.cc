@@ -21,6 +21,18 @@
 namespace nextmaint {
 namespace core {
 
+std::vector<uint32_t> SortByPredictedDate(
+    const std::vector<MaintenanceForecast>& forecasts) {
+  std::vector<uint32_t> order(forecasts.size());
+  for (uint32_t f = 0; f < order.size(); ++f) order[f] = f;
+  // std::sort's moves depend only on its comparisons, so sorting positions
+  // leaves ties exactly where sorting the forecasts themselves would.
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return forecasts[a].predicted_date < forecasts[b].predicted_date;
+  });
+  return order;
+}
+
 FleetScheduler::FleetScheduler(SchedulerOptions options)
     : options_(std::move(options)),
       unified_binning_cache_(std::make_shared<ml::BinningCache>()) {
@@ -99,6 +111,8 @@ Status FleetScheduler::IngestSeries(const std::string& id,
   it->second.model.reset();
   it->second.pending_segment = storage::SegmentView();
   it->second.binning_cache.reset();
+  // The memo's keys count cycles of an append-only history.
+  it->second.fit_memo.reset();
   // Unlike Append, a wholesale series replacement can change the vehicle's
   // first cycle and therefore the cold-start corpus: mark it for the next
   // RefreshCorpus, and reset the shared cold-start cache too (entries are
@@ -341,7 +355,15 @@ Status FleetScheduler::TrainOneVehicle(
     telemetry::ScopedTimer wait_timer("scheduler.train.unified_wait.seconds");
     return unified.Wait();
   };
-  state.model.reset();
+  // The deployed refit and its key leave the state: only a matching key
+  // below puts the model back, so every other outcome, failures included,
+  // leaves the vehicle as a retrain from scratch would.
+  std::shared_ptr<ml::Regressor> deployed = std::move(state.model);
+  std::optional<RefitKey> deployed_key;
+  if (state.fit_memo != nullptr) {
+    deployed_key = std::exchange(state.fit_memo->refit_key, std::nullopt);
+  }
+  if (!deployed_key.has_value()) deployed.reset();
   state.model_name.clear();
   state.pending_segment = storage::SegmentView();
   if (state.usage.empty()) return Status::OK();
@@ -354,6 +376,12 @@ Status FleetScheduler::TrainOneVehicle(
     // (created by TrainVehicles when a candidate is a tree learner; absent
     // otherwise or when training is entered another way) makes every
     // grid-search candidate and the refit bin each training matrix once.
+    // With the fit memo, candidates and a refit whose labeled data did not
+    // change since the last training are reused instead of refitted.
+    const bool memo = FitMemoApplies();
+    if (memo && state.fit_memo == nullptr) {
+      state.fit_memo = std::make_unique<FitMemo>();
+    }
     OldVehicleOptions selection_options = options_.selection;
     if (state.binning_cache != nullptr) {
       selection_options.backend.binning_cache = state.binning_cache;
@@ -361,12 +389,15 @@ Status FleetScheduler::TrainOneVehicle(
     std::string chosen = "BL";
     ml::ParamMap chosen_params;
     VehicleSelection vehicle_selection(
-        state.usage, options_.maintenance_interval_s, selection_options);
+        state.usage, options_.maintenance_interval_s, selection_options,
+        memo ? &state.fit_memo->selection : nullptr);
     Result<ModelSelectionResult> selection = [&] {
       telemetry::ScopedTimer selection_timer(
           "scheduler.train.selection.seconds");
       return vehicle_selection.SelectBest(options_.algorithms);
     }();
+    telemetry::Count("scheduler.selection.memo_hits",
+                     vehicle_selection.memo_hits());
     if (selection.ok()) {
       const ModelSelectionResult& result = selection.ValueOrDie();
       chosen = result.evaluations[result.best_index].algorithm;
@@ -383,27 +414,27 @@ Status FleetScheduler::TrainOneVehicle(
       if (state.model != nullptr) state.model_name = "BL";
       return Status::OK();
     }
-    DatasetOptions dataset_options;
-    dataset_options.window = options_.window;
-    dataset_options.normalize_features =
-        options_.selection.normalize_features;
-    if (options_.selection.train_on_last29_only) {
-      dataset_options.target_filter = DaySet::Last29();
+    RefitKey key{.full_cycles = state.cycles.completed_cycles,
+                 .algorithm = chosen,
+                 .params = chosen_params};
+    if (deployed != nullptr && deployed_key == key) {
+      telemetry::Count("scheduler.refit.memo_hits");
+      state.model = std::move(deployed);
+    } else {
+      // The selection already derived the full history; refit on it.
+      const RefitRecipe recipe = RefitDatasetRecipe();
+      NM_ASSIGN_OR_RETURN(
+          ml::Dataset full_data,
+          BuildResampledDataset(*vehicle_selection.series(), recipe.dataset,
+                                recipe.resampling));
+      NM_ASSIGN_OR_RETURN(std::unique_ptr<ml::Regressor> model,
+                          ml::MakeRegressor(chosen, chosen_params,
+                                            selection_options.backend));
+      NM_RETURN_NOT_OK(model->Fit(full_data).WithContext(id));
+      state.model = std::move(model);
     }
-    ResamplingOptions resampling;
-    resampling.num_shifts = options_.selection.resampling_shifts;
-    resampling.seed = options_.selection.seed;
-    // The selection already derived the full history; refit on it.
-    NM_ASSIGN_OR_RETURN(
-        ml::Dataset full_data,
-        BuildResampledDataset(*vehicle_selection.series(), dataset_options,
-                              resampling));
-    NM_ASSIGN_OR_RETURN(
-        std::unique_ptr<ml::Regressor> model,
-        ml::MakeRegressor(chosen, chosen_params, selection_options.backend));
-    NM_RETURN_NOT_OK(model->Fit(full_data).WithContext(id));
-    state.model = std::move(model);
     state.model_name = chosen;
+    if (memo) state.fit_memo->refit_key = std::move(key);
     return Status::OK();
   }
 
@@ -443,6 +474,25 @@ Status FleetScheduler::TrainOneVehicle(
     state.model_name = options_.unified_algorithm + "_Uni";
   }
   return Status::OK();
+}
+
+FleetScheduler::RefitRecipe FleetScheduler::RefitDatasetRecipe() const {
+  RefitRecipe recipe;
+  recipe.dataset.window = options_.window;
+  recipe.dataset.normalize_features = options_.selection.normalize_features;
+  if (options_.selection.train_on_last29_only) {
+    recipe.dataset.target_filter = DaySet::Last29();
+  }
+  recipe.resampling.num_shifts = options_.selection.resampling_shifts;
+  // The selection's training data draws from seed ^ 0x5151; the refit
+  // from the seed itself.
+  recipe.resampling.seed = options_.selection.seed;
+  return recipe;
+}
+
+bool FleetScheduler::FitMemoApplies() const {
+  return RefitDatasetRecipe().resampling.num_shifts == 0 &&
+         options_.selection.context == nullptr;
 }
 
 std::shared_ptr<ml::Regressor> FleetScheduler::MakeBaseline(
@@ -553,6 +603,7 @@ Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids) {
           state.model = MakeBaseline(state.usage);
           state.model_name = state.model != nullptr ? "BL_fallback" : "";
           state.pending_segment = storage::SegmentView();
+          DropRefitKey(state);
           VehicleDegradation degradation;
           degradation.vehicle_id = id;
           degradation.stage = "train";
@@ -611,20 +662,13 @@ Result<bool> FleetScheduler::WarmStartVehicle(const std::string& id,
   // Rebuild the refit dataset over the full (grown) history — the exact
   // dataset construction TrainOneVehicle's deployment refit uses, so a
   // resume sees the cold retrain's data plus the appended rows.
-  DatasetOptions dataset_options;
-  dataset_options.window = options_.window;
-  dataset_options.normalize_features = options_.selection.normalize_features;
-  if (options_.selection.train_on_last29_only) {
-    dataset_options.target_filter = DaySet::Last29();
-  }
-  ResamplingOptions resampling;
-  resampling.num_shifts = options_.selection.resampling_shifts;
-  resampling.seed = options_.selection.seed;
+  const RefitRecipe recipe = RefitDatasetRecipe();
   NM_ASSIGN_OR_RETURN(
       ml::Dataset full_data,
       BuildResampledDataset(state.usage, options_.maintenance_interval_s,
-                            dataset_options, resampling));
+                            recipe.dataset, recipe.resampling));
 
+  DropRefitKey(state);
   telemetry::ScopedTimer timer("scheduler.warm_start.seconds");
   NM_RETURN_NOT_OK(
       state.model->ContinueFit(full_data, extra_rounds).WithContext(id));
@@ -766,11 +810,12 @@ Result<std::vector<MaintenanceForecast>> FleetScheduler::FleetForecast()
     }
   }
   NM_RETURN_NOT_OK(status);
-  std::sort(forecasts.begin(), forecasts.end(),
-            [](const MaintenanceForecast& a, const MaintenanceForecast& b) {
-              return a.predicted_date < b.predicted_date;
-            });
-  return forecasts;
+  std::vector<MaintenanceForecast> sorted;
+  sorted.reserve(forecasts.size());
+  for (const uint32_t f : SortByPredictedDate(forecasts)) {
+    sorted.push_back(std::move(forecasts[f]));
+  }
+  return sorted;
 }
 
 Result<MaintenanceForecast> FleetScheduler::FallbackForecast(
@@ -967,6 +1012,7 @@ Status FleetScheduler::LoadCheckpoint(const std::string& path) {
     state.model.reset();
     state.model_name = entry.model_name;
     state.pending_segment = entry.segment;
+    DropRefitKey(state);
   }
   telemetry::Count("scheduler.checkpoint.lazy_loads");
   telemetry::SetGauge("scheduler.checkpoint.pending_segments",

@@ -1,6 +1,7 @@
 #ifndef NEXTMAINT_CORE_SCHEDULER_H_
 #define NEXTMAINT_CORE_SCHEDULER_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -129,6 +130,13 @@ struct SchedulerOptions {
   int warm_start_rounds = 10;
 };
 
+/// Positions of `forecasts` in published order: by predicted date, most
+/// urgent first, ties in the order std::sort leaves them. The one sort
+/// behind FleetScheduler::FleetForecast and the serving engine's
+/// snapshots, so both publish the same order for the same input.
+std::vector<uint32_t> SortByPredictedDate(
+    const std::vector<MaintenanceForecast>& forecasts);
+
 /// Fleet-level next-maintenance scheduler.
 ///
 /// Usage: RegisterVehicle -> IngestUsage (day by day or in bulk) ->
@@ -147,6 +155,10 @@ struct SchedulerOptions {
 class FleetScheduler {
  public:
   explicit FleetScheduler(SchedulerOptions options);
+
+  /// The effective options: the constructor overwrites the window and the
+  /// tree core of `selection` and `cold_start` with the fleet-wide ones.
+  const SchedulerOptions& options() const { return options_; }
 
   /// Registers a vehicle whose data starts on `first_day`.
   /// Fails with AlreadyExists on duplicates.
@@ -362,6 +374,25 @@ class FleetScheduler {
   std::shared_ptr<const ml::BinningCache> UnifiedBinningCache() const;
 
  private:
+  /// What a deployment refit is a pure function of, given the fleet's
+  /// options: the labeled full history (its completed cycles), the
+  /// algorithm and its parameters.
+  struct RefitKey {
+    size_t full_cycles = 0;
+    std::string algorithm;
+    ml::ParamMap params;
+    bool operator==(const RefitKey&) const = default;
+  };
+
+  /// The fit memo of one old vehicle (docs/serving.md, "The fit memo"):
+  /// the selection's remembered candidates, and the key the deployed
+  /// `model` was refitted under, which TrainOneVehicle keeps while it
+  /// matches. Never created while FitMemoApplies() is false.
+  struct FitMemo {
+    SelectionMemo selection;
+    std::optional<RefitKey> refit_key;
+  };
+
   struct VehicleState {
     /// Gap-free history; its start date is the registered first day.
     data::DailySeries usage;
@@ -390,7 +421,17 @@ class FleetScheduler {
     bool history_replaced = false;
     /// Set through MarkDirty, which keeps dirty_count_ exact.
     bool dirty = false;
+    /// Created by the first old-vehicle training that uses the memo and
+    /// dropped by IngestSeries; behind a pointer, so a vehicle without one
+    /// pays 8 bytes.
+    std::unique_ptr<FitMemo> fit_memo;
   };
+
+  /// LoadCheckpoint, a warm resume and a quarantine replace or change the
+  /// model, which is then no longer the refit its key names.
+  static void DropRefitKey(VehicleState& state) {
+    if (state.fit_memo != nullptr) state.fit_memo->refit_key.reset();
+  }
 
   void MarkDirty(VehicleState& state) {
     if (!state.dirty) ++dirty_count_;
@@ -398,6 +439,19 @@ class FleetScheduler {
   }
 
   [[nodiscard]] Result<const VehicleState*> FindVehicle(const std::string& id) const;
+
+  /// How the deployment refit (and a warm resume) builds its dataset over
+  /// the full history.
+  struct RefitRecipe {
+    DatasetOptions dataset;
+    ResamplingOptions resampling;
+  };
+  RefitRecipe RefitDatasetRecipe() const;
+
+  /// True when every old-vehicle fit depends only on the closed cycles it
+  /// covers: no time-shift re-sampling (its offsets are drawn from the
+  /// series length) and no context series. Only then is the fit memo used.
+  bool FitMemoApplies() const;
 
   /// The one options check behind every fleet entry point: num_threads >= 0
   /// and a finite, positive maintenance interval (InvalidArgument).

@@ -150,7 +150,11 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
   auto next = std::make_shared<FleetSnapshot>();
   next->epoch = previous->epoch + 1;
   next->rows.resize(ids.size());
-  next->forecasts.reserve(ids.size());
+  // The forecasts in id order, each with the position of its row.
+  std::vector<core::MaintenanceForecast> forecasts;
+  std::vector<uint32_t> forecast_rows;
+  forecasts.reserve(ids.size());
+  forecast_rows.reserve(ids.size());
   size_t dirty = 0, train = 0, old = 0;
   for (size_t i = 0; i < ids.size(); ++i) {
     FleetSnapshot::Row& row = next->rows[i];
@@ -178,7 +182,10 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
         row.forecast = FleetSnapshot::kNone;  // set again after the sort
       }
     }
-    if (forecast != nullptr) next->forecasts.push_back(*forecast);
+    if (forecast != nullptr) {
+      forecasts.push_back(*forecast);
+      forecast_rows.push_back(static_cast<uint32_t>(i));
+    }
   }
   next->vehicle_ids = std::move(ids);
   // Train entries first, then forecast entries, each in id order.
@@ -188,19 +195,14 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
       if (row.*stage) next->degradations.vehicles.push_back(*(row.*stage));
     }
   }
-  // Forecasts were assembled in id order; sorting with FleetForecast's
-  // comparator makes the published order exactly the batch order.
-  std::vector<core::MaintenanceForecast>& forecasts = next->forecasts;
-  std::sort(forecasts.begin(), forecasts.end(),
-            [](const core::MaintenanceForecast& a,
-               const core::MaintenanceForecast& b) {
-              return a.predicted_date < b.predicted_date;
-            });
-  const std::vector<std::string>& sorted_ids = next->vehicle_ids;
-  for (uint32_t f = 0; f < forecasts.size(); ++f) {
-    const auto id = std::lower_bound(sorted_ids.begin(), sorted_ids.end(),
-                                     forecasts[f].vehicle_id);
-    next->rows[static_cast<size_t>(id - sorted_ids.begin())].forecast = f;
+  // FleetForecast's own sort over the same id-ordered forecasts makes the
+  // published order exactly the batch order.
+  const std::vector<uint32_t> order = core::SortByPredictedDate(forecasts);
+  next->forecasts.reserve(order.size());
+  for (const uint32_t f : order) {
+    next->rows[forecast_rows[f]].forecast =
+        static_cast<uint32_t>(next->forecasts.size());
+    next->forecasts.push_back(std::move(forecasts[f]));
   }
   scheduler_.ClearDirty();
   stats.refreshed = dirty_ids.size();

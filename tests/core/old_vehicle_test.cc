@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "telematics/fleet.h"
 
 namespace nextmaint {
@@ -311,6 +312,103 @@ TEST(SelectBestModelTest, SharedSelectionKeepsErrorOrder) {
   EXPECT_TRUE(
       SelectBestModelForVehicle({"BL"}, no_train_cycle, late_tv, FastOptions())
           .ok());
+}
+
+/// The same checks as ExpectSameEvaluation minus the model, which a memo
+/// hit does not rebuild.
+void ExpectSameScores(const VehicleEvaluation& got,
+                      const VehicleEvaluation& want, const std::string& label) {
+  EXPECT_EQ(got.algorithm, want.algorithm) << label;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.emre),
+            std::bit_cast<uint64_t>(want.emre))
+      << label;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.eglobal),
+            std::bit_cast<uint64_t>(want.eglobal))
+      << label;
+  EXPECT_EQ(got.best_params, want.best_params) << label;
+  EXPECT_EQ(Bits(got.test_truth), Bits(want.test_truth)) << label;
+  EXPECT_EQ(Bits(got.test_predicted), Bits(want.test_predicted)) << label;
+}
+
+/// A selection that carries a memo across the nights of one growing
+/// history scores every candidate exactly as a fresh selection does, on
+/// the nights it reuses a fit and on the nights it trains again, over
+/// several maintenance-cycle closes of the full history and of the
+/// training slice, untuned and tuned.
+TEST(SelectionMemoTest, NightByNightMatchesFreshSelection) {
+  // 60-140 s/day against T = 1000 s: cycles of about ten days.
+  const double tv = 1000.0;
+  Rng rng(77);
+  std::vector<double> usage(190);
+  for (double& seconds : usage) seconds = rng.Uniform(60.0, 140.0);
+  const data::DailySeries full(Day(0), usage);
+  const size_t first_night = 150;
+
+  struct Case {
+    std::vector<std::string> algorithms;
+    bool tune;
+  };
+  const std::vector<Case> cases = {{{"BL", "LR"}, false},
+                                   {{"BL", "RF"}, false},
+                                   {{"BL", "LR"}, true},
+                                   {{"BL", "LSVR"}, true}};
+  for (const Case& c : cases) {
+    OldVehicleOptions options = FastOptions();
+    options.window = 3;
+    options.train_on_last29_only = true;
+    options.tune = c.tune;
+    const std::string label =
+        c.algorithms[1] + (c.tune ? " tuned" : " untuned");
+    SelectionMemo memo;
+    size_t hits = 0, misses = 0, full_closes = 0;
+    size_t full_cycles = 0;
+    for (size_t n = first_night; n <= full.size(); ++n) {
+      const data::DailySeries u = full.Slice(0, n);
+      VehicleSelection remembered(u, tv, options, &memo);
+      const ModelSelectionResult got =
+          remembered.SelectBest(c.algorithms).ValueOrDie();
+      const ModelSelectionResult want =
+          VehicleSelection(u, tv, options).SelectBest(c.algorithms)
+              .ValueOrDie();
+      const std::string night = label + " n=" + std::to_string(n);
+      ASSERT_EQ(got.evaluations.size(), want.evaluations.size()) << night;
+      for (size_t i = 0; i < got.evaluations.size(); ++i) {
+        ExpectSameScores(got.evaluations[i], want.evaluations[i], night);
+      }
+      EXPECT_EQ(got.best_index, want.best_index) << night;
+      // Only the non-BL candidate is ever remembered.
+      ASSERT_LE(remembered.memo_hits(), 1u) << night;
+      (remembered.memo_hits() == 1 ? hits : misses) += 1;
+      const size_t cycles = remembered.series()->completed_cycles();
+      if (n > first_night && cycles > full_cycles) ++full_closes;
+      full_cycles = cycles;
+    }
+    EXPECT_GE(full_closes, 3u) << label;
+    EXPECT_GT(hits, 0u) << label;
+    // The first night and every cycle close train again.
+    EXPECT_GT(misses, full_closes) << label;
+  }
+}
+
+/// Re-sampled time shifts and context series depend on more than the
+/// closed cycles, so a selection with either never reads or fills a memo.
+TEST(SelectionMemoTest, ShiftsAndContextBypassTheMemo) {
+  const data::DailySeries u = SimulatedVehicle(42);
+  std::vector<double> context(u.size(), 0.5);
+  OldVehicleOptions shifted = FastOptions();
+  shifted.resampling_shifts = 2;
+  OldVehicleOptions with_context = FastOptions();
+  with_context.context = &context;
+  with_context.context_forecast_days = 1;
+  for (const OldVehicleOptions& options : {shifted, with_context}) {
+    SelectionMemo memo;
+    for (int night = 0; night < 2; ++night) {
+      VehicleSelection selection(u, 500'000.0, options, &memo);
+      ASSERT_TRUE(selection.SelectBest({"BL", "LR"}).ok());
+      EXPECT_EQ(selection.memo_hits(), 0u);
+      EXPECT_TRUE(memo.empty());
+    }
+  }
 }
 
 TEST(PerDayResidualsTest, ComputesCurve) {

@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "common/failpoints.h"
+#include "common/rng.h"
 #include "common/telemetry.h"
 #include "core/baseline.h"
 #include "core/dataset_builder.h"
@@ -1083,6 +1084,152 @@ TEST(FleetSchedulerTest, NonPositiveIntervalIsInvalidArgument) {
               StatusCode::kInvalidArgument);
   }
   std::remove(path.c_str());
+}
+
+/// Histories by vehicle id: what a scheduler under test has ingested.
+using Histories = std::map<std::string, data::DailySeries>;
+
+void Populate(FleetScheduler& scheduler, const Histories& histories) {
+  for (const auto& [id, series] : histories) {
+    ASSERT_TRUE(scheduler.RegisterVehicle(id, series.start_date()).ok());
+    ASSERT_TRUE(scheduler.IngestSeries(id, series).ok());
+  }
+}
+
+/// A fresh scheduler trained once over `histories`: the reference for one
+/// that reached the same data by appends and retrains.
+TrainedOutputs FreshBatchOutputs(const SchedulerOptions& options,
+                                 const Histories& histories) {
+  FleetScheduler scheduler(options);
+  Populate(scheduler, histories);
+  EXPECT_TRUE(scheduler.TrainAll().ok());
+  return OutputsOf(scheduler, "batch");
+}
+
+/// Appends one day of `seconds` to every vehicle and to its mirror.
+void AppendNight(FleetScheduler& scheduler, Histories& histories,
+                 double seconds) {
+  for (auto& [id, series] : histories) {
+    ASSERT_TRUE(scheduler.IngestUsage(id, series.next_date(), seconds).ok());
+    series.Append(seconds);
+  }
+}
+
+/// ExpectSameOutputs without printing the checkpoints on a mismatch (a
+/// diff of two forest checkpoints would take gigabytes).
+void ExpectSameMemoOutputs(const TrainedOutputs& got,
+                           const TrainedOutputs& expected) {
+  EXPECT_TRUE(got.checkpoint == expected.checkpoint)
+      << "checkpoint bytes differ";
+  TrainedOutputs got_forecasts, expected_forecasts;
+  got_forecasts.forecasts = got.forecasts;
+  expected_forecasts.forecasts = expected.forecasts;
+  ExpectSameOutputs(got_forecasts, expected_forecasts);
+}
+
+size_t CountModels(const TrainedOutputs& outputs, const std::string& name) {
+  return static_cast<size_t>(std::count_if(
+      outputs.forecasts.begin(), outputs.forecasts.end(),
+      [&](const MaintenanceForecast& f) { return f.model_name == name; }));
+}
+
+/// Retraining after each appended day reuses the fits whose labeled data
+/// did not change, and still equals a fresh batch run every night; the
+/// winners are those of a VehicleSelection built from the scheduler's
+/// effective options.
+TEST(FleetSchedulerTest, FitMemoRetrainsMatchFreshBatchEveryNight) {
+  const SchedulerOptions options = FastOptions();
+  Histories histories = {{"v1", SimulatedVehicle(41, 400)},
+                         {"v2", SimulatedVehicle(42, 400)},
+                         {"v3", SimulatedVehicle(43, 400)}};
+  FleetScheduler scheduler(options);
+  Populate(scheduler, histories);
+  ASSERT_TRUE(scheduler.TrainAll().ok());
+  // The effective options carry the fleet-wide window.
+  EXPECT_EQ(scheduler.options().selection.window, options.window);
+  EXPECT_EQ(scheduler.options().cold_start.window, options.window);
+
+  const bool counted = telemetry::Enabled();
+  telemetry::SetEnabled(true);
+  telemetry::MetricsRegistry::Global().Reset();
+  Rng rng(5);
+  for (int night = 1; night <= 40; ++night) {
+    AppendNight(scheduler, histories, rng.Uniform(0.0, 20'000.0));
+    ASSERT_TRUE(scheduler.TrainAll().ok());
+    if (night % 10 != 0) continue;
+    SCOPED_TRACE(night);
+    telemetry::SetEnabled(false);
+    const TrainedOutputs batch = FreshBatchOutputs(options, histories);
+    ExpectSameMemoOutputs(OutputsOf(scheduler, "memo"), batch);
+    EXPECT_GT(CountModels(batch, "LR"), 0u);
+    telemetry::SetEnabled(true);
+  }
+  const telemetry::MetricsSnapshot counters = telemetry::Snapshot();
+  telemetry::MetricsRegistry::Global().Reset();
+  telemetry::SetEnabled(counted);
+#ifndef NEXTMAINT_TELEMETRY_DISABLED
+  EXPECT_GT(counters.counters.at("scheduler.selection.memo_hits"), 60u);
+  EXPECT_GT(counters.counters.at("scheduler.refit.memo_hits"), 0u);
+#else
+  EXPECT_TRUE(counters.counters.empty());
+#endif
+
+  for (const auto& [id, series] : histories) {
+    VehicleSelection reference(series, kTv, scheduler.options().selection);
+    const ModelSelectionResult selected =
+        reference.SelectBest(scheduler.options().algorithms).ValueOrDie();
+    EXPECT_EQ(scheduler.Forecast(id).ValueOrDie().model_name,
+              selected.evaluations[selected.best_index].algorithm)
+        << id;
+  }
+}
+
+/// Loading another fleet's checkpoint replaces the models the refit keys
+/// named: the retrain after the next appended day must refit, not keep
+/// the loaded models.
+TEST(FleetSchedulerTest, FitMemoDropsTheRefitKeyOnLoadCheckpoint) {
+  const SchedulerOptions options = FastOptions();
+  Histories histories = {{"v1", SimulatedVehicle(41, 600)},
+                         {"v2", SimulatedVehicle(42, 600)}};
+  FleetScheduler scheduler(options);
+  Populate(scheduler, histories);
+  ASSERT_TRUE(scheduler.TrainAll().ok());
+  ASSERT_GT(CountModels(OutputsOf(scheduler, "own"), "LR"), 0u);
+
+  FleetScheduler other(options);
+  Populate(other, {{"v1", SimulatedVehicle(43, 600)},
+                   {"v2", SimulatedVehicle(44, 600)}});
+  ASSERT_TRUE(other.TrainAll().ok());
+  const std::string path = ::testing::TempDir() + "/memo_other_fleet.ckpt";
+  ASSERT_TRUE(other.SaveCheckpoint(path).ok());
+  ASSERT_TRUE(scheduler.LoadCheckpoint(path).ok());
+  std::remove(path.c_str());
+  // Forecasting materializes the loaded models in place.
+  ASSERT_TRUE(scheduler.FleetForecast().ok());
+
+  // Too little use to close a cycle: every key would still match.
+  AppendNight(scheduler, histories, 1000.0);
+  ASSERT_TRUE(scheduler.TrainAll().ok());
+  ExpectSameMemoOutputs(OutputsOf(scheduler, "memo"),
+                    FreshBatchOutputs(options, histories));
+}
+
+/// A warm resume extends the deployed model in place, so it is no longer
+/// the refit its key names: the next cold retrain must refit it.
+TEST(FleetSchedulerTest, FitMemoDropsTheRefitKeyOnWarmResume) {
+  SchedulerOptions options = FastOptions();
+  options.algorithms = {"RF"};
+  Histories histories = {{"v1", SimulatedVehicle(41, 600)}};
+  FleetScheduler scheduler(options);
+  Populate(scheduler, histories);
+  ASSERT_TRUE(scheduler.TrainAll().ok());
+  AppendNight(scheduler, histories, 1000.0);
+  ASSERT_TRUE(scheduler.WarmStartVehicle("v1", 5).ValueOrDie());
+  AppendNight(scheduler, histories, 1000.0);
+  ASSERT_TRUE(scheduler.TrainAll().ok());
+  const TrainedOutputs batch = FreshBatchOutputs(options, histories);
+  ASSERT_EQ(CountModels(batch, "RF"), 1u);
+  ExpectSameMemoOutputs(OutputsOf(scheduler, "memo"), batch);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -15,8 +16,10 @@
 #include <vector>
 
 #include "common/failpoints.h"
+#include "common/rng.h"
 #include "common/telemetry.h"
 #include "core/scheduler.h"
+#include "core/series.h"
 #include "telematics/fleet.h"
 
 namespace nextmaint {
@@ -274,9 +277,14 @@ TEST(ServingEngineTest, BinningCacheInvalidationFollowsIngest) {
   ServingEngine engine(TreeOptions(1, ml::TreeCore::kBinned));
   const data::DailySeries s1 = SimulatedVehicle(201, 600);
   const data::DailySeries s2 = SimulatedVehicle(202, 600);
+  // v1's appended day closes a maintenance cycle, so the refresh after it
+  // trains on new labeled data (a day inside an open cycle is served from
+  // the fit memo, which bins nothing).
+  const size_t closing_day =
+      core::DeriveSeries(s1, kTv).ValueOrDie().cycles.back().end;
   ASSERT_TRUE(engine.Register("v1", s1.start_date()).ok());
   ASSERT_TRUE(engine.Register("v2", s2.start_date()).ok());
-  ASSERT_TRUE(engine.LoadHistory("v1", s1.Slice(0, 599)).ok());
+  ASSERT_TRUE(engine.LoadHistory("v1", s1.Slice(0, closing_day)).ok());
   ASSERT_TRUE(engine.LoadHistory("v2", s2).ok());
   // Before any training there is nothing cached.
   EXPECT_EQ(engine.scheduler().VehicleBinningCache("v1"), nullptr);
@@ -293,7 +301,12 @@ TEST(ServingEngineTest, BinningCacheInvalidationFollowsIngest) {
   EXPECT_GT(unified->stats().lookups, 0u);
 
   // An append dirties exactly the appended vehicle's mapper cache.
-  ASSERT_TRUE(engine.Append("v1", s1.start_date().AddDays(599), s1[599]).ok());
+  ASSERT_TRUE(engine
+                  .Append("v1",
+                          s1.start_date().AddDays(
+                              static_cast<int64_t>(closing_day)),
+                          s1[closing_day])
+                  .ok());
   EXPECT_EQ(engine.scheduler().VehicleBinningCache("v1"), nullptr);
   EXPECT_NE(engine.scheduler().VehicleBinningCache("v2"), nullptr);
   // Retraining recreates and repopulates it.
@@ -981,6 +994,255 @@ TEST(ServingEngineTest, StrictForecastFailpointFailsRefresh) {
         << stats.status().message();
     EXPECT_EQ(engine.epoch(), 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The fit memo (docs/serving.md, "What a refresh still pays")
+
+/// Histories by vehicle id: what an engine under test has ingested.
+using Histories = std::map<std::string, data::DailySeries>;
+
+/// Uniform 12-18 ks days against T = 500 ks (cycles of about 33 days),
+/// `days` of them for each of `vehicles` vehicles.
+Histories UniformFleet(size_t vehicles, size_t days, uint64_t seed) {
+  Rng rng(seed);
+  Histories fleet;
+  for (size_t v = 0; v < vehicles; ++v) {
+    std::vector<double> usage(days);
+    for (double& seconds : usage) seconds = rng.Uniform(12'000.0, 18'000.0);
+    fleet.emplace("truck-" + std::to_string(1000 + v),
+                  data::DailySeries(Day(0), usage));
+  }
+  return fleet;
+}
+
+void LoadFleet(ServingEngine& engine, const Histories& histories) {
+  for (const auto& [id, series] : histories) {
+    ASSERT_TRUE(engine.Register(id, series.start_date()).ok());
+    ASSERT_TRUE(engine.LoadHistory(id, series).ok());
+  }
+}
+
+/// Appends one day per vehicle, drawn from `rng`, to the engine and to
+/// its mirror.
+void AppendNight(ServingEngine& engine, Histories& histories, Rng& rng) {
+  for (auto& [id, series] : histories) {
+    const double seconds = rng.Uniform(12'000.0, 18'000.0);
+    ASSERT_TRUE(engine.Append(id, series.next_date(), seconds).ok());
+    series.Append(seconds);
+  }
+}
+
+/// The engine's published forecasts and trained state equal a fresh batch
+/// TrainAll over the same histories (trained with telemetry off, so the
+/// caller's counters see the engine alone).
+void ExpectEngineMatchesBatch(const ServingEngine& engine,
+                              const Histories& histories,
+                              const core::SchedulerOptions& options,
+                              const std::string& label) {
+  const bool counted = telemetry::Enabled();
+  telemetry::SetEnabled(false);
+  core::FleetScheduler batch(options);
+  for (const auto& [id, series] : histories) {
+    ASSERT_TRUE(batch.RegisterVehicle(id, series.start_date()).ok());
+    ASSERT_TRUE(batch.IngestSeries(id, series).ok());
+  }
+  ASSERT_TRUE(batch.TrainAll().ok());
+  ExpectForecastsIdentical(engine.Snapshot()->forecasts,
+                           batch.FleetForecast().ValueOrDie(), label);
+  // Compared without a diff on failure: the fleet's checkpoint is large.
+  EXPECT_TRUE(CheckpointBytes(engine.scheduler(), "memo_engine.ckpt") ==
+              CheckpointBytes(batch, "memo_batch.ckpt"))
+      << label << ": checkpoint bytes differ";
+  telemetry::SetEnabled(counted);
+}
+
+/// Counter deltas of the refreshes run by `body`.
+telemetry::MetricsSnapshot CountersOf(const std::function<void()>& body) {
+  const bool counted = telemetry::Enabled();
+  telemetry::SetEnabled(true);
+  telemetry::MetricsRegistry::Global().Reset();
+  body();
+  telemetry::MetricsSnapshot snapshot = telemetry::Snapshot();
+  telemetry::MetricsRegistry::Global().Reset();
+  telemetry::SetEnabled(counted);
+  return snapshot;
+}
+
+uint64_t Counter(const telemetry::MetricsSnapshot& snapshot,
+                 const std::string& name) {
+  const auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+/// Thirty nights of a 200-vehicle fleet: every refresh retrains every
+/// vehicle, most of them from the memo, and the engine equals a batch run.
+TEST(ServingEngineMemoTest, NightlyRefreshesMatchBatchAndReuseFits) {
+  const core::SchedulerOptions options = FastOptions(2);
+  Histories histories = UniformFleet(200, 150, 11);
+  ServingEngine engine(options);
+  LoadFleet(engine, histories);
+  ASSERT_TRUE(engine.RefreshForecasts().ok());
+  Rng rng(12);
+  const int nights = 30;
+  const telemetry::MetricsSnapshot counters = CountersOf([&] {
+    for (int night = 1; night <= nights; ++night) {
+      AppendNight(engine, histories, rng);
+      const RefreshStats stats = engine.RefreshForecasts().ValueOrDie();
+      EXPECT_EQ(stats.refreshed, histories.size());
+      if (night % 10 == 0) {
+        ExpectEngineMatchesBatch(engine, histories, options,
+                                 "night " + std::to_string(night));
+      }
+    }
+  });
+#ifndef NEXTMAINT_TELEMETRY_DISABLED
+  // Every vehicle is old: one remembered candidate (LR) per vehicle-night,
+  // one refit per night it wins.
+  const double vehicle_nights = static_cast<double>(nights * histories.size());
+  const uint64_t refits = Counter(counters, "scheduler.selection.winner.LR");
+  EXPECT_GT(refits, 0u);
+  EXPECT_GT(static_cast<double>(
+                Counter(counters, "scheduler.selection.memo_hits")),
+            0.8 * vehicle_nights);
+  EXPECT_GT(static_cast<double>(Counter(counters, "scheduler.refit.memo_hits")),
+            0.8 * static_cast<double>(refits));
+#else
+  EXPECT_TRUE(counters.counters.empty());
+#endif
+}
+
+/// LoadHistory replaces a history, so the memo keys (cycle counts of an
+/// append-only history) say nothing about it: swapping two days inside a
+/// first cycle keeps every cycle count but changes the training data, and
+/// the refresh after it must train every candidate again.
+TEST(ServingEngineMemoTest, LoadHistoryDropsTheMemo) {
+  const core::SchedulerOptions options = FastOptions(1);
+  Histories histories = UniformFleet(6, 150, 21);
+  ServingEngine engine(options);
+  LoadFleet(engine, histories);
+  ASSERT_TRUE(engine.RefreshForecasts().ok());
+  Rng rng(22);
+  for (int night = 0; night < 3; ++night) {
+    AppendNight(engine, histories, rng);
+    ASSERT_TRUE(engine.RefreshForecasts().ok());
+  }
+  for (auto& [id, series] : histories) {
+    std::vector<double> values = series.values();
+    std::swap(values[1], values[5]);
+    series = data::DailySeries(series.start_date(), values);
+    ASSERT_TRUE(engine.LoadHistory(id, series).ok());
+  }
+  const telemetry::MetricsSnapshot counters =
+      CountersOf([&] { ASSERT_TRUE(engine.RefreshForecasts().ok()); });
+  EXPECT_EQ(Counter(counters, "scheduler.selection.memo_hits"), 0u);
+  EXPECT_EQ(Counter(counters, "scheduler.refit.memo_hits"), 0u);
+#ifndef NEXTMAINT_TELEMETRY_DISABLED
+  EXPECT_EQ(Counter(counters, "scheduler.selection.winner.LR") +
+                Counter(counters, "scheduler.selection.winner.BL"),
+            histories.size());
+#endif
+  ExpectEngineMatchesBatch(engine, histories, options, "after LoadHistory");
+  AppendNight(engine, histories, rng);
+  ASSERT_TRUE(engine.RefreshForecasts().ok());
+  ExpectEngineMatchesBatch(engine, histories, options, "one night later");
+}
+
+/// With time-shift re-sampling the training data depends on the series
+/// length, so the memo is bypassed: no hit, and still the batch result.
+TEST(ServingEngineMemoTest, ResamplingShiftsBypassTheMemo) {
+  core::SchedulerOptions options = FastOptions(2);
+  options.selection.resampling_shifts = 2;
+  Histories histories = UniformFleet(20, 150, 31);
+  ServingEngine engine(options);
+  LoadFleet(engine, histories);
+  Rng rng(32);
+  const telemetry::MetricsSnapshot counters = CountersOf([&] {
+    ASSERT_TRUE(engine.RefreshForecasts().ok());
+    for (int night = 0; night < 5; ++night) {
+      AppendNight(engine, histories, rng);
+      ASSERT_TRUE(engine.RefreshForecasts().ok());
+    }
+  });
+  EXPECT_EQ(Counter(counters, "scheduler.selection.memo_hits"), 0u);
+  EXPECT_EQ(Counter(counters, "scheduler.refit.memo_hits"), 0u);
+#ifndef NEXTMAINT_TELEMETRY_DISABLED
+  EXPECT_GT(Counter(counters, "scheduler.selection.winner.LR"), 0u);
+#endif
+  ExpectEngineMatchesBatch(engine, histories, options, "shifts=2");
+}
+
+/// Failures store nothing in the memo. A failed candidate fit leaves the
+/// selection nothing to remember, a quarantine and a failed refit leave no
+/// refit key, and the next clean refresh retrains to the batch result.
+TEST(ServingEngineMemoTest, MemoDegradationStoresNothingAndRecovers) {
+  if (!failpoints::CompiledIn()) {
+    GTEST_SKIP() << "failpoints compiled out";
+  }
+  const core::SchedulerOptions options = FastOptions(1);
+  // A vehicle LR serves (for most seeds BL wins on uniform use).
+  Histories histories = UniformFleet(1, 230, 42);
+  const std::string id = histories.begin()->first;
+  // The history stops just before a maintenance day, so the first night
+  // closes a cycle and every candidate trains again.
+  data::DailySeries& series = histories.begin()->second;
+  const size_t closing_day =
+      core::DeriveSeries(series, kTv).ValueOrDie().cycles.back().end;
+  const data::DailySeries future = series;
+  series = series.Slice(0, closing_day);
+  ServingEngine engine(options);
+  LoadFleet(engine, histories);
+  ASSERT_TRUE(engine.RefreshForecasts().ok());
+  ASSERT_EQ(engine.Snapshot()->forecasts.at(0).model_name, "LR");
+
+  const auto night = [&](const std::string& spec) {
+    const double seconds = future[series.size()];
+    EXPECT_TRUE(engine.Append(id, series.next_date(), seconds).ok());
+    series.Append(seconds);
+    failpoints::DisarmAll();
+    if (!spec.empty()) {
+      EXPECT_TRUE(failpoints::Arm(spec).ok());
+    }
+    telemetry::MetricsSnapshot counters =
+        CountersOf([&] { EXPECT_TRUE(engine.RefreshForecasts().ok()); });
+    failpoints::DisarmAll();
+    return counters;
+  };
+  const auto served = [&] {
+    return engine.Snapshot()->forecasts.at(0).model_name;
+  };
+
+  // A miss night with the vehicle's fits failing: LR fails its candidate
+  // fit, so the selection falls back to BL and remembers nothing.
+  telemetry::MetricsSnapshot counters = night("ml.fit:1");
+  EXPECT_EQ(served(), "BL");
+  EXPECT_EQ(Counter(counters, "scheduler.selection.memo_hits"), 0u);
+  // The next night's selection has nothing to hit and trains LR again.
+  counters = night("");
+  EXPECT_EQ(served(), "LR");
+  EXPECT_EQ(Counter(counters, "scheduler.selection.memo_hits"), 0u);
+  EXPECT_EQ(Counter(counters, "scheduler.refit.memo_hits"), 0u);
+  ExpectEngineMatchesBatch(engine, histories, options, "after a failed fit");
+
+  // A quarantine serves the fallback and drops the refit key ...
+  night("scheduler.train_vehicle:1");
+  EXPECT_EQ(served(), "BL_fallback");
+  // ... so the next night's selection hits but its refit fits, and fails.
+  counters = night("ml.fit:1");
+  EXPECT_EQ(served(), "BL_fallback");
+  EXPECT_EQ(engine.Snapshot()->degradations.vehicles.size(), 1u);
+#ifndef NEXTMAINT_TELEMETRY_DISABLED
+  EXPECT_EQ(Counter(counters, "scheduler.selection.memo_hits"), 1u);
+#endif
+  EXPECT_EQ(Counter(counters, "scheduler.refit.memo_hits"), 0u);
+  // The failed refit stored no key either: a clean night refits LR.
+  counters = night("");
+  EXPECT_EQ(served(), "LR");
+#ifndef NEXTMAINT_TELEMETRY_DISABLED
+  EXPECT_EQ(Counter(counters, "scheduler.selection.memo_hits"), 1u);
+#endif
+  EXPECT_EQ(Counter(counters, "scheduler.refit.memo_hits"), 0u);
+  ExpectEngineMatchesBatch(engine, histories, options, "after a quarantine");
 }
 
 }  // namespace
