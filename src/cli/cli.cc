@@ -1,6 +1,9 @@
 #include "cli/cli.h"
 
+#include <algorithm>
 #include <filesystem>
+#include <iterator>
+#include <string_view>
 
 #include "common/failpoints.h"
 #include "common/macros.h"
@@ -79,7 +82,29 @@ ParsedArgs ParseArgs(const std::vector<std::string>& args) {
   return parsed;
 }
 
+namespace {
+
+/// Every flag UsageText documents, across all commands. ParseCommonOptions
+/// rejects any other, so a typo or a removed flag fails instead of
+/// silently running with the default.
+constexpr std::string_view kDocumentedFlags[] = {
+    "batch-window", "capacity", "daemon", "data", "days", "failpoints",
+    "horizon", "last29", "load-models", "max-queue", "metrics-json", "out",
+    "port", "refresh-every", "replay-days", "save-models", "seed", "shards",
+    "socket", "strict", "threads", "tune", "tv", "vehicles", "weather",
+    "weekends", "window",
+};
+
+}  // namespace
+
 Result<CommonOptions> ParseCommonOptions(const ParsedArgs& args) {
+  for (const auto& flag : args.flags) {
+    if (std::ranges::find(kDocumentedFlags, flag.first) ==
+        std::end(kDocumentedFlags)) {
+      return Status::InvalidArgument("unknown flag --" + flag.first + "\n" +
+                                     UsageText());
+    }
+  }
   CommonOptions common;
   const auto threads = args.flags.find("threads");
   if (threads != args.flags.end()) {
@@ -171,7 +196,6 @@ Result<CommonOptions> ParseCommonOptions(const ParsedArgs& args) {
     }
     common.batch_window = parsed.ValueOrDie();
   }
-  common.warm_start = args.HasFlag("warm-start");
   return common;
 }
 
@@ -349,7 +373,6 @@ Result<core::SchedulerOptions> SchedulerOptionsFromArgs(
   options.window = static_cast<int>(window);
   options.num_threads = common.threads;
   options.strict = common.strict;
-  options.warm_start = common.warm_start;
   options.selection.tune = args.HasFlag("tune");
   options.selection.train_on_last29_only = true;
   options.selection.resampling_shifts = 2;
@@ -382,7 +405,7 @@ Result<core::FleetScheduler> MakeTrainedScheduler(const ParsedArgs& args,
   return scheduler;
 }
 
-/// The `serve --daemon` mode: warm-start every vehicle through the daemon's
+/// The `serve --daemon` mode: bulk-load every vehicle through the daemon's
 /// own write path, publish an initial snapshot, then serve the binary
 /// protocol on the requested endpoint until a client sends Shutdown.
 Status RunServeDaemon(const ParsedArgs& args, const CommonOptions& common,
@@ -406,7 +429,7 @@ Status RunServeDaemon(const ParsedArgs& args, const CommonOptions& common,
   serve::FleetDaemon daemon(options);
   NM_RETURN_NOT_OK(daemon.Start());
 
-  // Warm start through the daemon's own write path so sharding and
+  // Bulk-load through the daemon's own write path so sharding and
   // registration follow the exact rules remote clients see.
   for (const auto& [id, series] : load.vehicles) {
     serve::protocol::LoadHistoryRequest request;
@@ -424,7 +447,7 @@ Status RunServeDaemon(const ParsedArgs& args, const CommonOptions& common,
         daemon.Stop();
         return status;
       }
-      out << "warm-start degraded vehicle " << id << ": "
+      out << "history load degraded vehicle " << id << ": "
           << status.ToString() << "\n";
     }
   }
@@ -719,20 +742,20 @@ Status RunServe(const ParsedArgs& args, std::ostream& out) {
                       SchedulerOptionsFromArgs(args, common));
   serve::ServingEngine engine(options);
 
-  // Warm start: everything but the trailing replay window is bulk-loaded,
-  // then the last `replay_days` arrive one day at a time like a live feed.
+  // Everything but the trailing replay window is bulk-loaded, then the
+  // last `replay_days` arrive one day at a time like a live feed.
   const size_t replay = static_cast<size_t>(replay_days);
-  const auto warm_size = [replay](const data::DailySeries& series) {
+  const auto history_size = [replay](const data::DailySeries& series) {
     return series.size() > replay ? series.size() - replay : 0;
   };
   for (const auto& [id, series] : load.vehicles) {
     NM_RETURN_NOT_OK(engine.Register(id, series.start_date()));
-    const size_t warm = warm_size(series);
-    if (warm == 0) continue;
-    const Status loaded = engine.LoadHistory(id, series.Slice(0, warm));
+    const size_t history = history_size(series);
+    if (history == 0) continue;
+    const Status loaded = engine.LoadHistory(id, series.Slice(0, history));
     if (!loaded.ok()) {
       if (common.strict) return loaded.WithContext(id);
-      out << "warm-start degraded vehicle " << id << ": "
+      out << "history load degraded vehicle " << id << ": "
           << loaded.ToString() << "\n";
     }
   }
@@ -749,9 +772,8 @@ Status RunServe(const ParsedArgs& args, std::ostream& out) {
     }
     const serve::RefreshStats& s = stats.ValueOrDie();
     out << "refresh epoch " << s.epoch << ": " << s.refreshed
-        << " refreshed, " << s.reused << " reused";
-    if (s.warm_started > 0) out << ", " << s.warm_started << " warm";
-    out << (s.corpus_rebuilt ? ", corpus rebuilt" : "") << "\n";
+        << " refreshed, " << s.reused << " reused"
+        << (s.corpus_rebuilt ? ", corpus rebuilt" : "") << "\n";
     return Status::OK();
   };
 
@@ -760,7 +782,7 @@ Status RunServe(const ParsedArgs& args, std::ostream& out) {
   for (size_t step = 0; step < replay; ++step) {
     bool any_data_left = false;
     for (const auto& [id, series] : load.vehicles) {
-      const size_t idx = warm_size(series) + step;
+      const size_t idx = history_size(series) + step;
       if (idx >= series.size()) continue;
       any_data_left = true;
       const Date day = series.start_date().AddDays(static_cast<int64_t>(idx));
@@ -804,7 +826,7 @@ std::string UsageText() {
       "           [--threads N]\n"
       "  evaluate --data DIR [--tv S] [--window W] [--last29] [--tune]\n"
       "  serve    --data DIR [--tv S] [--window W] [--replay-days N]\n"
-      "           [--refresh-every N] [--threads N] [--warm-start]\n"
+      "           [--refresh-every N] [--threads N]\n"
       "  serve    --daemon --data DIR (--socket PATH | --port N)\n"
       "           [--shards N] [--max-queue N] [--batch-window N]\n"
       "           [--tv S] [--window W] [--threads N]\n"
@@ -815,10 +837,8 @@ std::string UsageText() {
       "(--save-models/--load-models) use the segmented mmap format: loads\n"
       "map the file and deserialize each model on first use.\n"
       "serve replays the trailing --replay-days of each vehicle through the\n"
-      "incremental engine: warm-start, then append day by day and refresh\n"
-      "only the dirty vehicles (docs/serving.md). --warm-start resumes\n"
-      "eligible ensemble models in place instead of retraining them from\n"
-      "scratch, within a measured divergence bound (docs/warm-start.md).\n"
+      "incremental engine: bulk-load the leading history, then append day\n"
+      "by day and refresh only the dirty vehicles (docs/serving.md).\n"
       "serve --daemon runs the long-lived sharded daemon instead: vehicles\n"
       "are sharded by stable hash across --shards serving engines and the\n"
       "versioned binary protocol is served on a unix socket or TCP\n"

@@ -31,17 +31,14 @@
 ///   evaluate --data DIR [--tv SECONDS] [--window W] [--last29]
 ///       Compare the five paper algorithms per vehicle (E_MRE / E_Global).
 ///   serve --data DIR [--tv SECONDS] [--window W] [--replay-days N]
-///         [--refresh-every N] [--warm-start]
+///         [--refresh-every N]
 ///       Replay the trailing days of each vehicle series through the
-///       incremental serving engine: warm-start on the leading history,
-///       then append day by day and refresh only the dirty vehicles,
-///       printing per-refresh stats and the final fleet snapshot
-///       (docs/serving.md). --warm-start resumes eligible ensemble models
-///       incrementally instead of retraining them from scratch
-///       (docs/warm-start.md).
+///       incremental serving engine: bulk-load the leading history, then
+///       append day by day and refresh only the dirty vehicles, printing
+///       per-refresh stats and the final fleet snapshot (docs/serving.md).
 ///   serve --daemon --data DIR (--socket PATH | --port N) [--shards N]
 ///         [--max-queue N] [--batch-window N] [--tv SECONDS] [--window W]
-///       Long-running sharded daemon: warm-start the fleet, publish an
+///       Long-running sharded daemon: bulk-load the fleet, publish an
 ///       initial snapshot, then serve the versioned length-prefixed binary
 ///       protocol (docs/serving.md) over a unix socket or TCP loopback
 ///       until a client sends Shutdown. Vehicles are sharded by stable
@@ -112,18 +109,16 @@ struct CommonOptions {
   /// --batch-window N: auto-refresh a shard every N applied appends
   /// (0 = only explicit Refresh requests).
   int64_t batch_window = 0;
-  /// --warm-start: refreshes resume eligible ensemble models in place
-  /// instead of retraining them cold (docs/warm-start.md).
-  bool warm_start = false;
 };
 
-/// Parses and validates the shared flags: --threads must be a non-negative
-/// integer, --metrics-json/--failpoints/--load-models must carry a value
-/// when present, and --failpoints requires a build with failpoints
-/// compiled in. Daemon flags go through the same single path: --shards and
-/// --max-queue must be >= 1, --batch-window >= 0, --port in 1..65535, and
-/// --socket/--port are mutually exclusive. InvalidArgument (with the usage
-/// text) otherwise.
+/// Parses and validates the shared flags. Any flag UsageText does not
+/// document is rejected, whichever command carries it. --threads must be
+/// a non-negative integer, --metrics-json/--failpoints/--load-models must
+/// carry a value when present, and --failpoints requires a build with
+/// failpoints compiled in. Daemon flags go through the same single path:
+/// --shards and --max-queue must be >= 1, --batch-window >= 0, --port in
+/// 1..65535, and --socket/--port are mutually exclusive. InvalidArgument
+/// (with the usage text) otherwise.
 [[nodiscard]] Result<CommonOptions> ParseCommonOptions(const ParsedArgs& args);
 
 /// Command entry points. `out` receives human-readable results.

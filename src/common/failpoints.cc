@@ -199,7 +199,6 @@ const std::vector<std::string>& RegisteredSites() {
       "serve.daemon.enqueue",
       "serve.daemon.refresh",
       "serve.refresh",
-      "serve.refresh.warm",
       "storage.checkpoint.commit",
       "storage.checkpoint.map",
       "storage.checkpoint.open",

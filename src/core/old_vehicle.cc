@@ -205,8 +205,6 @@ Result<VehicleEvaluation> VehicleSelection::Evaluate(
       // Tiny training sets cannot sustain 5 folds.
       search_options.folds = std::min<size_t>(
           5, std::max<size_t>(2, train_data->num_rows() / 10));
-      search_options.early_stopping_patience =
-          options_.grid_early_stopping_patience;
       if (train_data->num_rows() >= 2 * search_options.folds) {
         NM_ASSIGN_OR_RETURN(
             ml::GridSearchResult search,

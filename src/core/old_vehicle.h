@@ -37,10 +37,6 @@ struct OldVehicleOptions {
   bool tune = true;
   /// Grid density passed to ml::DefaultGridFor (0 coarse, 1 paper grid).
   int grid_budget = 0;
-  /// Early-stopping patience for the grid sweep
-  /// (GridSearchOptions::early_stopping_patience); 0 keeps the paper's
-  /// exhaustive search.
-  int grid_early_stopping_patience = 0;
   /// Evaluation restriction for E_MRE (paper default {1..29}).
   DaySet eval_days = DaySet::Last29();
   /// Scale features to [0, 1] (see DatasetOptions::normalize_features).

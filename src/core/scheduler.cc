@@ -643,39 +643,6 @@ Result<bool> FleetScheduler::HasTrainedModel(const std::string& id) const {
   return state->model != nullptr || state->pending_segment.valid();
 }
 
-Result<bool> FleetScheduler::WarmStartVehicle(const std::string& id,
-                                              int extra_rounds) {
-  auto it = vehicles_.find(id);
-  if (it == vehicles_.end()) {
-    return Status::NotFound("vehicle '" + id + "' is not registered");
-  }
-  VehicleState& state = it->second;
-  NM_RETURN_NOT_OK(MaterializeModel(id, state));
-  // Eligibility: only the per-vehicle ensemble models resume. Everything
-  // else (BL, LR/LSVR, the shared unified/similarity models, untrained
-  // vehicles) needs the cold path.
-  if (state.model == nullptr || state.usage.empty()) return false;
-  if (state.model_name != "RF" && state.model_name != "XGB") return false;
-  NM_ASSIGN_OR_RETURN(VehicleCategory category, CategoryOf(id));
-  if (category != VehicleCategory::kOld) return false;
-
-  // Rebuild the refit dataset over the full (grown) history — the exact
-  // dataset construction TrainOneVehicle's deployment refit uses, so a
-  // resume sees the cold retrain's data plus the appended rows.
-  const RefitRecipe recipe = RefitDatasetRecipe();
-  NM_ASSIGN_OR_RETURN(
-      ml::Dataset full_data,
-      BuildResampledDataset(state.usage, options_.maintenance_interval_s,
-                            recipe.dataset, recipe.resampling));
-
-  DropRefitKey(state);
-  telemetry::ScopedTimer timer("scheduler.warm_start.seconds");
-  NM_RETURN_NOT_OK(
-      state.model->ContinueFit(full_data, extra_rounds).WithContext(id));
-  telemetry::Count("scheduler.warm_start.count");
-  return true;
-}
-
 Result<MaintenanceForecast> FleetScheduler::Forecast(
     const std::string& id) const {
   NEXTMAINT_FAILPOINT("scheduler.forecast_vehicle");

@@ -118,16 +118,6 @@ struct SchedulerOptions {
   /// Propagated into `selection` and `cold_start` by the constructor. See
   /// docs/binned-training.md.
   ml::TreeCore tree_core = ml::TreeCore::kBinned;
-  /// Warm-start refresh: the serving engine's refresh pass resumes
-  /// eligible dirty vehicles' ensemble models (WarmStartVehicle) instead
-  /// of retraining them from scratch, trading an exact retrain for an
-  /// O(warm_start_rounds) resume within a measured forecast-divergence
-  /// bound (docs/warm-start.md). Ignored by the batch facade — TrainAll
-  /// always trains cold.
-  bool warm_start = false;
-  /// Extra ensemble units (boosting rounds for XGB, appended trees for RF)
-  /// per warm resume.
-  int warm_start_rounds = 10;
 };
 
 /// Positions of `forecasts` in published order: by predicted date, most
@@ -263,20 +253,6 @@ class FleetScheduler {
   /// would be included in FleetForecast. NotFound for unregistered ids.
   [[nodiscard]] Result<bool> HasTrainedModel(const std::string& id) const;
 
-  /// Warm-start resume of one vehicle's model: rebuilds the refit dataset
-  /// over the vehicle's full history (the exact dataset TrainOneVehicle's
-  /// refit uses — same window, normalization, Last29 filter and time-shift
-  /// re-sampling) and extends the fitted ensemble with
-  /// Regressor::ContinueFit for `extra_rounds` units. Returns true when
-  /// the model was resumed; false when the vehicle is not eligible (no
-  /// trained model, a non-ensemble model, or not an old vehicle) — the
-  /// caller should retrain cold instead. NotFound for unregistered ids;
-  /// resume errors propagate (the serving engine degrades them to a cold
-  /// retrain). Serial API: not safe against concurrent use of the same
-  /// vehicle's model.
-  [[nodiscard]] Result<bool> WarmStartVehicle(const std::string& id,
-                                              int extra_rounds);
-
   /// Predicts the next maintenance for one vehicle (requires TrainAll).
   /// NotFound for unregistered ids; FailedPrecondition when the vehicle has
   /// no trained model or too little data for the feature window.
@@ -333,7 +309,7 @@ class FleetScheduler {
   /// Restores models from a checkpoint at `path`. Thin wrapper over
   /// storage::CheckpointStore::Load for the segmented format: the file is
   /// mmapped, only the superblock + index are read eagerly, and each
-  /// vehicle's model deserializes on first touch (Forecast/WarmStart) from
+  /// vehicle's model deserializes on first touch (Forecast) from
   /// its CRC-guarded segment — corruption there surfaces as DataLoss from
   /// the touching call. Any other file, including a text checkpoint from
   /// before the segmented format, is DataLoss; regenerate it with
@@ -427,8 +403,8 @@ class FleetScheduler {
     std::unique_ptr<FitMemo> fit_memo;
   };
 
-  /// LoadCheckpoint, a warm resume and a quarantine replace or change the
-  /// model, which is then no longer the refit its key names.
+  /// LoadCheckpoint and a quarantine replace the model, which is then no
+  /// longer the refit its key names.
   static void DropRefitKey(VehicleState& state) {
     if (state.fit_memo != nullptr) state.fit_memo->refit_key.reset();
   }
@@ -440,8 +416,7 @@ class FleetScheduler {
 
   [[nodiscard]] Result<const VehicleState*> FindVehicle(const std::string& id) const;
 
-  /// How the deployment refit (and a warm resume) builds its dataset over
-  /// the full history.
+  /// How the deployment refit builds its dataset over the full history.
   struct RefitRecipe {
     DatasetOptions dataset;
     ResamplingOptions resampling;

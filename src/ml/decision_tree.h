@@ -74,9 +74,6 @@ class DecisionTreeRegressor final : public Regressor {
 
   /// Total node count of the fitted tree.
   size_t node_count() const { return nodes_.size(); }
-  /// Feature count of the training matrix (0 before Fit). The forest's
-  /// warm-start path validates appended data against this.
-  size_t num_features() const { return num_features_; }
   /// Number of leaves of the fitted tree.
   size_t leaf_count() const;
   /// Depth of the fitted tree (0 for a single-leaf tree).

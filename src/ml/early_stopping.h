@@ -4,12 +4,11 @@
 #include <limits>
 
 /// \file early_stopping.h
-/// Validation-metric plateau detection shared by the boosting loop
-/// (ml/hist_gradient_boosting.h) and the grid-search sweep
-/// (ml/model_selection.h), following the callback shape of LightGBM's
-/// early-stopping callback: one observation per round, stop once the best
-/// metric has not improved by more than `min_delta` for `patience`
-/// consecutive rounds. Lower metric is better.
+/// Validation-metric plateau detection for the boosting loop's tail
+/// holdout (ml/hist_gradient_boosting.h), following the callback shape of
+/// LightGBM's early-stopping callback: one observation per round, stop
+/// once the best metric has not improved by more than `min_delta` for
+/// `patience` consecutive rounds. Lower metric is better.
 
 namespace nextmaint {
 namespace ml {

@@ -55,14 +55,50 @@ size_t HistGradientBoostingRegressor::TrainRowCount(size_t total_rows) const {
              : total_rows;
 }
 
-Status HistGradientBoostingRegressor::BoostRounds(const Dataset& train,
-                                                  int rounds) {
+Status HistGradientBoostingRegressor::FitImpl(const Dataset& train) {
+  fitted_ = false;
+  trees_.clear();
+  train_loss_.clear();
+  valid_loss_.clear();
+  if (train.empty()) {
+    return Status::InvalidArgument("cannot fit XGB on an empty dataset");
+  }
+  if (!train.x().AllFinite()) {
+    return Status::InvalidArgument("XGB features contain non-finite values");
+  }
+  if (options_.num_iterations <= 0) {
+    return Status::InvalidArgument("XGB requires num_iterations > 0");
+  }
+  if (options_.learning_rate <= 0.0) {
+    return Status::InvalidArgument("XGB requires learning_rate > 0");
+  }
+  if (options_.max_bins < 2 || options_.max_bins > 65535) {
+    return Status::InvalidArgument("XGB requires 2 <= max_bins <= 65535");
+  }
+  if (options_.min_samples_leaf < 1) {
+    return Status::InvalidArgument("XGB requires min_samples_leaf >= 1");
+  }
+  if (options_.validation_fraction < 0.0 ||
+      options_.validation_fraction >= 1.0) {
+    return Status::InvalidArgument(
+        "XGB requires validation_fraction in [0, 1)");
+  }
+  if (options_.early_stopping_rounds < 1) {
+    return Status::InvalidArgument(
+        "XGB requires early_stopping_rounds >= 1");
+  }
+
+  num_features_ = train.num_features();
+
   const size_t total_rows = train.num_rows();
   const size_t n = TrainRowCount(total_rows);
   const size_t valid_rows = total_rows - n;
 
-  // A warm resume bins through the same cache, so repeated resumes on one
-  // grown matrix bin it once.
+  // Initial prediction: the target mean (squared-loss optimum).
+  base_score_ = 0.0;
+  for (double y : train.y()) base_score_ += y;
+  base_score_ /= static_cast<double>(n);
+
   const TreeBinning binning(train.x(), options_.max_bins, options_.core,
                             options_.binning_cache, options_.num_threads);
   GrowSpec spec;
@@ -75,39 +111,14 @@ Status HistGradientBoostingRegressor::BoostRounds(const Dataset& train,
   spec.min_gain = options_.min_gain;
   spec.num_threads = options_.num_threads;
 
-  // Seed the working predictions from the current ensemble: base score
-  // plus existing trees in boosting order, the exact accumulation order
-  // Predict uses, so a resume continues from bit-identical state.
   std::vector<double> predictions(n, base_score_);
   std::vector<double> valid_predictions(valid_rows, base_score_);
-  if (!trees_.empty()) {
-    NM_RETURN_NOT_OK(ParallelFor(
-        0, total_rows, kPredictGrain,
-        [&](size_t chunk_begin, size_t chunk_end) -> Status {
-          for (size_t i = chunk_begin; i < chunk_end; ++i) {
-            double score = 0.0;
-            for (const std::vector<GrowNode>& tree : trees_) {
-              score += LeafValue(tree, train.x().Row(i));
-            }
-            if (i < n) {
-              predictions[i] += score;
-            } else {
-              valid_predictions[i - n] += score;
-            }
-          }
-          return Status::OK();
-        },
-        options_.num_threads));
-  }
-
   std::vector<double> gradients(n);
   DataPartition partition;
-  // Each BoostRounds call gets a fresh patience window: a resume re-bases
-  // the plateau detection on the grown data's validation tail.
   EarlyStopping stopper(
       EarlyStopping::Options{options_.early_stopping_rounds, 1e-12});
 
-  for (int iter = 0; iter < rounds; ++iter) {
+  for (int iter = 0; iter < options_.num_iterations; ++iter) {
     double loss = 0.0;
     for (size_t i = 0; i < n; ++i) {
       gradients[i] = predictions[i] - train.y()[i];
@@ -150,88 +161,9 @@ Status HistGradientBoostingRegressor::BoostRounds(const Dataset& train,
     }
     trees_.push_back(std::move(tree));
   }
-  return Status::OK();
-}
-
-Status HistGradientBoostingRegressor::FitImpl(const Dataset& train) {
-  fitted_ = false;
-  trees_.clear();
-  train_loss_.clear();
-  valid_loss_.clear();
-  if (train.empty()) {
-    return Status::InvalidArgument("cannot fit XGB on an empty dataset");
-  }
-  if (!train.x().AllFinite()) {
-    return Status::InvalidArgument("XGB features contain non-finite values");
-  }
-  if (options_.num_iterations <= 0) {
-    return Status::InvalidArgument("XGB requires num_iterations > 0");
-  }
-  if (options_.learning_rate <= 0.0) {
-    return Status::InvalidArgument("XGB requires learning_rate > 0");
-  }
-  if (options_.max_bins < 2 || options_.max_bins > 65535) {
-    return Status::InvalidArgument("XGB requires 2 <= max_bins <= 65535");
-  }
-  if (options_.min_samples_leaf < 1) {
-    return Status::InvalidArgument("XGB requires min_samples_leaf >= 1");
-  }
-  if (options_.validation_fraction < 0.0 ||
-      options_.validation_fraction >= 1.0) {
-    return Status::InvalidArgument(
-        "XGB requires validation_fraction in [0, 1)");
-  }
-  if (options_.early_stopping_rounds < 1) {
-    return Status::InvalidArgument(
-        "XGB requires early_stopping_rounds >= 1");
-  }
-
-  num_features_ = train.num_features();
-
-  // Initial prediction: the target mean (squared-loss optimum).
-  const size_t n = TrainRowCount(train.num_rows());
-  base_score_ = 0.0;
-  for (double y : train.y()) base_score_ += y;
-  base_score_ /= static_cast<double>(n);
-
-  NM_RETURN_NOT_OK(BoostRounds(train, options_.num_iterations));
 
   fitted_ = true;
   telemetry::Count("ml.xgb.boosting_rounds", trees_.size());
-  return Status::OK();
-}
-
-Status HistGradientBoostingRegressor::ContinueFitImpl(const Dataset& train,
-                                                      int extra_rounds) {
-  if (train.empty()) {
-    return Status::InvalidArgument("cannot resume XGB on an empty dataset");
-  }
-  if (train.num_features() != num_features_) {
-    return Status::InvalidArgument(
-        "feature count mismatch: got " +
-        std::to_string(train.num_features()) + ", trained with " +
-        std::to_string(num_features_));
-  }
-  if (!train.x().AllFinite()) {
-    return Status::InvalidArgument("XGB features contain non-finite values");
-  }
-  if (extra_rounds == 0) return Status::OK();  // byte-identical no-op
-
-  // All-or-nothing: an error mid-resume must not leave a half-extended
-  // ensemble behind (the serving engine falls back to a cold retrain on
-  // failure, but the model object may outlive that decision).
-  const size_t trees_before = trees_.size();
-  const size_t train_loss_before = train_loss_.size();
-  const size_t valid_loss_before = valid_loss_.size();
-  const Status status = BoostRounds(train, extra_rounds);
-  if (!status.ok()) {
-    trees_.resize(trees_before);
-    train_loss_.resize(train_loss_before);
-    valid_loss_.resize(valid_loss_before);
-    return status;
-  }
-  telemetry::Count("ml.xgb.boosting_rounds_resumed",
-                   trees_.size() - trees_before);
   return Status::OK();
 }
 
@@ -260,10 +192,9 @@ Result<double> HistGradientBoostingRegressor::Predict(
 void HistGradientBoostingRegressor::SaveBody(ModelWriter& out) const {
   out.Line("base", base_score_);
   out.Line("features", num_features_);
-  // Resumable state: the hyper-parameters ContinueFit needs to extend the
-  // ensemble after a round trip (num_iterations stays out — the resume
-  // budget is the caller's extra_rounds). Readers predate this line, so
-  // LoadBody treats it as optional.
+  // The fitted hyper-parameters (num_iterations is the trees line). Part
+  // of the model format: LoadBody validates it and restores options(), and
+  // older files without it still load.
   out.Line("resume", options_.learning_rate, options_.max_depth,
            options_.min_samples_leaf, options_.max_bins, options_.l2,
            options_.min_gain, options_.validation_fraction,
@@ -287,8 +218,8 @@ HistGradientBoostingRegressor::LoadBody(ModelReader& in) {
   }
   std::string_view token = in.Token();
   if (token == "resume") {
-    // Optional resumable-state line (absent in pre-warm-start files, whose
-    // models load fine but resume with default hyper-parameters).
+    // Optional hyper-parameter line (absent in older files, whose models
+    // load with default options()).
     Options& o = model.options_;
     if (!in.Read(o.learning_rate, o.max_depth, o.min_samples_leaf,
                  o.max_bins, o.l2, o.min_gain, o.validation_fraction,

@@ -91,8 +91,7 @@ class HistGradientBoostingRegressor final : public Regressor {
   /// disk report all-zeros (gains are not persisted).
   std::vector<double> FeatureImportances() const;
   /// Training loss (MSE) after each boosting stage; useful for diagnosing
-  /// convergence and for the ablation benches. ContinueFit appends the
-  /// resumed stages (losses there are measured on the grown dataset).
+  /// convergence and for the ablation benches.
   const std::vector<double>& training_loss_curve() const {
     return train_loss_;
   }
@@ -105,29 +104,11 @@ class HistGradientBoostingRegressor final : public Regressor {
  protected:
   [[nodiscard]] Status FitImpl(const Dataset& train) override;
   void SaveBody(ModelWriter& out) const override;
-  /// Warm-start resume: keeps base score and fitted trees, seeds the
-  /// working predictions from the existing ensemble over `train` and
-  /// boosts for up to `extra_rounds` more stages (the early-stopping
-  /// holdout applies per resume, with a fresh patience window). Binning is
-  /// recomputed over the grown matrix through the same BinningCache path
-  /// FitImpl uses, so repeated resumes on one matrix bin once. The loss
-  /// curves grow by the resumed stages. All-or-nothing: on error the
-  /// ensemble is restored to its pre-call state. `extra_rounds == 0` is a
-  /// byte-identical no-op.
-  [[nodiscard]] Status ContinueFitImpl(const Dataset& train,
-                                       int extra_rounds) override;
 
  private:
   /// Rows used for tree fitting when the tail-holdout early stopping is
   /// configured (the remainder of `total_rows` is the validation tail).
   size_t TrainRowCount(size_t total_rows) const;
-
-  /// The shared boosting loop behind FitImpl and ContinueFitImpl: bins
-  /// `train`, seeds the per-row predictions from the current ensemble
-  /// (base score plus any existing trees, in boosting order) and appends
-  /// up to `rounds` trees, stopping early on a validation plateau when
-  /// configured. Appends to the loss curves.
-  [[nodiscard]] Status BoostRounds(const Dataset& train, int rounds);
 
   Options options_;
   double base_score_ = 0.0;

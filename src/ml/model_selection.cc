@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/macros.h"
-#include "ml/early_stopping.h"
 #include "ml/metrics.h"
 
 namespace nextmaint {
@@ -97,8 +96,6 @@ Result<GridSearchResult> GridSearchCV(const RegressorFactory& factory,
   GridSearchResult result;
   result.best_score = std::numeric_limits<double>::infinity();
 
-  EarlyStopping stopper(EarlyStopping::Options{
-      options.early_stopping_patience, options.early_stopping_min_delta});
   for (const ParamMap& params : grid.Expand()) {
     GridPointResult point;
     point.params = params;
@@ -123,14 +120,8 @@ Result<GridSearchResult> GridSearchCV(const RegressorFactory& factory,
       result.best_score = point.mean_score;
       result.best_params = point.params;
     }
-    const double mean_score = point.mean_score;
     result.all_points.push_back(std::move(point));
-    if (options.early_stopping_patience > 0 && stopper.Update(mean_score)) {
-      result.stopped_early = true;
-      break;
-    }
   }
-  result.points_evaluated = result.all_points.size();
   return result;
 }
 

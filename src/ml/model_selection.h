@@ -66,11 +66,6 @@ struct GridSearchResult {
   double best_score = 0.0;
   /// Every evaluated point, in grid order.
   std::vector<GridPointResult> all_points;
-  /// Grid points actually evaluated (== all_points.size(); less than the
-  /// full expansion when early stopping cut the sweep short).
-  size_t points_evaluated = 0;
-  /// True when the sweep stopped before exhausting the grid.
-  bool stopped_early = false;
 };
 
 /// Options controlling GridSearchCV.
@@ -80,16 +75,6 @@ struct GridSearchOptions {
   /// time-shift re-sampling already decorrelates records.
   bool shuffle = true;
   uint64_t seed = 1234;
-  /// Early stopping over the sweep: when > 0, the search visits the grid
-  /// in its deterministic expansion order and stops once the best mean
-  /// score has not improved by more than `early_stopping_min_delta` for
-  /// this many consecutive points (ml/early_stopping.h). 0 (the default)
-  /// runs the full exhaustive sweep. On a grid whose scores plateau the
-  /// truncated sweep selects the same winner as the full one — the
-  /// remaining points cannot beat the recorded best.
-  int early_stopping_patience = 0;
-  /// Improvement threshold for the sweep's plateau detection.
-  double early_stopping_min_delta = 1e-12;
 };
 
 /// Exhaustively evaluates `grid` with k-fold CV on `train`, scoring with

@@ -52,35 +52,7 @@ Status RandomForestRegressor::FitImpl(const Dataset& train) {
   if (!train.x().AllFinite()) {
     return Status::InvalidArgument("RF features contain non-finite values");
   }
-  NM_RETURN_NOT_OK(
-      GrowTrees(train, static_cast<size_t>(options_.num_estimators)));
-  telemetry::Count("ml.rf.trees_fitted", trees_.size());
-  return Status::OK();
-}
-
-Status RandomForestRegressor::ContinueFitImpl(const Dataset& train,
-                                              int extra_rounds) {
-  if (train.empty()) {
-    return Status::InvalidArgument("cannot resume RF on an empty dataset");
-  }
-  const size_t num_features = trees_.front().num_features();
-  if (train.num_features() != num_features) {
-    return Status::InvalidArgument(
-        "feature count mismatch: got " +
-        std::to_string(train.num_features()) + ", trained with " +
-        std::to_string(num_features));
-  }
-  if (!train.x().AllFinite()) {
-    return Status::InvalidArgument("RF features contain non-finite values");
-  }
-  if (extra_rounds == 0) return Status::OK();  // byte-identical no-op
-  const size_t extra = static_cast<size_t>(extra_rounds);
-  NM_RETURN_NOT_OK(GrowTrees(train, extra));
-  telemetry::Count("ml.rf.trees_resumed", extra);
-  return Status::OK();
-}
-
-Status RandomForestRegressor::GrowTrees(const Dataset& train, size_t count) {
+  const size_t count = static_cast<size_t>(options_.num_estimators);
   const size_t n = train.num_rows();
   int max_features = options_.max_features;
   if (max_features <= 0) {
@@ -90,14 +62,10 @@ Status RandomForestRegressor::GrowTrees(const Dataset& train, size_t count) {
     max_features = static_cast<int>(train.num_features());
   }
 
-  // Derive every new tree's bootstrap sample and seed up front, consuming
-  // the stream in tree order. The stream is keyed by the current forest
-  // size, so a save/load round trip (options_ via the 'resume' line,
-  // trees_ via the tree bodies) resumes identically; the per-tree work
-  // below is a pure function of (sample, seed), so models are
-  // bit-identical at any thread count.
-  const size_t trees_before = trees_.size();
-  Rng rng(options_.seed ^ (0x9e3779b97f4a7c15ULL * trees_before));
+  // Derive every tree's bootstrap sample and seed up front, consuming the
+  // stream in tree order; the per-tree work below is a pure function of
+  // (sample, seed), so models are bit-identical at any thread count.
+  Rng rng(options_.seed);
   const size_t bootstrap_size = std::max<size_t>(
       1, static_cast<size_t>(options_.bootstrap_fraction *
                              static_cast<double>(n)));
@@ -114,7 +82,7 @@ Status RandomForestRegressor::GrowTrees(const Dataset& train, size_t count) {
   // One binning over the full training matrix, shared by every tree.
   const TreeBinning binning(train.x(), options_.max_bins, options_.core,
                             options_.binning_cache, options_.num_threads);
-  trees_.resize(trees_before + count);
+  trees_.resize(count);
   const Status status = ParallelFor(
       0, count, /*grain=*/1,
       [&](size_t chunk_begin, size_t chunk_end) -> Status {
@@ -129,17 +97,20 @@ Status RandomForestRegressor::GrowTrees(const Dataset& train, size_t count) {
           tree_options.core = options_.core;
 
           DecisionTreeRegressor tree(tree_options);
-          NM_RETURN_NOT_OK(
-              tree.FitBinned(train, binning, samples[t])
-                  .WithContext("tree " + std::to_string(trees_before + t)));
-          trees_[trees_before + t] = std::move(tree);
+          NM_RETURN_NOT_OK(tree.FitBinned(train, binning, samples[t])
+                               .WithContext("tree " + std::to_string(t)));
+          trees_[t] = std::move(tree);
         }
         return Status::OK();
       },
       options_.num_threads);
-  // All-or-nothing: never leave half-fitted placeholder trees behind.
-  if (!status.ok()) trees_.resize(trees_before);
-  return status;
+  if (!status.ok()) {
+    // Never leave half-fitted placeholder trees behind.
+    trees_.clear();
+    return status;
+  }
+  telemetry::Count("ml.rf.trees_fitted", trees_.size());
+  return Status::OK();
 }
 
 std::vector<double> RandomForestRegressor::FeatureImportances() const {
@@ -193,10 +164,9 @@ Result<double> RandomForestRegressor::Predict(
 }
 
 void RandomForestRegressor::SaveBody(ModelWriter& out) const {
-  // Resumable state: the hyper-parameters and seed ContinueFit needs to
-  // extend the forest after a round trip (num_estimators stays out — the
-  // resume budget is the caller's extra_rounds). Readers predate this
-  // line, so LoadBody treats it as optional.
+  // The fitted hyper-parameters and seed (num_estimators is the trees
+  // line). Part of the model format: LoadBody validates it and restores
+  // options(), and older files without it still load.
   out.Line("resume", options_.max_depth, options_.min_samples_split,
            options_.min_samples_leaf, options_.max_features,
            options_.bootstrap_fraction, options_.seed, options_.max_bins);
@@ -214,8 +184,8 @@ Result<RandomForestRegressor> RandomForestRegressor::LoadBody(
   RandomForestRegressor model;
   std::string_view token = in.Token();
   if (token == "resume") {
-    // Optional resumable-state line (absent in pre-warm-start files, whose
-    // models load fine but resume with default hyper-parameters).
+    // Optional hyper-parameter line (absent in older files, whose models
+    // load with default options()).
     Options& o = model.options_;
     if (!in.Read(o.max_depth, o.min_samples_split, o.min_samples_leaf,
                  o.max_features, o.bootstrap_fraction, o.seed, o.max_bins)) {

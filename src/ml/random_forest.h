@@ -84,23 +84,8 @@ class RandomForestRegressor final : public Regressor {
  protected:
   [[nodiscard]] Status FitImpl(const Dataset& train) override;
   void SaveBody(ModelWriter& out) const override;
-  /// Warm-start resume: appends `extra_rounds` trees bootstrapped from the
-  /// grown training set — the Fit loop (GrowTrees) continued from the
-  /// current size, so the appended trees are a pure function of (options,
-  /// current size, data): a save/load round trip resumes identically to
-  /// the in-memory model, and any thread count yields bit-identical
-  /// forests. All-or-nothing on error; `extra_rounds == 0` is a
-  /// byte-identical no-op.
-  [[nodiscard]] Status ContinueFitImpl(const Dataset& train,
-                                       int extra_rounds) override;
 
  private:
-  /// The one tree-growing loop behind FitImpl and ContinueFitImpl: appends
-  /// `count` trees whose bootstrap samples and seeds come from
-  /// Rng(seed ^ golden_ratio * tree_count()), i.e. Rng(seed) for a fresh
-  /// fit. On error the forest shrinks back to its size before the call.
-  [[nodiscard]] Status GrowTrees(const Dataset& train, size_t count);
-
   Options options_;
   std::vector<DecisionTreeRegressor> trees_;
 };

@@ -23,32 +23,6 @@ Status Regressor::Fit(const Dataset& train) {
   return status;
 }
 
-Status Regressor::ContinueFit(const Dataset& train, int extra_rounds) {
-  if (!is_fitted()) {
-    return Status::FailedPrecondition(
-        "ContinueFit requires a fitted model; call Fit first");
-  }
-  if (extra_rounds < 0) {
-    return Status::InvalidArgument(
-        "ContinueFit requires extra_rounds >= 0, got " +
-        std::to_string(extra_rounds));
-  }
-  if (!telemetry::Enabled()) return ContinueFitImpl(train, extra_rounds);
-  telemetry::ScopedTimer timer("ml.continue_fit.seconds." + name());
-  const Status status = ContinueFitImpl(train, extra_rounds);
-  if (status.ok()) {
-    telemetry::Count("ml.continue_fit.count." + name());
-    telemetry::Count("ml.continue_fit.rows." + name(), train.num_rows());
-  }
-  return status;
-}
-
-Status Regressor::ContinueFitImpl(const Dataset& /*train*/,
-                                  int /*extra_rounds*/) {
-  return Status::InvalidArgument(name() +
-                                 " does not support warm-start training");
-}
-
 Status Regressor::Save(ModelWriter& out) const {
   if (!is_fitted()) {
     return Status::FailedPrecondition("cannot save an unfitted " + name() +

@@ -46,19 +46,6 @@ class Regressor {
   /// data, NumericError when optimization fails.
   [[nodiscard]] Status Fit(const Dataset& train);
 
-  /// Resumes training of an already-fitted model on `train` (the full,
-  /// typically grown, training set) for `extra_rounds` additional units —
-  /// boosting rounds for XGB, appended trees for RF. The existing ensemble
-  /// is kept and extended, so a warm resume costs O(extra_rounds) model
-  /// fits instead of a from-scratch retrain. Deterministic at any thread
-  /// count, and `extra_rounds == 0` is a byte-identical no-op (the
-  /// serialized model before and after the call is the same byte string).
-  /// FailedPrecondition before a successful Fit; InvalidArgument for a
-  /// negative `extra_rounds`, data that does not match the fitted feature
-  /// count, or a model without warm-start support (LR, LSVR, single
-  /// trees, BL — only the ensemble models resume).
-  [[nodiscard]] Status ContinueFit(const Dataset& train, int extra_rounds);
-
   /// Predicts the target for one feature row. The length must equal the
   /// training feature count.
   virtual Result<double> Predict(std::span<const double> features) const = 0;
@@ -93,11 +80,6 @@ class Regressor {
 
   /// Model-specific training; called by Fit.
   virtual Status FitImpl(const Dataset& train) = 0;
-
-  /// Model-specific warm-start resume; called by ContinueFit after the
-  /// fitted/extra_rounds >= 0 checks. The default refuses with
-  /// InvalidArgument — only the ensemble models override it.
-  virtual Status ContinueFitImpl(const Dataset& train, int extra_rounds);
 };
 
 /// Factory signature used by grid search: builds a fresh model for a

@@ -93,8 +93,9 @@ struct AppendRequest {
   double seconds = 0.0;
 };
 
-/// Bulk-load (or replace) a vehicle's gap-free history — the warm-start
-/// path. Unknown vehicles are auto-registered with `start_day`.
+/// Bulk-load (or replace) a vehicle's gap-free history, as a client does
+/// before streaming day-by-day appends. Unknown vehicles are
+/// auto-registered with `start_day`.
 struct LoadHistoryRequest {
   std::string vehicle_id;
   Date start_day;

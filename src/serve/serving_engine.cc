@@ -4,34 +4,14 @@
 #include <utility>
 
 #include "common/failpoints.h"
-#include "common/logging.h"
 #include "common/macros.h"
 #include "common/telemetry.h"
 
 namespace nextmaint {
 namespace serve {
 
-namespace {
-
-/// Warm-start eligibility of `id`, worked out from the snapshot of the last
-/// refresh: that refresh left it a clean forecast from a per-vehicle
-/// ensemble model (shared cold-start models report decorated names like
-/// "XGB_Uni"). A history replaced since then dropped the model, so
-/// FleetScheduler::WarmStartVehicle declines it.
-bool WarmEligible(const FleetSnapshot& snapshot, const std::string& id) {
-  const FleetSnapshot::Row* row = snapshot.Find(id);
-  if (row == nullptr || row->forecast == FleetSnapshot::kNone ||
-      row->train_degradation || row->forecast_degradation) {
-    return false;
-  }
-  const std::string& model = snapshot.forecasts[row->forecast].model_name;
-  return model == "RF" || model == "XGB";
-}
-
-}  // namespace
-
 ServingEngine::ServingEngine(core::SchedulerOptions options)
-    : options_(options), scheduler_(std::move(options)) {
+    : scheduler_(std::move(options)) {
   snapshot_ = std::make_shared<FleetSnapshot>();
 }
 
@@ -73,7 +53,7 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
   // first cycle closed or whose history was replaced. When the corpus
   // changed the scheduler dirties every cold-start consumer: semi-new
   // vehicles train Model_Sim against the corpus, new vehicles serve
-  // Model_Uni, which phase 3's fan-out refits. Old vehicles stay clean.
+  // Model_Uni, which phase 2's fan-out refits. Old vehicles stay clean.
   RefreshStats stats;
   const std::shared_ptr<const FleetSnapshot> previous = Published();
   NM_ASSIGN_OR_RETURN(const bool corpus_changed, scheduler_.RefreshCorpus());
@@ -83,43 +63,12 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
   }
   const std::vector<std::string> dirty_ids = scheduler_.DirtyVehicleIds();
 
-  // Phase 2 (serial, opt-in): warm-start pass. Each dirty vehicle whose
-  // model is resumable gets a WarmStartVehicle resume instead of a cold
-  // retrain; everyone else is left to phase 3. The failpoint fires once per
-  // dirty vehicle (before the eligibility check, so nth-selection is stable
-  // regardless of model winners); any warm failure — injected or real —
-  // degrades to the cold retrain, even in strict mode: the cold path IS the
-  // exact behavior, so escalating an optimization failure into a fleet
-  // abort would serve no one.
-  //
-  // Phase 3: retrain the dirty vehicles that were not warm-resumed against
-  // the scheduler's corpus (TrainVehicles fans out over the thread pool and
-  // quarantines failures behind BL fallbacks, the same code path TrainAll
-  // runs). After a corpus change the same fan-out also refits Model_Uni,
-  // even when no vehicle is left to retrain.
-  std::vector<std::string> cold_ids;
-  for (size_t v = 0; v < dirty_ids.size(); ++v) {
-    const std::string& id = dirty_ids[v];
-    if (options_.warm_start) {
-      failpoints::ScopedOrdinal ordinal(static_cast<uint64_t>(v) + 1);
-      const Result<bool> warmed = [&]() -> Result<bool> {
-        NEXTMAINT_FAILPOINT("serve.refresh.warm");
-        // WarmStartVehicle itself declines vehicles that are not old.
-        if (!WarmEligible(*previous, id)) return false;
-        return scheduler_.WarmStartVehicle(id, options_.warm_start_rounds);
-      }();
-      if (!warmed.ok()) {
-        NM_LOG(Warning) << id << ": warm-start degraded to cold retrain ("
-                        << warmed.status().ToString() << ")";
-        telemetry::Count("serve.refresh.warm_fallbacks");
-      } else if (warmed.ValueOrDie()) {
-        ++stats.warm_started;
-        continue;
-      }
-    }
-    cold_ids.push_back(id);
-  }
-  NM_RETURN_NOT_OK(scheduler_.TrainVehicles(cold_ids));
+  // Phase 2: retrain every dirty vehicle against the scheduler's corpus
+  // (TrainVehicles fans out over the thread pool, reuses each fit the memo
+  // proves unchanged and quarantines failures behind BL fallbacks, the same
+  // code path TrainAll runs). After a corpus change the same fan-out also
+  // refits Model_Uni, even when no vehicle is dirty.
+  NM_RETURN_NOT_OK(scheduler_.TrainVehicles(dirty_ids));
   // This call's train entries, in id order.
   std::vector<core::VehicleDegradation> train_degradations;
   for (core::VehicleDegradation& d :
@@ -127,7 +76,7 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
     if (d.stage == "train") train_degradations.push_back(std::move(d));
   }
 
-  // Phase 4: re-forecast the dirty vehicles through FleetForecast's own
+  // Phase 3: re-forecast the dirty vehicles through FleetForecast's own
   // fan-out (unmodeled vehicles are skipped, failures quarantine behind the
   // BL fallback, strict aborts).
   std::vector<core::ForecastOutcome> outcomes;
@@ -143,7 +92,7 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
   }
   NM_RETURN_NOT_OK(forecasted);
 
-  // Phase 5 (serial): commit. One merge walk over the registered ids builds
+  // Phase 4 (serial): commit. One merge walk over the registered ids builds
   // the next snapshot: dirty vehicles take this refresh's outcomes, clean
   // ones copy their row from the previous snapshot (a vehicle only turns
   // clean at a commit, so the previous snapshot holds every clean one).
@@ -216,7 +165,6 @@ Result<RefreshStats> ServingEngine::RefreshForecasts() {
   telemetry::Count("serve.refresh.count");
   telemetry::Count("serve.refresh.vehicles_refreshed", stats.refreshed);
   telemetry::Count("serve.refresh.vehicles_reused", stats.reused);
-  telemetry::Count("serve.refresh.warm_refreshes", stats.warm_started);
   telemetry::SetGauge("serve.epoch", static_cast<double>(stats.epoch));
   telemetry::SetGauge("serve.dirty_vehicles", 0.0);
   return stats;

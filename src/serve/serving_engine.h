@@ -43,16 +43,6 @@
 /// every cold-start consumer itself.
 /// See docs/serving.md for the full argument.
 ///
-/// The one opt-in exception: SchedulerOptions::warm_start resumes eligible
-/// dirty vehicles' ensemble models with FleetScheduler::WarmStartVehicle
-/// instead of retraining them cold. A warm-refreshed fleet is still
-/// deterministic at any thread count, but its forecasts are no longer
-/// bit-identical to the batch run — they track it within a measured
-/// divergence bound (docs/warm-start.md), enforced by the test
-/// ServingEngineWarmStartTest.ReferenceFleetStaysWithinDivergenceBound. A
-/// warm resume that fails degrades to the cold retrain, never to a dropped
-/// vehicle.
-///
 /// Threading contract: one writer (Register/Append/LoadHistory/
 /// RefreshForecasts must be externally serialized), any number of
 /// concurrent Snapshot() readers. Snapshots are immutable and published
@@ -131,9 +121,6 @@ struct RefreshStats {
   /// replaced history had or has one): every cold-start vehicle was then
   /// retrained and Model_Uni refitted.
   bool corpus_rebuilt = false;
-  /// Vehicles refreshed by a warm-start resume instead of a cold retrain
-  /// (subset of `refreshed`; always 0 without SchedulerOptions::warm_start).
-  size_t warm_started = 0;
 };
 
 /// Incremental serving engine over a FleetScheduler.
@@ -154,8 +141,9 @@ class ServingEngine {
   /// untouched and the vehicle's dirtiness is unchanged.
   [[nodiscard]] Status Append(const std::string& id, Date day, double seconds);
 
-  /// Bulk-loads a gap-free history, replacing any prior data (the
-  /// warm-start path). O(series); marks the vehicle dirty.
+  /// Bulk-loads a gap-free history, replacing any prior data (how a
+  /// vehicle's leading history is loaded before day-by-day appends).
+  /// O(series); marks the vehicle dirty.
   [[nodiscard]] Status LoadHistory(const std::string& id,
                                    const data::DailySeries& series);
 
@@ -227,7 +215,6 @@ class ServingEngine {
   std::shared_ptr<const FleetSnapshot> Published() const
       EXCLUDES(snapshot_mu_);
 
-  core::SchedulerOptions options_;
   core::FleetScheduler scheduler_;
   /// The only lock in the engine: everything else follows the single-writer
   /// contract (see the file comment) and is touched by the writer alone.

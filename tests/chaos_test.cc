@@ -104,15 +104,13 @@ class ChaosSweepTest : public testing::Test {
   }
 
   /// One incremental serve replay over the same fleet, for the serve.*
-  /// failpoint sites the batch pipeline never reaches. Runs with
-  /// --warm-start so the serve.refresh.warm site (which fires once per
-  /// dirty vehicle, before the eligibility check) is reachable; an armed
-  /// warm failure must degrade to the cold retrain, never drop a vehicle.
+  /// failpoint sites the batch pipeline never reaches (serve.append and
+  /// serve.refresh).
   Status RunServePipeline(int threads, std::ostringstream* out) const {
     return cli::RunCommand(
         {"serve", "--data", Dir(), "--tv", "500000", "--window", "3",
-         "--replay-days", "20", "--refresh-every", "5", "--warm-start",
-         "--threads", std::to_string(threads)},
+         "--replay-days", "20", "--refresh-every", "5", "--threads",
+         std::to_string(threads)},
         *out);
   }
 

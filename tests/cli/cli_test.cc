@@ -4,9 +4,11 @@
 
 #include <unistd.h>
 
+#include <cctype>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -77,19 +79,56 @@ TEST(ParseCommonOptionsTest, DefaultsAndHappyPath) {
   EXPECT_TRUE(defaults.metrics_json.empty());
   EXPECT_TRUE(defaults.failpoints.empty());
   EXPECT_TRUE(defaults.load_models.empty());
-  EXPECT_FALSE(defaults.warm_start);
 
   const CommonOptions parsed =
       ParseCommonOptions(ParseArgs({"forecast", "--threads", "4", "--strict",
                                     "--metrics-json", "m.json",
-                                    "--load-models", "ckpt.txt",
-                                    "--warm-start"}))
+                                    "--load-models", "ckpt.txt"}))
           .ValueOrDie();
   EXPECT_EQ(parsed.threads, 4);
   EXPECT_TRUE(parsed.strict);
   EXPECT_EQ(parsed.metrics_json, "m.json");
   EXPECT_EQ(parsed.load_models, "ckpt.txt");
-  EXPECT_TRUE(parsed.warm_start);
+}
+
+TEST(ParseCommonOptionsTest, AcceptsExactlyTheDocumentedFlags) {
+  // Undocumented flags are errors, not silent defaults: a removed flag
+  // and a typo both fail before any work starts.
+  for (const auto& bad : std::vector<std::vector<std::string>>{
+           {"serve", "--data", "fleet", "--warm-start"},
+           {"forecast", "--data", "fleet", "--tunee"}}) {
+    const auto result = ParseCommonOptions(ParseArgs(bad));
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << bad.back();
+    EXPECT_NE(result.status().message().find("unknown flag " + bad.back()),
+              std::string::npos)
+        << result.status();
+    EXPECT_NE(result.status().message().find("usage"), std::string::npos);
+    std::ostringstream out;
+    EXPECT_EQ(RunCommand(bad, out).code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(out.str().empty()) << out.str();
+  }
+
+  // Every flag the usage text names parses; "1" is a valid value for each.
+  const std::string usage = UsageText();
+  std::set<std::string> documented;
+  for (size_t at = usage.find("--"); at != std::string::npos;
+       at = usage.find("--", at + 2)) {
+    size_t end = at + 2;
+    while (end < usage.size() &&
+           (std::islower(static_cast<unsigned char>(usage[end])) ||
+            std::isdigit(static_cast<unsigned char>(usage[end])) ||
+            usage[end] == '-')) {
+      ++end;
+    }
+    documented.insert(usage.substr(at, end - at));
+  }
+  EXPECT_GE(documented.size(), 20u);
+  for (const std::string& flag : documented) {
+    if (flag == "--failpoints" && !failpoints::CompiledIn()) continue;
+    const auto result = ParseCommonOptions(ParseArgs({"serve", flag, "1"}));
+    EXPECT_TRUE(result.ok()) << flag << ": " << result.status();
+  }
 }
 
 TEST(ParseCommonOptionsTest, RejectsMalformedValues) {
@@ -452,27 +491,6 @@ TEST_F(CliPipelineTest, ServeReplayMatchesBatchForecast) {
       << text << "\n---\n" << batch_out.str();
 }
 
-TEST_F(CliPipelineTest, ServeWarmStartReplayRuns) {
-  std::ostringstream out;
-  ASSERT_TRUE(RunCommand({"simulate", "--out", Dir(), "--vehicles", "3",
-                          "--days", "600", "--tv", "500000"},
-                         out)
-                  .ok());
-  std::ostringstream serve_out;
-  ASSERT_TRUE(RunCommand({"serve", "--data", Dir(), "--tv", "500000",
-                          "--window", "3", "--replay-days", "7",
-                          "--refresh-every", "2", "--warm-start"},
-                         serve_out)
-                  .ok());
-  const std::string text = serve_out.str();
-  // The warm replay still narrates its refreshes and ends on the snapshot;
-  // resumed refreshes are narrated as "N warm".
-  EXPECT_NE(text.find("refresh epoch 1:"), std::string::npos) << text;
-  EXPECT_NE(text.find("fleet snapshot at epoch"), std::string::npos);
-  EXPECT_NE(text.find(" warm"), std::string::npos)
-      << "no refresh reported a warm-start resume\n" << text;
-}
-
 TEST_F(CliPipelineTest, ServeValidatesFlags) {
   std::ostringstream out;
   ASSERT_TRUE(RunCommand({"simulate", "--out", Dir(), "--vehicles", "1",
@@ -588,8 +606,8 @@ TEST_F(CliPipelineTest, ServeDaemonEndToEndOverUnixSocket) {
         daemon_out);
   });
 
-  // The daemon trains the warm-start fleet before binding; poll until the
-  // socket accepts.
+  // The daemon bulk-loads and trains the fleet before binding; poll until
+  // the socket accepts.
   serve::DaemonClient client;
   Status connected;
   for (int attempt = 0; attempt < 600; ++attempt) {
@@ -599,7 +617,7 @@ TEST_F(CliPipelineTest, ServeDaemonEndToEndOverUnixSocket) {
   }
   ASSERT_TRUE(connected.ok()) << connected;
 
-  // The warm-started fleet is already readable.
+  // The bulk-loaded fleet is already readable.
   const auto warm = client.GetForecasts({"v1", "v2", "v3"});
   ASSERT_TRUE(warm.ok()) << warm.status();
   ASSERT_EQ(warm.ValueOrDie().entries.size(), 3u);

@@ -1214,24 +1214,6 @@ TEST(FleetSchedulerTest, FitMemoDropsTheRefitKeyOnLoadCheckpoint) {
                     FreshBatchOutputs(options, histories));
 }
 
-/// A warm resume extends the deployed model in place, so it is no longer
-/// the refit its key names: the next cold retrain must refit it.
-TEST(FleetSchedulerTest, FitMemoDropsTheRefitKeyOnWarmResume) {
-  SchedulerOptions options = FastOptions();
-  options.algorithms = {"RF"};
-  Histories histories = {{"v1", SimulatedVehicle(41, 600)}};
-  FleetScheduler scheduler(options);
-  Populate(scheduler, histories);
-  ASSERT_TRUE(scheduler.TrainAll().ok());
-  AppendNight(scheduler, histories, 1000.0);
-  ASSERT_TRUE(scheduler.WarmStartVehicle("v1", 5).ValueOrDie());
-  AppendNight(scheduler, histories, 1000.0);
-  ASSERT_TRUE(scheduler.TrainAll().ok());
-  const TrainedOutputs batch = FreshBatchOutputs(options, histories);
-  ASSERT_EQ(CountModels(batch, "RF"), 1u);
-  ExpectSameMemoOutputs(OutputsOf(scheduler, "memo"), batch);
-}
-
 }  // namespace
 }  // namespace core
 }  // namespace nextmaint

@@ -185,6 +185,78 @@ TEST(SerializationTest, CorruptTreeIndicesRejected) {
   ExpectNodeListRejected("nodes 1\n5 6 0 0.5 1.0\n");
 }
 
+/// The ensemble formats' optional hyper-parameter line: a one-feature,
+/// one-leaf model with `values` after its "resume" token, plus a sound
+/// value list and out-of-range lists, each breaking one check.
+struct ResumeLineFormat {
+  std::string name;
+  std::string before;
+  std::string after;
+  std::string sound;
+  std::vector<std::string> out_of_range;
+
+  std::string Model(const std::string& values) const {
+    return before + "resume " + values + "\n" + after;
+  }
+};
+
+std::vector<ResumeLineFormat> ResumeLineFormats() {
+  // RF: max_depth min_samples_split min_samples_leaf max_features
+  // bootstrap_fraction seed max_bins.
+  ResumeLineFormat rf{"RF",
+                      "nextmaint-model v1 RF\n",
+                      "trees 1\nnextmaint-model v1 Tree\nfeatures 1\n"
+                      "nodes 1\n-1 -1 -1 0 1.0\nend\nend\n",
+                      "-1 2 1 0 1 42 256",
+                      {"-1 0 1 0 1 42 256", "-1 2 0 0 1 42 256",
+                       "-1 2 1 0 0 42 256", "-1 2 1 0 1.5 42 256",
+                       "-1 2 1 0 1 42 1", "-1 2 1 0 1 42 65536"}};
+  // XGB: learning_rate max_depth min_samples_leaf max_bins l2 min_gain
+  // validation_fraction early_stopping_rounds.
+  ResumeLineFormat xgb{"XGB",
+                       "nextmaint-model v1 XGB\nbase 0\nfeatures 1\n",
+                       "trees 1\nnodes 1\n-1 -1 -1 0 1.0\nend\n",
+                       "0.1 6 20 256 0 1e-12 0 10",
+                       {"0 6 20 256 0 1e-12 0 10", "0.1 6 0 256 0 1e-12 0 10",
+                        "0.1 6 20 1 0 1e-12 0 10",
+                        "0.1 6 20 65536 0 1e-12 0 10",
+                        "0.1 6 20 256 0 1e-12 -0.1 10",
+                        "0.1 6 20 256 0 1e-12 1 10",
+                        "0.1 6 20 256 0 1e-12 0 0"}};
+  return {rf, xgb};
+}
+
+/// Loads `text` and expects DataError naming `what`.
+void ExpectResumeRejected(const std::string& text, const std::string& what) {
+  std::istringstream in(text);
+  const Status status = LoadRegressor(in).status();
+  EXPECT_EQ(status.code(), StatusCode::kDataError) << text;
+  EXPECT_NE(status.message().find(what), std::string::npos) << status;
+}
+
+TEST(SerializationTest, TruncatedResumeLineRejected) {
+  for (const ResumeLineFormat& format : ResumeLineFormats()) {
+    SCOPED_TRACE(format.name);
+    std::istringstream sound(format.Model(format.sound));
+    ASSERT_TRUE(LoadRegressor(sound).ok());
+    // Too few values: the reader runs into the "trees" token.
+    const std::string values = format.sound;
+    ExpectResumeRejected(format.Model(values.substr(0, values.rfind(' '))),
+                         "truncated 'resume' line");
+    ExpectResumeRejected(format.Model(""), "truncated 'resume' line");
+  }
+}
+
+TEST(SerializationTest, ResumeValuesOutOfRangeRejected) {
+  for (const ResumeLineFormat& format : ResumeLineFormats()) {
+    SCOPED_TRACE(format.name);
+    for (const std::string& values : format.out_of_range) {
+      ExpectResumeRejected(format.Model(values),
+                           "'resume' values out of range");
+    }
+  }
+}
+
 TEST(SerializationTest, BaselineRoundTripViaLoadAnyModel) {
   core::BaselinePredictor model(12'345.0, 1.0 / 2'000'000.0);
   std::stringstream buffer;

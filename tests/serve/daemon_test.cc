@@ -70,7 +70,7 @@ data::DailySeries SimulatedVehicle(uint64_t seed, int days) {
       .utilization;
 }
 
-/// One vehicle of the equality fleets: full series + warm-start cut.
+/// One vehicle of the equality fleets: full series + bulk-load cut.
 struct VehicleSpec {
   std::string id;
   data::DailySeries series;
@@ -118,7 +118,7 @@ core::FleetScheduler BatchScheduler(
   return scheduler;
 }
 
-/// Drives the whole fleet event stream through the daemon: warm-start
+/// Drives the whole fleet event stream through the daemon: a bulk
 /// LoadHistory per vehicle, then the remaining days as pipelined appends,
 /// then one Refresh barrier. Returns how many days each vehicle saw.
 std::map<std::string, size_t> DriveFleet(FleetDaemon* daemon,

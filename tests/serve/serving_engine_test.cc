@@ -91,7 +91,7 @@ void ExpectForecastsIdentical(
 }
 
 /// One vehicle of the property fleet: a full series plus how much of it the
-/// engine warm-starts on before the day-by-day replay.
+/// engine bulk-loads before the day-by-day replay.
 struct VehicleSpec {
   std::string id;
   data::DailySeries series;
@@ -667,219 +667,6 @@ TEST(ServingEngineTest, GetForecastsBatchReadsFromOneSnapshot) {
   EXPECT_EQ(results[1].status().code(), StatusCode::kNotFound);
   EXPECT_EQ(results[2].status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(results[3].status().code(), StatusCode::kNotFound);
-}
-
-// ---------------------------------------------------------------------------
-// Warm-start refreshes (docs/warm-start.md)
-
-/// Options that make every old vehicle warm-capable: the selection can only
-/// pick RF, and cold starts use the XGB unified model.
-core::SchedulerOptions WarmOptions(int num_threads = 1) {
-  core::SchedulerOptions options = FastOptions(num_threads);
-  options.algorithms = {"RF"};
-  options.unified_algorithm = "XGB";
-  options.cold_start.model_params = {{"num_estimators", 6},
-                                     {"num_iterations", 8},
-                                     {"max_depth", 4},
-                                     {"max_bins", 64},
-                                     {"min_samples_leaf", 2}};
-  options.warm_start = true;
-  options.warm_start_rounds = 4;
-  return options;
-}
-
-TEST(ServingEngineWarmStartTest, AppendOnlyRefreshResumesEligibleVehicles) {
-  ServingEngine engine(WarmOptions());
-  const data::DailySeries series = SimulatedVehicle(301, 600);
-  ASSERT_TRUE(engine.Register("v1", series.start_date()).ok());
-  ASSERT_TRUE(engine.LoadHistory("v1", series.Slice(0, 590)).ok());
-  // First refresh is necessarily cold: no cached model existed before it.
-  const RefreshStats first = engine.RefreshForecasts().ValueOrDie();
-  EXPECT_EQ(first.warm_started, 0u);
-  ASSERT_EQ(engine.Snapshot()->forecasts.size(), 1u);
-  ASSERT_EQ(engine.Snapshot()->forecasts[0].model_name, "RF");
-  // The resumed ensemble is observable through the checkpoint bytes
-  // growing; tree-count introspection is not part of the serve API.
-  const size_t checkpoint_before =
-      CheckpointBytes(engine.scheduler(), "warm_before.txt").size();
-
-  // Append-only growth: the cached RF is eligible and must be resumed, not
-  // retrained.
-  for (int day = 590; day < 594; ++day) {
-    ASSERT_TRUE(engine
-                    .Append("v1", series.start_date().AddDays(day),
-                            series[static_cast<size_t>(day)])
-                    .ok());
-  }
-  const RefreshStats warm = engine.RefreshForecasts().ValueOrDie();
-  EXPECT_EQ(warm.refreshed, 1u);
-  EXPECT_EQ(warm.warm_started, 1u);
-  // The vehicle keeps a live forecast and its resumed model grew.
-  ASSERT_EQ(engine.Snapshot()->forecasts.size(), 1u);
-  EXPECT_EQ(engine.Snapshot()->forecasts[0].model_name, "RF");
-  EXPECT_GT(CheckpointBytes(engine.scheduler(), "warm_after.txt").size(),
-            checkpoint_before);
-}
-
-TEST(ServingEngineWarmStartTest, LoadHistoryClearsWarmEligibility) {
-  ServingEngine engine(WarmOptions());
-  const data::DailySeries series = SimulatedVehicle(302, 600);
-  ASSERT_TRUE(engine.Register("v1", series.start_date()).ok());
-  ASSERT_TRUE(engine.LoadHistory("v1", series.Slice(0, 590)).ok());
-  ASSERT_TRUE(engine.RefreshForecasts().ok());
-  // A series replacement may rewrite history, so the cached model can no
-  // longer be resumed: the next refresh must fall back to a cold retrain.
-  ASSERT_TRUE(engine.LoadHistory("v1", series.Slice(0, 595)).ok());
-  const RefreshStats stats = engine.RefreshForecasts().ValueOrDie();
-  EXPECT_EQ(stats.refreshed, 1u);
-  EXPECT_EQ(stats.warm_started, 0u);
-  EXPECT_EQ(engine.Snapshot()->forecasts.size(), 1u);
-}
-
-TEST(ServingEngineWarmStartTest, DisabledFlagNeverWarmStarts) {
-  core::SchedulerOptions options = WarmOptions();
-  options.warm_start = false;
-  ServingEngine engine(options);
-  const data::DailySeries series = SimulatedVehicle(303, 600);
-  ASSERT_TRUE(engine.Register("v1", series.start_date()).ok());
-  ASSERT_TRUE(engine.LoadHistory("v1", series.Slice(0, 595)).ok());
-  ASSERT_TRUE(engine.RefreshForecasts().ok());
-  ASSERT_TRUE(
-      engine.Append("v1", series.start_date().AddDays(595), series[595]).ok());
-  const RefreshStats stats = engine.RefreshForecasts().ValueOrDie();
-  EXPECT_EQ(stats.refreshed, 1u);
-  EXPECT_EQ(stats.warm_started, 0u);
-}
-
-/// The 50-vehicle reference serving fleet: 500 days at T_v 500,000 s from
-/// the default fleet seed. Short cycles make nearly every vehicle old, so
-/// each carries its own model: the expensive case for a refresh.
-telem::Fleet ReferenceServingFleet() {
-  telem::FleetOptions options;
-  options.num_vehicles = 50;
-  options.num_days = 500;
-  options.maintenance_interval_s = kTv;
-  options.seed = 20150101;
-  options.start_date = Day(0);
-  return telem::SimulateFleet(options).ValueOrDie();
-}
-
-/// Loads every vehicle's history except its trailing `held_out` days and
-/// publishes the first snapshot.
-void SeedEngine(ServingEngine& engine, const telem::Fleet& fleet,
-                size_t held_out) {
-  for (const telem::VehicleHistory& vehicle : fleet.vehicles) {
-    const data::DailySeries& series = vehicle.utilization;
-    ASSERT_TRUE(engine.Register(vehicle.profile.id, series.start_date()).ok());
-    ASSERT_TRUE(engine
-                    .LoadHistory(vehicle.profile.id,
-                                 series.Slice(0, series.size() - held_out))
-                    .ok());
-  }
-  ASSERT_TRUE(engine.RefreshForecasts().ok());
-}
-
-/// Delivers each vehicle's trailing `held_out` days in `batches` equal
-/// batches, refreshing after each batch. Returns the summed warm resumes.
-size_t ReplayHeldOutDays(ServingEngine& engine, const telem::Fleet& fleet,
-                         size_t held_out, size_t batches) {
-  const size_t per_batch = held_out / batches;
-  size_t warm_started = 0;
-  for (size_t batch = 0; batch < batches; ++batch) {
-    for (const telem::VehicleHistory& vehicle : fleet.vehicles) {
-      const data::DailySeries& series = vehicle.utilization;
-      const size_t base = series.size() - held_out + batch * per_batch;
-      for (size_t d = base; d < base + per_batch; ++d) {
-        const Status appended = engine.Append(
-            vehicle.profile.id,
-            series.start_date().AddDays(static_cast<int64_t>(d)), series[d]);
-        EXPECT_TRUE(appended.ok()) << appended;
-      }
-    }
-    const Result<RefreshStats> stats = engine.RefreshForecasts();
-    EXPECT_TRUE(stats.ok()) << stats.status();
-    if (stats.ok()) warm_started += stats.ValueOrDie().warm_started;
-  }
-  return warm_started;
-}
-
-/// The warm-start gate (docs/warm-start.md) on the reference fleet: an
-/// append-heavy schedule against an exact and a warm engine. The exact
-/// engine never resumes, the warm one does, and the E_MRE-style mean
-/// relative days_left gap between their snapshots stays within the
-/// documented bound.
-TEST(ServingEngineWarmStartTest, ReferenceFleetStaysWithinDivergenceBound) {
-  constexpr double kDivergenceBound = 0.25;
-  constexpr size_t kHeldOut = 6;
-  constexpr size_t kBatches = 3;
-  const auto options_for = [](bool warm_start) {
-    core::SchedulerOptions options = FastOptions();
-    options.algorithms = {"RF"};
-    options.unified_algorithm = "XGB";
-    options.selection.train_on_last29_only = true;
-    options.cold_start.model_params = {{"num_estimators", 20},
-                                       {"num_iterations", 12},
-                                       {"max_depth", 5},
-                                       {"max_bins", 128},
-                                       {"min_samples_leaf", 2}};
-    options.warm_start = warm_start;
-    options.warm_start_rounds = 4;
-    return options;
-  };
-  const telem::Fleet fleet = ReferenceServingFleet();
-  ServingEngine exact(options_for(false));
-  ServingEngine warm(options_for(true));
-  ASSERT_NO_FATAL_FAILURE(SeedEngine(exact, fleet, kHeldOut));
-  ASSERT_NO_FATAL_FAILURE(SeedEngine(warm, fleet, kHeldOut));
-
-  EXPECT_EQ(ReplayHeldOutDays(exact, fleet, kHeldOut, kBatches), 0u);
-  EXPECT_GE(ReplayHeldOutDays(warm, fleet, kHeldOut, kBatches), 1u);
-
-  // Joined by vehicle id: a vehicle the engines degraded differently drops
-  // out of the mean instead of poisoning it. A 1-day floor keeps the
-  // denominator away from zero.
-  std::map<std::string, double> exact_days;
-  for (const core::MaintenanceForecast& f : exact.Snapshot()->forecasts) {
-    exact_days[f.vehicle_id] = f.days_left;
-  }
-  double total = 0.0;
-  size_t joined = 0;
-  for (const core::MaintenanceForecast& f : warm.Snapshot()->forecasts) {
-    const auto it = exact_days.find(f.vehicle_id);
-    if (it == exact_days.end()) continue;
-    total += std::fabs(f.days_left - it->second) /
-             std::max(std::fabs(it->second), 1.0);
-    ++joined;
-  }
-  ASSERT_GT(joined, 0u);
-  const double divergence = total / static_cast<double>(joined);
-  EXPECT_LE(divergence, kDivergenceBound);
-}
-
-/// The serve.refresh.warm failpoint contract: a failed warm resume must
-/// degrade to the cold retrain — the vehicle keeps a forecast and the
-/// refresh succeeds — never to a dropped vehicle or a failed refresh.
-TEST(ServingEngineWarmStartTest, WarmFailureDegradesToColdRetrain) {
-  if (!failpoints::CompiledIn()) {
-    GTEST_SKIP() << "failpoints not compiled in";
-  }
-  failpoints::DisarmAll();
-  ServingEngine engine(WarmOptions());
-  const data::DailySeries series = SimulatedVehicle(304, 600);
-  ASSERT_TRUE(engine.Register("v1", series.start_date()).ok());
-  ASSERT_TRUE(engine.LoadHistory("v1", series.Slice(0, 595)).ok());
-  ASSERT_TRUE(engine.RefreshForecasts().ok());
-  ASSERT_TRUE(
-      engine.Append("v1", series.start_date().AddDays(595), series[595]).ok());
-
-  ASSERT_TRUE(failpoints::Arm("serve.refresh.warm").ok());
-  const Result<RefreshStats> stats = engine.RefreshForecasts();
-  failpoints::DisarmAll();
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats.ValueOrDie().refreshed, 1u);
-  EXPECT_EQ(stats.ValueOrDie().warm_started, 0u);
-  ASSERT_EQ(engine.Snapshot()->forecasts.size(), 1u);
-  EXPECT_EQ(engine.Snapshot()->forecasts[0].model_name, "RF");
 }
 
 /// A refresh forecasts its dirty vehicles through FleetScheduler's own
