@@ -81,27 +81,7 @@ int Run() {
                 eval.eglobal, eval.train_seconds);
   }
 
-  // --- 4. What drives the predictions? RF feature importances. ------------
-  {
-    nextmaint::core::OldVehicleOptions rf_options = options;
-    auto rf_eval = nextmaint::core::EvaluateAlgorithmOnVehicle(
-        "RF", vehicle.utilization, fleet_options.maintenance_interval_s,
-        rf_options);
-    if (rf_eval.ok()) {
-      const auto* forest = dynamic_cast<const nextmaint::ml::RandomForestRegressor*>(
-          rf_eval.ValueOrDie().model.get());
-      if (forest != nullptr) {
-        const std::vector<double> importances = forest->FeatureImportances();
-        std::printf("\nRF feature importances: L=%.2f", importances[0]);
-        for (size_t i = 1; i < importances.size(); ++i) {
-          std::printf("  U(t-%zu)=%.2f", i, importances[i]);
-        }
-        std::printf("\n");
-      }
-    }
-  }
-
-  // --- 5. Fleet-level forecasts through the deployed-system facade. ------
+  // --- 4. Fleet-level forecasts through the deployed-system facade. ------
   nextmaint::core::SchedulerOptions scheduler_options;
   scheduler_options.window = 6;
   scheduler_options.selection.tune = false;

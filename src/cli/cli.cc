@@ -84,27 +84,78 @@ ParsedArgs ParseArgs(const std::vector<std::string>& args) {
 
 namespace {
 
-/// Every flag UsageText documents, across all commands. ParseCommonOptions
-/// rejects any other, so a typo or a removed flag fails instead of
-/// silently running with the default.
-constexpr std::string_view kDocumentedFlags[] = {
-    "batch-window", "capacity", "daemon", "data", "days", "failpoints",
-    "horizon", "last29", "load-models", "max-queue", "metrics-json", "out",
-    "port", "refresh-every", "replay-days", "save-models", "seed", "shards",
-    "socket", "strict", "threads", "tune", "tv", "vehicles", "weather",
-    "weekends", "window",
+/// One command line of UsageText. The flags a synopsis names are exactly
+/// the flags its command reads, plus kRunFlags, which every command takes.
+struct Synopsis {
+  std::string_view command;
+  std::string_view flags;
 };
+
+constexpr Synopsis kSynopses[] = {
+    {"simulate",
+     "--out DIR [--vehicles N] [--days N] [--seed S] [--tv S]\n"
+     "           [--weather]"},
+    {"compact", "--data DIR --out FILE [--tv S]"},
+    {"forecast",
+     "--data DIR [--tv S] [--window W] [--tune] [--threads N]\n"
+     "           [--save-models FILE] [--load-models FILE]"},
+    {"plan",
+     "--data DIR [--capacity N] [--horizon DAYS] [--weekends]\n"
+     "           [--tv S] [--window W] [--tune] [--threads N]\n"
+     "           [--load-models FILE]"},
+    {"evaluate", "--data DIR [--tv S] [--window W] [--last29] [--tune]"},
+    {"serve",
+     "--data DIR [--tv S] [--window W] [--tune] [--threads N]\n"
+     "           [--replay-days N] [--refresh-every N]"},
+    {"serve",
+     "--daemon --data DIR (--socket PATH | --port N)\n"
+     "           [--shards N] [--max-queue N] [--batch-window N]\n"
+     "           [--tv S] [--window W] [--tune] [--threads N]"},
+};
+
+constexpr std::string_view kRunFlags[] = {"metrics-json", "strict",
+                                          "failpoints"};
+
+/// True when `synopsis` names `--flag`.
+bool NamesFlag(std::string_view synopsis, std::string_view flag) {
+  for (size_t at = synopsis.find("--"); at != std::string_view::npos;
+       at = synopsis.find("--", at + 2)) {
+    const size_t end = synopsis.find_first_of(" ]|)\n", at);
+    if (synopsis.substr(at + 2, end - (at + 2)) == flag) return true;
+  }
+  return false;
+}
+
+/// InvalidArgument naming every flag of `args` that neither kRunFlags nor
+/// the synopsis of its command names. The command is the first positional
+/// argument, in daemon mode under --daemon; without one, every flag passes.
+Status CheckCommandFlags(const ParsedArgs& args) {
+  if (args.positional.empty()) return Status::OK();
+  const std::string& command = args.positional.front();
+  const Synopsis* synopsis = nullptr;
+  for (const Synopsis& candidate : kSynopses) {
+    if (candidate.command == command &&
+        NamesFlag(candidate.flags, "daemon") == args.HasFlag("daemon")) {
+      synopsis = &candidate;
+      break;
+    }
+  }
+  std::string unknown;
+  for (const auto& flag : args.flags) {
+    if (std::ranges::find(kRunFlags, flag.first) == std::end(kRunFlags) &&
+        (synopsis == nullptr || !NamesFlag(synopsis->flags, flag.first))) {
+      unknown += " --" + flag.first;
+    }
+  }
+  if (unknown.empty()) return Status::OK();
+  return Status::InvalidArgument("unknown flag" + unknown + " for " +
+                                 command + "\n" + UsageText());
+}
 
 }  // namespace
 
 Result<CommonOptions> ParseCommonOptions(const ParsedArgs& args) {
-  for (const auto& flag : args.flags) {
-    if (std::ranges::find(kDocumentedFlags, flag.first) ==
-        std::end(kDocumentedFlags)) {
-      return Status::InvalidArgument("unknown flag --" + flag.first + "\n" +
-                                     UsageText());
-    }
-  }
+  NM_RETURN_NOT_OK(CheckCommandFlags(args));
   CommonOptions common;
   const auto threads = args.flags.find("threads");
   if (threads != args.flags.end()) {
@@ -712,17 +763,8 @@ Status RunServe(const ParsedArgs& args, std::ostream& out) {
     return Status::InvalidArgument("serve requires --data DIR");
   }
   NM_ASSIGN_OR_RETURN(const CommonOptions common, ParseCommonOptions(args));
-  if (!common.load_models.empty()) {
-    return Status::InvalidArgument(
-        "serve trains incrementally from the replayed data and cannot start "
-        "from a checkpoint; drop --load-models");
-  }
   if (common.daemon) {
     return RunServeDaemon(args, common, out);
-  }
-  if (common.port > 0 || !common.socket_path.empty()) {
-    return Status::InvalidArgument(
-        "--socket/--port only apply to serve --daemon\n" + UsageText());
   }
   NM_ASSIGN_OR_RETURN(int64_t replay_days, args.IntFlagOr("replay-days", 30));
   NM_ASSIGN_OR_RETURN(int64_t refresh_every,
@@ -814,22 +856,17 @@ Status RunServe(const ParsedArgs& args, std::ostream& out) {
 }
 
 std::string UsageText() {
-  return
-      "usage: nextmaint <command> [flags]\n"
-      "commands:\n"
-      "  simulate --out DIR [--vehicles N] [--days N] [--seed S] [--tv S]\n"
-      "           [--weather]\n"
-      "  compact  --data DIR --out FILE [--tv S]\n"
-      "  forecast --data DIR [--tv S] [--window W] [--tune] [--threads N]\n"
-      "           [--save-models FILE] [--load-models FILE]\n"
-      "  plan     --data DIR [--capacity N] [--horizon DAYS] [--weekends]\n"
-      "           [--threads N]\n"
-      "  evaluate --data DIR [--tv S] [--window W] [--last29] [--tune]\n"
-      "  serve    --data DIR [--tv S] [--window W] [--replay-days N]\n"
-      "           [--refresh-every N] [--threads N]\n"
-      "  serve    --daemon --data DIR (--socket PATH | --port N)\n"
-      "           [--shards N] [--max-queue N] [--batch-window N]\n"
-      "           [--tv S] [--window W] [--threads N]\n"
+  std::string usage = "usage: nextmaint <command> [flags]\ncommands:\n";
+  for (const Synopsis& synopsis : kSynopses) {
+    usage += "  ";
+    usage += synopsis.command;
+    usage.append(9 - synopsis.command.size(), ' ');
+    usage += synopsis.flags;
+    usage += '\n';
+  }
+  return usage +
+      "every command also takes --metrics-json FILE, --strict and\n"
+      "--failpoints SPEC, and rejects any flag its line above does not name.\n"
       "\n"
       "compact streams the fleet's CSVs into one binary corpus file\n"
       "(docs/storage.md); every --data flag accepts that file in place of\n"
@@ -848,13 +885,13 @@ std::string UsageText() {
       "every N applied appends (docs/serving.md).\n"
       "--threads N trains/forecasts the fleet on N threads (0 = all cores);\n"
       "results are bit-identical at any thread count (docs/parallelism.md).\n"
-      "--metrics-json FILE (any command) records telemetry for the run and\n"
+      "--metrics-json FILE records telemetry for the run and\n"
       "writes the metrics snapshot as JSON (docs/observability.md); the\n"
       "NEXTMAINT_METRICS env var enables recording without the file.\n"
       "--strict aborts on the first per-vehicle failure; by default failing\n"
       "vehicles are skipped or served the BL fallback and reported\n"
       "(docs/fault-injection.md).\n"
-      "--failpoints SPEC (any command) arms deterministic fault-injection\n"
+      "--failpoints SPEC arms deterministic fault-injection\n"
       "sites, SPEC = site[:nth[:kind]][,...]; same grammar as the\n"
       "NEXTMAINT_FAILPOINTS env var (docs/fault-injection.md).\n";
 }

@@ -12,7 +12,7 @@
 /// The `nextmaint` command-line tool, as a library so every command is unit
 /// testable. The binary in tools/nextmaint_cli.cc is a thin dispatcher.
 ///
-/// Commands:
+/// Commands (UsageText lists every flag each one takes):
 ///   simulate --out DIR [--vehicles N] [--days N] [--seed S] [--weather]
 ///       Simulate a fleet and write one CSV per vehicle (date,utilization_s)
 ///       plus fleet.csv with the vehicle inventory.
@@ -111,14 +111,17 @@ struct CommonOptions {
   int64_t batch_window = 0;
 };
 
-/// Parses and validates the shared flags. Any flag UsageText does not
-/// document is rejected, whichever command carries it. --threads must be
-/// a non-negative integer, --metrics-json/--failpoints/--load-models must
-/// carry a value when present, and --failpoints requires a build with
-/// failpoints compiled in. Daemon flags go through the same single path:
-/// --shards and --max-queue must be >= 1, --batch-window >= 0, --port in
-/// 1..65535, and --socket/--port are mutually exclusive. InvalidArgument
-/// (with the usage text) otherwise.
+/// Parses and validates the shared flags. When `args` names a command (its
+/// first positional argument, in daemon mode under --daemon), a flag is
+/// rejected unless that command's UsageText line names it or it is
+/// --metrics-json, --strict or --failpoints, which every command takes.
+/// --threads must be a non-negative integer,
+/// --metrics-json/--failpoints/--load-models must carry a value when
+/// present, and --failpoints requires a build with failpoints compiled in.
+/// Daemon flags go through the same single path: --shards and --max-queue
+/// must be >= 1, --batch-window >= 0, --port in 1..65535, and
+/// --socket/--port are mutually exclusive. InvalidArgument (with the usage
+/// text) otherwise.
 [[nodiscard]] Result<CommonOptions> ParseCommonOptions(const ParsedArgs& args);
 
 /// Command entry points. `out` receives human-readable results.

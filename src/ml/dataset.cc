@@ -1,7 +1,5 @@
 #include "ml/dataset.h"
 
-#include <numeric>
-
 #include "common/macros.h"
 
 namespace nextmaint {
@@ -41,15 +39,6 @@ Dataset Dataset::SelectRows(const std::vector<size_t>& indices) const {
   return out;
 }
 
-std::pair<Dataset, Dataset> Dataset::SplitAt(size_t k) const {
-  const size_t n = num_rows();
-  k = std::min(k, n);
-  std::vector<size_t> head(k), tail(n - k);
-  std::iota(head.begin(), head.end(), 0);
-  std::iota(tail.begin(), tail.end(), k);
-  return {SelectRows(head), SelectRows(tail)};
-}
-
 Status Dataset::Concat(const Dataset& other) {
   if (num_rows() == 0) {
     *this = other;
@@ -62,13 +51,6 @@ Status Dataset::Concat(const Dataset& other) {
     AddRow(other.x_.Row(r), other.y_[r]);
   }
   return Status::OK();
-}
-
-Dataset Dataset::Shuffled(Rng* rng) const {
-  std::vector<size_t> order(num_rows());
-  std::iota(order.begin(), order.end(), 0);
-  rng->Shuffle(&order);
-  return SelectRows(order);
 }
 
 }  // namespace ml

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
 #include "ml/matrix.h"
 
@@ -43,15 +42,8 @@ class Dataset {
   /// bootstrap sampling).
   Dataset SelectRows(const std::vector<size_t>& indices) const;
 
-  /// Rows [0, k) and [k, n) as two datasets (chronological split when rows
-  /// are time-ordered, as in the paper's 70/30 protocol).
-  std::pair<Dataset, Dataset> SplitAt(size_t k) const;
-
   /// Appends all rows of `other`; feature counts must match.
   [[nodiscard]] Status Concat(const Dataset& other);
-
-  /// Returns a dataset with rows in a random order (for CV fold assignment).
-  Dataset Shuffled(Rng* rng) const;
 
  private:
   Matrix x_;

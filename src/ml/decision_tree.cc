@@ -90,10 +90,6 @@ Result<double> DecisionTreeRegressor::Predict(
   return LeafValue(nodes_, features);
 }
 
-std::vector<double> DecisionTreeRegressor::FeatureImportances() const {
-  return GainImportances({&nodes_, 1}, num_features_);
-}
-
 size_t DecisionTreeRegressor::leaf_count() const {
   size_t count = 0;
   for (const GrowNode& node : nodes_) {

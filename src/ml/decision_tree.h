@@ -67,11 +67,6 @@ class DecisionTreeRegressor final : public Regressor {
   /// Reads a model body serialized by Save (header already consumed).
   [[nodiscard]] static Result<DecisionTreeRegressor> LoadBody(ModelReader& in);
 
-  /// Sum of squared-error reduction contributed by each feature's splits,
-  /// normalized to sum to 1 (all-zeros for a single-leaf tree). The classic
-  /// impurity-based importance.
-  std::vector<double> FeatureImportances() const;
-
   /// Total node count of the fitted tree.
   size_t node_count() const { return nodes_.size(); }
   /// Number of leaves of the fitted tree.

@@ -1,11 +1,8 @@
 #include "ml/hist_gradient_boosting.h"
 
-#include <algorithm>
-
 #include "common/macros.h"
 #include "common/parallel.h"
 #include "common/telemetry.h"
-#include "ml/early_stopping.h"
 #include "ml/histogram.h"
 #include "ml/serialization.h"
 
@@ -42,24 +39,17 @@ namespace {
 /// so chunking cannot change the result.
 constexpr size_t kPredictGrain = 1024;
 
-}  // namespace
+/// The `resume` line ends with two fields that carry no setting. Every model
+/// writes these values and LoadBody accepts no other, so the format and
+/// the bytes of saved models stay the same.
+constexpr double kResumeHoldout = 0.0;
+constexpr int kResumePatience = 10;
 
-size_t HistGradientBoostingRegressor::TrainRowCount(size_t total_rows) const {
-  // Early stopping holds out the chronological tail: the dataset builder
-  // emits time-ordered rows, so the tail is the most recent data.
-  return options_.validation_fraction > 0.0
-             ? std::max<size_t>(
-                   1, total_rows - static_cast<size_t>(
-                                       options_.validation_fraction *
-                                       static_cast<double>(total_rows)))
-             : total_rows;
-}
+}  // namespace
 
 Status HistGradientBoostingRegressor::FitImpl(const Dataset& train) {
   fitted_ = false;
   trees_.clear();
-  train_loss_.clear();
-  valid_loss_.clear();
   if (train.empty()) {
     return Status::InvalidArgument("cannot fit XGB on an empty dataset");
   }
@@ -78,21 +68,9 @@ Status HistGradientBoostingRegressor::FitImpl(const Dataset& train) {
   if (options_.min_samples_leaf < 1) {
     return Status::InvalidArgument("XGB requires min_samples_leaf >= 1");
   }
-  if (options_.validation_fraction < 0.0 ||
-      options_.validation_fraction >= 1.0) {
-    return Status::InvalidArgument(
-        "XGB requires validation_fraction in [0, 1)");
-  }
-  if (options_.early_stopping_rounds < 1) {
-    return Status::InvalidArgument(
-        "XGB requires early_stopping_rounds >= 1");
-  }
 
   num_features_ = train.num_features();
-
-  const size_t total_rows = train.num_rows();
-  const size_t n = TrainRowCount(total_rows);
-  const size_t valid_rows = total_rows - n;
+  const size_t n = train.num_rows();
 
   // Initial prediction: the target mean (squared-loss optimum).
   base_score_ = 0.0;
@@ -112,19 +90,13 @@ Status HistGradientBoostingRegressor::FitImpl(const Dataset& train) {
   spec.num_threads = options_.num_threads;
 
   std::vector<double> predictions(n, base_score_);
-  std::vector<double> valid_predictions(valid_rows, base_score_);
   std::vector<double> gradients(n);
   DataPartition partition;
-  EarlyStopping stopper(
-      EarlyStopping::Options{options_.early_stopping_rounds, 1e-12});
 
   for (int iter = 0; iter < options_.num_iterations; ++iter) {
-    double loss = 0.0;
     for (size_t i = 0; i < n; ++i) {
       gradients[i] = predictions[i] - train.y()[i];
-      loss += gradients[i] * gradients[i];
     }
-    train_loss_.push_back(loss / static_cast<double>(n));
 
     partition.Reset(n);
     std::vector<GrowNode> tree = binning.Grow(gradients, &partition, spec);
@@ -132,7 +104,6 @@ Status HistGradientBoostingRegressor::FitImpl(const Dataset& train) {
       // Root could not split and contributes a constant; gradients have
       // plateaued, so further iterations would stack identical constants.
       trees_.push_back(std::move(tree));
-      for (size_t i = 0; i < n; ++i) predictions[i] += trees_.back()[0].value;
       break;
     }
 
@@ -145,31 +116,12 @@ Status HistGradientBoostingRegressor::FitImpl(const Dataset& train) {
           return Status::OK();
         },
         options_.num_threads));
-    if (valid_rows > 0) {
-      double valid_mse = 0.0;
-      for (size_t i = 0; i < valid_rows; ++i) {
-        valid_predictions[i] += LeafValue(tree, train.x().Row(n + i));
-        const double err = valid_predictions[i] - train.y()[n + i];
-        valid_mse += err * err;
-      }
-      valid_mse /= static_cast<double>(valid_rows);
-      valid_loss_.push_back(valid_mse);
-      if (stopper.Update(valid_mse)) {
-        trees_.push_back(std::move(tree));
-        break;
-      }
-    }
     trees_.push_back(std::move(tree));
   }
 
   fitted_ = true;
   telemetry::Count("ml.xgb.boosting_rounds", trees_.size());
   return Status::OK();
-}
-
-std::vector<double> HistGradientBoostingRegressor::FeatureImportances()
-    const {
-  return GainImportances(trees_, num_features_);
 }
 
 Result<double> HistGradientBoostingRegressor::Predict(
@@ -197,8 +149,7 @@ void HistGradientBoostingRegressor::SaveBody(ModelWriter& out) const {
   // older files without it still load.
   out.Line("resume", options_.learning_rate, options_.max_depth,
            options_.min_samples_leaf, options_.max_bins, options_.l2,
-           options_.min_gain, options_.validation_fraction,
-           options_.early_stopping_rounds);
+           options_.min_gain, kResumeHoldout, kResumePatience);
   out.Line("trees", trees_.size());
   for (const std::vector<GrowNode>& tree : trees_) {
     WriteTreeNodes(out, tree);
@@ -221,15 +172,15 @@ HistGradientBoostingRegressor::LoadBody(ModelReader& in) {
     // Optional hyper-parameter line (absent in older files, whose models
     // load with default options()).
     Options& o = model.options_;
+    double holdout = 0.0;
+    int patience = 0;
     if (!in.Read(o.learning_rate, o.max_depth, o.min_samples_leaf,
-                 o.max_bins, o.l2, o.min_gain, o.validation_fraction,
-                 o.early_stopping_rounds)) {
+                 o.max_bins, o.l2, o.min_gain, holdout, patience)) {
       return Status::DataError("XGB: truncated 'resume' line");
     }
     if (o.learning_rate <= 0.0 || o.min_samples_leaf < 1 ||
-        o.max_bins < 2 || o.max_bins > 65535 ||
-        o.validation_fraction < 0.0 || o.validation_fraction >= 1.0 ||
-        o.early_stopping_rounds < 1) {
+        o.max_bins < 2 || o.max_bins > 65535 || holdout != kResumeHoldout ||
+        patience != kResumePatience) {
       return Status::DataError("XGB: 'resume' values out of range");
     }
     token = in.Token();

@@ -48,13 +48,6 @@ class HistGradientBoostingRegressor final : public Regressor {
     double l2 = 0.0;
     /// Minimum gain for a split to be kept.
     double min_gain = 1e-12;
-    /// Early stopping: when positive, this fraction of the training rows
-    /// (the chronological tail) is held out and boosting stops once the
-    /// held-out MSE fails to improve for `early_stopping_rounds` stages.
-    /// The held-out rows are NOT used for tree fitting.
-    double validation_fraction = 0.0;
-    /// Patience for early stopping (only with validation_fraction > 0).
-    int early_stopping_rounds = 10;
     /// Concurrency for binning, per-feature split search and the per-row
     /// prediction update. <= 0 follows the process-wide default
     /// (ThreadPool::DefaultThreadCount()). Any value yields bit-identical
@@ -86,19 +79,6 @@ class HistGradientBoostingRegressor final : public Regressor {
 
   /// Number of trees in the fitted ensemble.
   size_t tree_count() const { return trees_.size(); }
-  /// Gain-based feature importances accumulated over all boosting stages,
-  /// normalized to sum to 1. Training-time diagnostic: models loaded from
-  /// disk report all-zeros (gains are not persisted).
-  std::vector<double> FeatureImportances() const;
-  /// Training loss (MSE) after each boosting stage; useful for diagnosing
-  /// convergence and for the ablation benches.
-  const std::vector<double>& training_loss_curve() const {
-    return train_loss_;
-  }
-  /// Held-out MSE per stage (empty without early stopping).
-  const std::vector<double>& validation_loss_curve() const {
-    return valid_loss_;
-  }
   const Options& options() const { return options_; }
 
  protected:
@@ -106,15 +86,9 @@ class HistGradientBoostingRegressor final : public Regressor {
   void SaveBody(ModelWriter& out) const override;
 
  private:
-  /// Rows used for tree fitting when the tail-holdout early stopping is
-  /// configured (the remainder of `total_rows` is the validation tail).
-  size_t TrainRowCount(size_t total_rows) const;
-
   Options options_;
   double base_score_ = 0.0;
   std::vector<std::vector<GrowNode>> trees_;
-  std::vector<double> train_loss_;
-  std::vector<double> valid_loss_;
   size_t num_features_ = 0;
   bool fitted_ = false;
 };

@@ -468,7 +468,6 @@ class HistTreeGrower {
     nodes_[node_index].feature = static_cast<int32_t>(best.feature);
     nodes_[node_index].threshold =
         mapper_.UpperBound(best.feature, static_cast<uint16_t>(best.bin));
-    nodes_[node_index].gain = best.gain;
 
     // Children via the parent-minus-sibling trick: the smaller child is
     // accumulated directly into a fresh buffer; the fused fill turns the

@@ -45,17 +45,6 @@ Matrix Matrix::SelectRows(const std::vector<size_t>& indices) const {
   return out;
 }
 
-Matrix Matrix::SelectCols(const std::vector<size_t>& indices) const {
-  Matrix out(rows_, indices.size());
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t i = 0; i < indices.size(); ++i) {
-      NM_CHECK(indices[i] < cols_);
-      out(r, i) = (*this)(r, indices[i]);
-    }
-  }
-  return out;
-}
-
 Matrix Matrix::Transposed() const {
   Matrix out(cols_, rows_);
   for (size_t r = 0; r < rows_; ++r) {
@@ -95,13 +84,6 @@ Matrix Matrix::Gram() const {
   for (size_t i = 0; i < cols_; ++i) {
     for (size_t j = 0; j < i; ++j) out(i, j) = out(j, i);
   }
-  return out;
-}
-
-std::vector<double> Matrix::MultiplyVector(std::span<const double> v) const {
-  NM_CHECK(v.size() == cols_);
-  std::vector<double> out(rows_);
-  for (size_t r = 0; r < rows_; ++r) out[r] = Dot(Row(r), v);
   return out;
 }
 

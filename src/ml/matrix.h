@@ -58,9 +58,6 @@ class Matrix {
   /// Matrix with the rows whose indices appear in `indices`, in order.
   Matrix SelectRows(const std::vector<size_t>& indices) const;
 
-  /// Matrix with only the listed columns, in order.
-  Matrix SelectCols(const std::vector<size_t>& indices) const;
-
   /// Transpose.
   Matrix Transposed() const;
 
@@ -70,9 +67,6 @@ class Matrix {
   /// this^T * this (Gram matrix), computed without materializing the
   /// transpose.
   Matrix Gram() const;
-
-  /// this * v for a vector v of length cols().
-  std::vector<double> MultiplyVector(std::span<const double> v) const;
 
   /// this^T * v for a vector v of length rows().
   std::vector<double> TransposeMultiplyVector(std::span<const double> v) const;

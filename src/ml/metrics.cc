@@ -33,12 +33,6 @@ Result<double> MeanSquaredError(const std::vector<double>& truth,
   return acc / static_cast<double>(truth.size());
 }
 
-Result<double> RootMeanSquaredError(const std::vector<double>& truth,
-                                    const std::vector<double>& predicted) {
-  NM_ASSIGN_OR_RETURN(double mse, MeanSquaredError(truth, predicted));
-  return std::sqrt(mse);
-}
-
 Result<double> MeanAbsoluteError(const std::vector<double>& truth,
                                  const std::vector<double>& predicted) {
   NM_RETURN_NOT_OK(ValidatePair(truth, predicted));
@@ -47,23 +41,6 @@ Result<double> MeanAbsoluteError(const std::vector<double>& truth,
     acc += std::fabs(truth[i] - predicted[i]);
   }
   return acc / static_cast<double>(truth.size());
-}
-
-Result<double> R2Score(const std::vector<double>& truth,
-                       const std::vector<double>& predicted) {
-  NM_RETURN_NOT_OK(ValidatePair(truth, predicted));
-  double mean = 0.0;
-  for (double t : truth) mean += t;
-  mean /= static_cast<double>(truth.size());
-  double ss_res = 0.0, ss_tot = 0.0;
-  for (size_t i = 0; i < truth.size(); ++i) {
-    ss_res += (truth[i] - predicted[i]) * (truth[i] - predicted[i]);
-    ss_tot += (truth[i] - mean) * (truth[i] - mean);
-  }
-  if (ss_tot == 0.0) {
-    return Status::NumericError("R^2 undefined for constant truth");
-  }
-  return 1.0 - ss_res / ss_tot;
 }
 
 }  // namespace ml

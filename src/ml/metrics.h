@@ -17,18 +17,9 @@ namespace ml {
 [[nodiscard]] Result<double> MeanSquaredError(const std::vector<double>& truth,
                                 const std::vector<double>& predicted);
 
-/// Root mean squared error.
-[[nodiscard]] Result<double> RootMeanSquaredError(const std::vector<double>& truth,
-                                    const std::vector<double>& predicted);
-
 /// Mean absolute error.
 [[nodiscard]] Result<double> MeanAbsoluteError(const std::vector<double>& truth,
                                  const std::vector<double>& predicted);
-
-/// Coefficient of determination R^2. Returns NumericError when the truth is
-/// constant (undefined denominator).
-[[nodiscard]] Result<double> R2Score(const std::vector<double>& truth,
-                       const std::vector<double>& predicted);
 
 }  // namespace ml
 }  // namespace nextmaint

@@ -1,7 +1,6 @@
 #include "ml/random_forest.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/macros.h"
 #include "common/parallel.h"
@@ -111,43 +110,6 @@ Status RandomForestRegressor::FitImpl(const Dataset& train) {
   }
   telemetry::Count("ml.rf.trees_fitted", trees_.size());
   return Status::OK();
-}
-
-std::vector<double> RandomForestRegressor::FeatureImportances() const {
-  if (trees_.empty()) return {};
-  std::vector<double> total;
-  for (const DecisionTreeRegressor& tree : trees_) {
-    const std::vector<double> imp = tree.FeatureImportances();
-    if (total.empty()) total.assign(imp.size(), 0.0);
-    for (size_t i = 0; i < imp.size(); ++i) total[i] += imp[i];
-  }
-  double sum = 0.0;
-  for (double v : total) sum += v;
-  if (sum > 0.0) {
-    for (double& v : total) v /= sum;
-  }
-  return total;
-}
-
-Result<RandomForestRegressor::PredictionInterval>
-RandomForestRegressor::PredictWithSpread(
-    std::span<const double> features) const {
-  if (trees_.empty()) {
-    return Status::FailedPrecondition("RF model is not fitted");
-  }
-  double sum = 0.0, sum_sq = 0.0;
-  for (const DecisionTreeRegressor& tree : trees_) {
-    NM_ASSIGN_OR_RETURN(double pred, tree.Predict(features));
-    sum += pred;
-    sum_sq += pred * pred;
-  }
-  const double n = static_cast<double>(trees_.size());
-  PredictionInterval interval;
-  interval.mean = sum / n;
-  const double variance =
-      std::max(0.0, sum_sq / n - interval.mean * interval.mean);
-  interval.stddev = std::sqrt(variance);
-  return interval;
 }
 
 Result<double> RandomForestRegressor::Predict(

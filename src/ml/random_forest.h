@@ -63,22 +63,7 @@ class RandomForestRegressor final : public Regressor {
   /// Reads a model body serialized by Save (header already consumed).
   [[nodiscard]] static Result<RandomForestRegressor> LoadBody(ModelReader& in);
 
-  /// Mean impurity-based feature importances across the trees (normalized
-  /// to sum to 1; zeros when every tree is a stump).
-  std::vector<double> FeatureImportances() const;
-
-  /// Prediction plus the ensemble spread (standard deviation of the
-  /// per-tree predictions) — a cheap uncertainty estimate for the
-  /// scheduler's planning slack.
-  struct PredictionInterval {
-    double mean = 0.0;
-    double stddev = 0.0;
-  };
-  [[nodiscard]] Result<PredictionInterval> PredictWithSpread(
-      std::span<const double> features) const;
-
   size_t tree_count() const { return trees_.size(); }
-  const DecisionTreeRegressor& tree(size_t i) const { return trees_[i]; }
   const Options& options() const { return options_; }
 
  protected:

@@ -46,16 +46,6 @@ Result<Matrix> MinMaxScaler::FitTransform(const Matrix& x) {
   return Transform(x);
 }
 
-Result<double> MinMaxScaler::InverseTransform(size_t col, double scaled) const {
-  if (!is_fitted()) {
-    return Status::FailedPrecondition("MinMaxScaler is not fitted");
-  }
-  if (col >= mins_.size()) {
-    return Status::InvalidArgument("column index out of range");
-  }
-  return mins_[col] + scaled * (maxs_[col] - mins_[col]);
-}
-
 Status StandardScaler::Fit(const Matrix& x) {
   if (x.empty()) {
     return Status::InvalidArgument("cannot fit scaler on empty matrix");

@@ -29,9 +29,6 @@ class MinMaxScaler {
   /// Fit followed by Transform on the same data.
   [[nodiscard]] Result<Matrix> FitTransform(const Matrix& x);
 
-  /// Inverse mapping for column `col`.
-  [[nodiscard]] Result<double> InverseTransform(size_t col, double scaled) const;
-
   bool is_fitted() const { return !mins_.empty(); }
   const std::vector<double>& mins() const { return mins_; }
   const std::vector<double>& maxs() const { return maxs_; }

@@ -131,7 +131,7 @@ class ModelReader {
 
 /// The node-list codec of every tree format (a Tree body, each tree of an
 /// XGB body): a "nodes <n>" line, then one "left right feature threshold
-/// value" line per node. Split gains are not written.
+/// value" line per node.
 void WriteTreeNodes(ModelWriter& out, std::span<const GrowNode> nodes);
 
 /// Reads what WriteTreeNodes wrote for a model of `num_features` features.

@@ -4,11 +4,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -92,11 +92,18 @@ TEST(ParseCommonOptionsTest, DefaultsAndHappyPath) {
 }
 
 TEST(ParseCommonOptionsTest, AcceptsExactlyTheDocumentedFlags) {
-  // Undocumented flags are errors, not silent defaults: a removed flag
-  // and a typo both fail before any work starts.
+  // Undocumented flags are errors, not silent defaults: a removed flag, a
+  // typo and a flag only another command (or mode) reads all fail before
+  // any work starts.
   for (const auto& bad : std::vector<std::vector<std::string>>{
            {"serve", "--data", "fleet", "--warm-start"},
-           {"forecast", "--data", "fleet", "--tunee"}}) {
+           {"forecast", "--data", "fleet", "--tunee"},
+           {"simulate", "--out", "fleet", "--tune"},
+           {"evaluate", "--data", "fleet", "--threads"},
+           {"plan", "--data", "fleet", "--save-models"},
+           {"serve", "--data", "fleet", "--load-models"},
+           {"serve", "--data", "fleet", "--port"},
+           {"serve", "--daemon", "--data", "fleet", "--replay-days"}}) {
     const auto result = ParseCommonOptions(ParseArgs(bad));
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
         << bad.back();
@@ -108,27 +115,60 @@ TEST(ParseCommonOptionsTest, AcceptsExactlyTheDocumentedFlags) {
     EXPECT_EQ(RunCommand(bad, out).code(), StatusCode::kInvalidArgument);
     EXPECT_TRUE(out.str().empty()) << out.str();
   }
+  // This simulate line once exited 0 and ignored both flags.
+  std::ostringstream out;
+  const Status status =
+      RunCommand({"simulate", "--out", "fleet", "--vehicles", "1", "--days",
+                  "50", "--tune", "--capacity", "3"},
+                 out);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--tune"), std::string::npos) << status;
 
-  // Every flag the usage text names parses; "1" is a valid value for each.
-  const std::string usage = UsageText();
-  std::set<std::string> documented;
-  for (size_t at = usage.find("--"); at != std::string::npos;
-       at = usage.find("--", at + 2)) {
-    size_t end = at + 2;
-    while (end < usage.size() &&
-           (std::islower(static_cast<unsigned char>(usage[end])) ||
-            std::isdigit(static_cast<unsigned char>(usage[end])) ||
-            usage[end] == '-')) {
-      ++end;
+  // Every flag a command's usage line names parses under that command;
+  // "1" is a valid value for each. A line is "  <command> <flags>", and a
+  // line that starts with spaces only continues the one above it.
+  std::istringstream usage(UsageText());
+  std::string line;
+  std::getline(usage, line);  // "usage: ..."
+  std::getline(usage, line);  // "commands:"
+  std::vector<std::vector<std::string>> commands;
+  while (std::getline(usage, line) && line.starts_with("  ")) {
+    if (line[2] != ' ') {
+      commands.push_back({line.substr(2, line.find(' ', 2) - 2)});
     }
-    documented.insert(usage.substr(at, end - at));
+    for (size_t at = line.find("--"); at != std::string::npos;
+         at = line.find("--", at + 2)) {
+      size_t end = at + 2;
+      while (end < line.size() &&
+             (std::islower(static_cast<unsigned char>(line[end])) ||
+              std::isdigit(static_cast<unsigned char>(line[end])) ||
+              line[end] == '-')) {
+        ++end;
+      }
+      commands.back().push_back(line.substr(at, end - at));
+    }
   }
-  EXPECT_GE(documented.size(), 20u);
-  for (const std::string& flag : documented) {
-    if (flag == "--failpoints" && !failpoints::CompiledIn()) continue;
-    const auto result = ParseCommonOptions(ParseArgs({"serve", flag, "1"}));
-    EXPECT_TRUE(result.ok()) << flag << ": " << result.status();
+  ASSERT_EQ(commands.size(), 7u);
+  size_t documented = 0;
+  for (const std::vector<std::string>& command : commands) {
+    const bool daemon =
+        std::ranges::find(command, "--daemon") != command.end();
+    for (size_t i = 1; i < command.size(); ++i) {
+      std::vector<std::string> argv = {command[0], command[i], "1"};
+      if (daemon) argv.push_back("--daemon");
+      const auto result = ParseCommonOptions(ParseArgs(argv));
+      EXPECT_TRUE(result.ok()) << command[0] << " " << command[i] << ": "
+                               << result.status();
+      ++documented;
+    }
+    // Every command also takes the run flags.
+    EXPECT_TRUE(
+        ParseCommonOptions(ParseArgs({command[0], "--strict", "--metrics-json",
+                                      "m.json"}))
+            .ok())
+        << command[0];
   }
+  EXPECT_GE(documented, 40u);
 }
 
 TEST(ParseCommonOptionsTest, RejectsMalformedValues) {

@@ -49,21 +49,6 @@ TEST(DatasetTest, SelectRowsWithDuplicates) {
   EXPECT_EQ(sub.feature_names(), d.feature_names());
 }
 
-TEST(DatasetTest, SplitAtIsChronological) {
-  const Dataset d = MakeDataset();
-  const auto [head, tail] = d.SplitAt(3);
-  EXPECT_EQ(head.num_rows(), 3u);
-  EXPECT_EQ(tail.num_rows(), 1u);
-  EXPECT_DOUBLE_EQ(tail.y()[0], 4.0);
-}
-
-TEST(DatasetTest, SplitAtClampsToSize) {
-  const Dataset d = MakeDataset();
-  const auto [head, tail] = d.SplitAt(99);
-  EXPECT_EQ(head.num_rows(), 4u);
-  EXPECT_TRUE(tail.empty());
-}
-
 TEST(DatasetTest, ConcatAppendsRows) {
   Dataset a = MakeDataset();
   const Dataset b = MakeDataset();
@@ -84,21 +69,6 @@ TEST(DatasetTest, ConcatRejectsFeatureMismatch) {
   Matrix x = Matrix::FromRows({{1}});
   Dataset b = Dataset::Create(std::move(x), {1}).ValueOrDie();
   EXPECT_FALSE(a.Concat(b).ok());
-}
-
-TEST(DatasetTest, ShuffledIsPermutation) {
-  const Dataset d = MakeDataset();
-  Rng rng(5);
-  const Dataset shuffled = d.Shuffled(&rng);
-  EXPECT_EQ(shuffled.num_rows(), d.num_rows());
-  double sum = 0.0;
-  for (double y : shuffled.y()) sum += y;
-  EXPECT_DOUBLE_EQ(sum, 10.0);  // same multiset of targets
-  // Feature rows stay attached to their targets.
-  for (size_t r = 0; r < shuffled.num_rows(); ++r) {
-    EXPECT_DOUBLE_EQ(shuffled.x()(r, 0), shuffled.y()[r]);
-    EXPECT_DOUBLE_EQ(shuffled.x()(r, 1), 10.0 * shuffled.y()[r]);
-  }
 }
 
 // ---------------------------------------------------------------------------

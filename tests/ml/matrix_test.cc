@@ -70,14 +70,6 @@ TEST(MatrixTest, SelectRowsAllowsDuplicates) {
   EXPECT_DOUBLE_EQ(sub(2, 0), 5.0);
 }
 
-TEST(MatrixTest, SelectCols) {
-  const Matrix m = Matrix::FromRows({{1, 2, 3}, {4, 5, 6}});
-  const Matrix sub = m.SelectCols({2, 0});
-  EXPECT_EQ(sub.cols(), 2u);
-  EXPECT_DOUBLE_EQ(sub(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(sub(1, 1), 4.0);
-}
-
 TEST(MatrixTest, Transposed) {
   const Matrix m = Matrix::FromRows({{1, 2, 3}, {4, 5, 6}});
   const Matrix t = m.Transposed();
@@ -106,13 +98,6 @@ TEST(MatrixTest, GramEqualsTransposeTimesSelf) {
       EXPECT_DOUBLE_EQ(gram(i, j), reference(i, j));
     }
   }
-}
-
-TEST(MatrixTest, MultiplyVector) {
-  const Matrix m = Matrix::FromRows({{1, 2}, {3, 4}});
-  const std::vector<double> v = {1, 1};
-  EXPECT_EQ(m.MultiplyVector(std::span<const double>(v.data(), 2)),
-            (std::vector<double>{3, 7}));
 }
 
 TEST(MatrixTest, TransposeMultiplyVector) {

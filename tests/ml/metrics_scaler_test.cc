@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "ml/metrics.h"
 #include "ml/scaler.h"
 
@@ -16,33 +14,14 @@ TEST(MetricsTest, MseBasics) {
   EXPECT_DOUBLE_EQ(MeanSquaredError({0, 0}, {3, 4}).ValueOrDie(), 12.5);
 }
 
-TEST(MetricsTest, RmseIsSqrtOfMse) {
-  EXPECT_DOUBLE_EQ(RootMeanSquaredError({0, 0}, {3, 4}).ValueOrDie(),
-                   std::sqrt(12.5));
-}
-
 TEST(MetricsTest, MaeBasics) {
   EXPECT_DOUBLE_EQ(MeanAbsoluteError({1, 2}, {2, 0}).ValueOrDie(), 1.5);
   EXPECT_DOUBLE_EQ(MeanAbsoluteError({-1}, {1}).ValueOrDie(), 2.0);
 }
 
-TEST(MetricsTest, R2PerfectAndBaseline) {
-  EXPECT_DOUBLE_EQ(R2Score({1, 2, 3}, {1, 2, 3}).ValueOrDie(), 1.0);
-  // Predicting the mean gives R^2 = 0.
-  EXPECT_DOUBLE_EQ(R2Score({1, 2, 3}, {2, 2, 2}).ValueOrDie(), 0.0);
-  // Worse than the mean gives negative R^2.
-  EXPECT_LT(R2Score({1, 2, 3}, {3, 2, 1}).ValueOrDie(), 0.0);
-}
-
-TEST(MetricsTest, R2UndefinedForConstantTruth) {
-  EXPECT_EQ(R2Score({5, 5, 5}, {5, 5, 5}).status().code(),
-            StatusCode::kNumericError);
-}
-
 TEST(MetricsTest, ErrorOnShapeProblems) {
   EXPECT_FALSE(MeanSquaredError({1, 2}, {1}).ok());
   EXPECT_FALSE(MeanAbsoluteError({}, {}).ok());
-  EXPECT_FALSE(R2Score({1}, {1, 2}).ok());
 }
 
 TEST(MinMaxScalerTest, ScalesColumnsIndependently) {
@@ -70,14 +49,6 @@ TEST(MinMaxScalerTest, ConstantColumnMapsToZero) {
   const Matrix scaled = scaler.FitTransform(x).ValueOrDie();
   EXPECT_DOUBLE_EQ(scaled(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(scaled(1, 0), 0.0);
-}
-
-TEST(MinMaxScalerTest, InverseTransform) {
-  const Matrix x = Matrix::FromRows({{2.0}, {12.0}});
-  MinMaxScaler scaler;
-  ASSERT_TRUE(scaler.Fit(x).ok());
-  EXPECT_DOUBLE_EQ(scaler.InverseTransform(0, 0.5).ValueOrDie(), 7.0);
-  EXPECT_FALSE(scaler.InverseTransform(3, 0.5).ok());
 }
 
 TEST(MinMaxScalerTest, ErrorPaths) {

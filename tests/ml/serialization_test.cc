@@ -211,8 +211,8 @@ std::vector<ResumeLineFormat> ResumeLineFormats() {
                       {"-1 0 1 0 1 42 256", "-1 2 0 0 1 42 256",
                        "-1 2 1 0 0 42 256", "-1 2 1 0 1.5 42 256",
                        "-1 2 1 0 1 42 1", "-1 2 1 0 1 42 65536"}};
-  // XGB: learning_rate max_depth min_samples_leaf max_bins l2 min_gain
-  // validation_fraction early_stopping_rounds.
+  // XGB: learning_rate max_depth min_samples_leaf max_bins l2 min_gain, then
+  // two retired fields that only "0 10" fills.
   ResumeLineFormat xgb{"XGB",
                        "nextmaint-model v1 XGB\nbase 0\nfeatures 1\n",
                        "trees 1\nnodes 1\n-1 -1 -1 0 1.0\nend\n",
@@ -222,7 +222,9 @@ std::vector<ResumeLineFormat> ResumeLineFormats() {
                         "0.1 6 20 65536 0 1e-12 0 10",
                         "0.1 6 20 256 0 1e-12 -0.1 10",
                         "0.1 6 20 256 0 1e-12 1 10",
-                        "0.1 6 20 256 0 1e-12 0 0"}};
+                        "0.1 6 20 256 0 1e-12 0 0",
+                        "0.1 6 20 256 0 1e-12 0.5 10",
+                        "0.1 6 20 256 0 1e-12 0 5"}};
   return {rf, xgb};
 }
 
