@@ -178,11 +178,6 @@ Result<CommonOptions> ParseCommonOptions(const ParsedArgs& args) {
     }
   }
   if (args.HasFlag("failpoints")) {
-    if (!failpoints::CompiledIn()) {
-      return Status::InvalidArgument(
-          "--failpoints requires a build with NEXTMAINT_ENABLE_FAILPOINTS=ON "
-          "(docs/fault-injection.md)");
-    }
     common.failpoints = args.flags.at("failpoints");
     if (common.failpoints.empty()) {
       return Status::InvalidArgument(

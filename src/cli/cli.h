@@ -117,7 +117,7 @@ struct CommonOptions {
 /// --metrics-json, --strict or --failpoints, which every command takes.
 /// --threads must be a non-negative integer,
 /// --metrics-json/--failpoints/--load-models must carry a value when
-/// present, and --failpoints requires a build with failpoints compiled in.
+/// present.
 /// Daemon flags go through the same single path: --shards and --max-queue
 /// must be >= 1, --batch-window >= 0, --port in 1..65535, and
 /// --socket/--port are mutually exclusive. InvalidArgument (with the usage

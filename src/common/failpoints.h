@@ -45,9 +45,8 @@
 /// tests/chaos_test.cc).
 ///
 /// Cost. Disarmed, every NEXTMAINT_FAILPOINT compiles to a single relaxed
-/// atomic load. Building with -DNEXTMAINT_ENABLE_FAILPOINTS=OFF (which
-/// defines NEXTMAINT_FAILPOINTS_DISABLED) removes the framework entirely,
-/// mirroring the telemetry kill switch.
+/// atomic load; perfbench measures no end-to-end difference from a build
+/// without the sites (docs/observability.md).
 ///
 /// See docs/fault-injection.md for the site catalogue and the degradation
 /// semantics each site exercises.
@@ -65,26 +64,12 @@ extern std::atomic<int> g_armed_state;
 bool InitFromEnv();
 }  // namespace internal
 
-/// False when the framework was compiled out
-/// (-DNEXTMAINT_ENABLE_FAILPOINTS=OFF); tests skip themselves on it.
-constexpr bool CompiledIn() {
-#ifdef NEXTMAINT_FAILPOINTS_DISABLED
-  return false;
-#else
-  return true;
-#endif
-}
-
 /// True while at least one failpoint is armed. Safe and cheap to call from
 /// any thread; this is the only check disarmed hot paths pay.
 inline bool Enabled() {
-#ifdef NEXTMAINT_FAILPOINTS_DISABLED
-  return false;
-#else
   const int v = internal::g_armed_state.load(std::memory_order_relaxed);
   if (v >= 0) return v > 0;
   return internal::InitFromEnv();
-#endif
 }
 
 /// Arms every failpoint named in `specs` ("site[:nth[:kind]]", comma
@@ -151,14 +136,9 @@ void ResetForTesting();
 
 /// Evaluates the named failpoint and returns its injected Status (or a
 /// Result, via the implicit conversion) from the enclosing function when it
-/// fires. Expands to a no-op under NEXTMAINT_FAILPOINTS_DISABLED. The
-/// expansion checks the Status it creates, so call statements are clean
-/// under nextmaint_lint's unchecked-status rule (docs/static-analysis.md).
-#ifdef NEXTMAINT_FAILPOINTS_DISABLED
-#define NEXTMAINT_FAILPOINT(site) \
-  do {                            \
-  } while (false)
-#else
+/// fires. The expansion checks the Status it creates, so call statements
+/// are clean under nextmaint_lint's unchecked-status rule
+/// (docs/static-analysis.md).
 #define NEXTMAINT_FAILPOINT(site)                                  \
   do {                                                             \
     if (::nextmaint::failpoints::Enabled()) {                      \
@@ -167,6 +147,5 @@ void ResetForTesting();
       if (!nm_failpoint_status_.ok()) return nm_failpoint_status_; \
     }                                                              \
   } while (false)
-#endif
 
 #endif  // NEXTMAINT_COMMON_FAILPOINTS_H_

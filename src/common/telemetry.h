@@ -20,8 +20,8 @@
 /// forecast queries across the thread pool — this header makes visible where
 /// that time and those errors go. Three instrument kinds cover the needs:
 ///
-///   Counter    monotonically increasing event count (rows parsed, drift
-///              alarms, selection winners, ...)
+///   Counter    monotonically increasing event count (rows parsed,
+///              selection winners, ...)
 ///   Gauge      last-written value (vehicles per category after TrainAll)
 ///   Histogram  fixed-bucket distribution of observations; the workhorse for
 ///              wall-time latencies via ScopedTimer / TraceSpan
@@ -35,10 +35,9 @@
 /// Cost model — telemetry is OFF by default:
 ///   - Disabled: every instrument update and timer construction short-circuits
 ///     on one relaxed atomic load, so hot loops (split search, per-row
-///     predict) keep their bench timings. Building with
-///     -DNEXTMAINT_ENABLE_TELEMETRY=OFF (which defines
-///     NEXTMAINT_TELEMETRY_DISABLED) folds that check to a compile-time
-///     constant and dead-codes the instrumentation entirely.
+///     predict) keep their bench timings; perfbench measures no end-to-end
+///     difference from a build without the instruments
+///     (docs/observability.md).
 ///   - Enabled (SetEnabled(true), the NEXTMAINT_METRICS env var, or the CLI's
 ///     --metrics-json flag): name lookups take a short registry mutex; value
 ///     updates stay lock-free.
@@ -60,13 +59,9 @@ bool InitEnabledFromEnv();
 
 /// True when instruments record. Safe (and cheap) to call from any thread.
 inline bool Enabled() {
-#ifdef NEXTMAINT_TELEMETRY_DISABLED
-  return false;
-#else
   const int v = internal::g_enabled.load(std::memory_order_relaxed);
   if (v >= 0) return v != 0;
   return internal::InitEnabledFromEnv();
-#endif
 }
 
 /// Turns recording on or off at runtime (overrides the env default).

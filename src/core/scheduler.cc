@@ -832,27 +832,6 @@ std::shared_ptr<const ml::BinningCache> FleetScheduler::UnifiedBinningCache()
   return unified_binning_cache_;
 }
 
-
-Result<DriftReport> FleetScheduler::CheckDrift(
-    const std::string& id, double reference_fraction,
-    const DriftOptions& options) const {
-  NM_ASSIGN_OR_RETURN(const VehicleState* state, FindVehicle(id));
-  if (reference_fraction <= 0.0 || reference_fraction >= 1.0) {
-    return Status::InvalidArgument("reference_fraction must be in (0, 1)");
-  }
-  const size_t train_days = static_cast<size_t>(
-      reference_fraction * static_cast<double>(state->usage.size()));
-  Result<DriftReport> report =
-      DetectUsageDrift(state->usage, train_days, options);
-  if (report.ok()) {
-    telemetry::Count("scheduler.drift.checks");
-    if (report.ValueOrDie().drift_detected) {
-      telemetry::Count("scheduler.drift.alarms");
-    }
-  }
-  return report;
-}
-
 Status FleetScheduler::MaterializeModel(const std::string& id,
                                         const VehicleState& state) const {
   if (state.model != nullptr || !state.pending_segment.valid()) {

@@ -12,7 +12,6 @@
 #include "common/status.h"
 #include "core/category.h"
 #include "core/cold_start.h"
-#include "core/drift.h"
 #include "core/old_vehicle.h"
 #include "data/time_series.h"
 #include "ml/regressor.h"
@@ -319,15 +318,6 @@ class FleetScheduler {
   /// whole index validates, so a truncated or corrupt checkpoint changes
   /// nothing.
   [[nodiscard]] Status LoadCheckpoint(const std::string& path);
-
-  /// Runs the CUSUM usage-drift monitor for one vehicle: the reference
-  /// distribution is fitted on the first `reference_fraction` of its
-  /// history and the remainder is monitored. A detected drift means the
-  /// vehicle's model was trained on a usage regime that no longer holds —
-  /// retrain (TrainAll) and reset. See core/drift.h.
-  [[nodiscard]] Result<DriftReport> CheckDrift(const std::string& id,
-                                 double reference_fraction = 0.7,
-                                 const DriftOptions& options = {}) const;
 
   /// Vehicles quarantined by the most recent TrainAll/TrainVehicles plus
   /// those quarantined by the most recent FleetForecast, in deterministic

@@ -6,18 +6,14 @@
 #include "common/status.h"
 
 /// \file metrics.h
-/// Generic regression metrics. The paper-specific error definitions
-/// (E_Global, E_MRE) live in core/errors.h; these are the standard metrics
-/// used inside cross-validation and tests.
+/// The generic regression metric that scores cross-validation folds. The
+/// paper-specific error definitions (E_Global, E_MRE) live in
+/// core/errors.h.
 
 namespace nextmaint {
 namespace ml {
 
-/// Mean squared error. Fails on length mismatch or empty input.
-[[nodiscard]] Result<double> MeanSquaredError(const std::vector<double>& truth,
-                                const std::vector<double>& predicted);
-
-/// Mean absolute error.
+/// Mean absolute error. Fails on length mismatch or empty input.
 [[nodiscard]] Result<double> MeanAbsoluteError(const std::vector<double>& truth,
                                  const std::vector<double>& predicted);
 

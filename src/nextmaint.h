@@ -25,7 +25,6 @@
 #include "core/category.h"
 #include "core/cold_start.h"
 #include "core/dataset_builder.h"
-#include "core/drift.h"
 #include "core/errors.h"
 #include "core/old_vehicle.h"
 #include "core/scheduler.h"
@@ -47,7 +46,6 @@
 #include "ml/random_forest.h"
 #include "ml/registry.h"
 #include "ml/regressor.h"
-#include "ml/scaler.h"
 #include "ml/serialization.h"
 #include "serve/serving_engine.h"
 #include "telematics/can_bus.h"

@@ -204,8 +204,8 @@ class ServingEngine {
     return scheduler_.SaveVehicleCheckpoint(path, id);
   }
 
-  /// Read access to the underlying batch facade (drift checks,
-  /// per-vehicle queries). The engine owns training and ingestion;
+  /// Read access to the underlying batch facade (per-vehicle
+  /// queries). The engine owns training and ingestion;
   /// mutating the scheduler behind the engine's back voids the
   /// bit-identity guarantee.
   const core::FleetScheduler& scheduler() const { return scheduler_; }

@@ -64,10 +64,6 @@ void RenderResponse(const serve::protocol::Response& response,
 class ChaosSweepTest : public testing::Test {
  protected:
   void SetUp() override {
-    if (!failpoints::CompiledIn()) {
-      GTEST_SKIP() << "failpoints compiled out "
-                      "(NEXTMAINT_ENABLE_FAILPOINTS=OFF)";
-    }
     failpoints::DisarmAll();
     // Unique per test: ctest -j runs suite members as concurrent processes
     // and a shared directory would race SetUp's remove_all.
@@ -87,7 +83,7 @@ class ChaosSweepTest : public testing::Test {
                     .ok());
   }
   void TearDown() override {
-    if (failpoints::CompiledIn()) failpoints::DisarmAll();
+    failpoints::DisarmAll();
     fs::remove_all(dir_);
   }
 

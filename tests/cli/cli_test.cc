@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/failpoints.h"
 #include "serve/client.h"
 #include "storage/checkpoint_store.h"
 
@@ -188,12 +187,6 @@ TEST(ParseCommonOptionsTest, RejectsMalformedValues) {
 }
 
 TEST(ParseCommonOptionsTest, FailpointsSpecRequiresValue) {
-  if (!failpoints::CompiledIn()) {
-    const auto result =
-        ParseCommonOptions(ParseArgs({"--failpoints", "serve.refresh"}));
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-    return;
-  }
   EXPECT_EQ(ParseCommonOptions(ParseArgs({"--failpoints"})).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ParseCommonOptions(ParseArgs({"--failpoints", "serve.refresh"}))
@@ -436,9 +429,6 @@ TEST_F(CliPipelineTest, MalformedThreadsFlagRejectedWithUsage) {
 }
 
 TEST_F(CliPipelineTest, MetricsJsonFlagWritesParsableReport) {
-#ifdef NEXTMAINT_TELEMETRY_DISABLED
-  GTEST_SKIP() << "telemetry compiled out (NEXTMAINT_ENABLE_TELEMETRY=OFF)";
-#endif
   std::ostringstream out;
   ASSERT_TRUE(RunCommand({"simulate", "--out", Dir(), "--vehicles", "2",
                           "--days", "600", "--tv", "500000"},

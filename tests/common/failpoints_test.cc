@@ -14,16 +14,8 @@ namespace {
 /// the fixture composes with any test order in the shared binary.
 class FailpointsTest : public testing::Test {
  protected:
-  void SetUp() override {
-    if (!CompiledIn()) {
-      GTEST_SKIP() << "failpoints compiled out "
-                      "(NEXTMAINT_ENABLE_FAILPOINTS=OFF)";
-    }
-    DisarmAll();
-  }
-  void TearDown() override {
-    if (CompiledIn()) DisarmAll();
-  }
+  void SetUp() override { DisarmAll(); }
+  void TearDown() override { DisarmAll(); }
 };
 
 TEST_F(FailpointsTest, DisarmedSitesAreFreeAndOk) {
@@ -167,9 +159,6 @@ TEST_F(FailpointsTest, ArmMergesWithEnvSpec) {
 }
 
 TEST(FailpointsMacroTest, MacroReturnsInjectedStatusFromEnclosingFunction) {
-  if (!CompiledIn()) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   DisarmAll();
   const auto guarded_status = []() -> Status {
     NEXTMAINT_FAILPOINT("ml.fit");

@@ -14,18 +14,11 @@ namespace nextmaint {
 namespace telemetry {
 namespace {
 
-TEST(TelemetryKillSwitchTest, CompileTimeSwitchWinsOverSetEnabled) {
-#ifdef NEXTMAINT_TELEMETRY_DISABLED
-  SetEnabled(true);
-  EXPECT_FALSE(Enabled());
-  Count("test.counter.killed");
-  EXPECT_EQ(Snapshot().counters.count("test.counter.killed"), 0u);
-#else
+TEST(TelemetrySwitchTest, SetEnabledTogglesEnabled) {
   SetEnabled(true);
   EXPECT_TRUE(Enabled());
   SetEnabled(false);
   EXPECT_FALSE(Enabled());
-#endif
 }
 
 /// Every test starts recording from a clean slate and leaves telemetry
@@ -33,9 +26,6 @@ TEST(TelemetryKillSwitchTest, CompileTimeSwitchWinsOverSetEnabled) {
 class TelemetryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-#ifdef NEXTMAINT_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out (NEXTMAINT_ENABLE_TELEMETRY=OFF)";
-#endif
     SetEnabled(true);
     MetricsRegistry::Global().Reset();
   }

@@ -284,33 +284,6 @@ TEST(FleetSchedulerTest, LoadCheckpointRejectsTruncatedFile) {
   std::remove(path.c_str());
 }
 
-TEST(FleetSchedulerTest, CheckDriftFlagsRegimeChange) {
-  FleetScheduler scheduler(FastOptions());
-  ASSERT_TRUE(scheduler.RegisterVehicle("v1", Day(0)).ok());
-  // 300 quiet days then 120 busy days: the monitor must flag the shift.
-  Rng rng(91);
-  std::vector<double> values;
-  for (int i = 0; i < 300; ++i) values.push_back(rng.Normal(8'000, 800));
-  for (int i = 0; i < 120; ++i) values.push_back(rng.Normal(16'000, 800));
-  ASSERT_TRUE(
-      scheduler.IngestSeries("v1", data::DailySeries(Day(0), values)).ok());
-  const DriftReport report =
-      scheduler.CheckDrift("v1", /*reference_fraction=*/0.7).ValueOrDie();
-  EXPECT_TRUE(report.drift_detected);
-  EXPECT_EQ(report.direction, +1);
-
-  // A stable vehicle raises nothing.
-  ASSERT_TRUE(scheduler.RegisterVehicle("v2", Day(0)).ok());
-  std::vector<double> stable;
-  for (int i = 0; i < 420; ++i) stable.push_back(rng.Normal(8'000, 800));
-  ASSERT_TRUE(
-      scheduler.IngestSeries("v2", data::DailySeries(Day(0), stable)).ok());
-  EXPECT_FALSE(scheduler.CheckDrift("v2").ValueOrDie().drift_detected);
-
-  // Bad fraction rejected.
-  EXPECT_FALSE(scheduler.CheckDrift("v1", 1.5).ok());
-}
-
 TEST(FleetSchedulerTest, NegativeNumThreadsRejected) {
   SchedulerOptions options = FastOptions();
   options.num_threads = -2;
@@ -481,7 +454,6 @@ TEST(FleetSchedulerTest, TelemetryDoesNotChangeResults) {
                 forecasts_off[i].predicted_date);
     }
 
-#ifndef NEXTMAINT_TELEMETRY_DISABLED
     // The instrumented run actually recorded the fleet's shape.
     EXPECT_EQ(snapshot.gauges.at("scheduler.fleet.vehicles.old") +
                   snapshot.gauges.at("scheduler.fleet.vehicles.semi_new") +
@@ -491,9 +463,6 @@ TEST(FleetSchedulerTest, TelemetryDoesNotChangeResults) {
               forecasts_on.size());
     EXPECT_GE(snapshot.histograms.at("scheduler.train.seconds").count, 1u);
     EXPECT_GE(snapshot.histograms.at("scheduler.forecast.seconds").count, 1u);
-#else
-    EXPECT_TRUE(snapshot.gauges.empty());
-#endif
   }
 }
 
@@ -502,9 +471,6 @@ TEST(FleetSchedulerTest, TelemetryDoesNotChangeResults) {
 /// served by the BL fallback and every other vehicle's forecast is
 /// bit-identical to a failure-free run.
 TEST(FleetSchedulerTest, GracefulDegradationQuarantinesOnlyFailingVehicle) {
-  if (!failpoints::CompiledIn()) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   failpoints::DisarmAll();
 
   const auto populate = [](FleetScheduler& scheduler) {
@@ -569,16 +535,11 @@ TEST(FleetSchedulerTest, GracefulDegradationQuarantinesOnlyFailingVehicle) {
     EXPECT_EQ(got.predicted_date, expected.predicted_date);
   }
 
-#ifndef NEXTMAINT_TELEMETRY_DISABLED
   EXPECT_EQ(snapshot.gauges.at("scheduler.degraded_vehicles"), 1.0);
   EXPECT_EQ(snapshot.counters.at("scheduler.train.fallback_bl"), 1u);
-#endif
 }
 
 TEST(FleetSchedulerTest, SaveCheckpointFailureLeavesExistingFileIntact) {
-  if (!failpoints::CompiledIn()) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   failpoints::DisarmAll();
   FleetScheduler scheduler(FastOptions());
   ASSERT_TRUE(scheduler.RegisterVehicle("v1", Day(0)).ok());
@@ -788,13 +749,11 @@ TEST(FleetSchedulerTest, UnifiedFitInFanOutMatchesCompositionAtAnyThreadCount) {
     // byte.
     EXPECT_EQ(got.models.at("a_new"), serial_unified);
     EXPECT_EQ(got.models.at("e_new"), serial_unified);
-#ifndef NEXTMAINT_TELEMETRY_DISABLED
     // One wait per cold-start vehicle that reads Model_Uni: the two new
     // vehicles (both semi-new ones found a similarity model).
     EXPECT_EQ(
         snapshot.histograms.at("scheduler.train.unified_wait.seconds").count,
         2u);
-#endif
   }
 }
 
@@ -827,9 +786,6 @@ TEST(FleetSchedulerTest, AllColdFleetFanOutFinishesWithoutUnifiedModel) {
 }
 
 TEST(FleetSchedulerTest, UnifiedFitFailpointFanOutMatchesComposition) {
-  if (!failpoints::CompiledIn()) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   // Outside any context, "ml.fit:1" fails the first uncontexted fit —
   // Model_Uni — and every fit of the vehicle at position 1, a_new, which
   // fits nothing. Inside a caller's context 2 (a daemon shard's refresh),
@@ -868,9 +824,6 @@ TEST(FleetSchedulerTest, UnifiedFitFailpointFanOutMatchesComposition) {
 }
 
 TEST(FleetSchedulerTest, TrainAllRefitsModelUniEveryRun) {
-  if (!failpoints::CompiledIn()) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   // A batch run fits Model_Uni even over an unchanged corpus, so a retrain
   // sees the same "ml.fit" hits as a fresh scheduler: "ml.fit:1" fails
   // the first uncontexted fit, Model_Uni, and the new vehicles go
@@ -890,9 +843,6 @@ TEST(FleetSchedulerTest, TrainAllRefitsModelUniEveryRun) {
 }
 
 TEST(FleetSchedulerTest, FailpointQuarantinesByIdPositionInFanOut) {
-  if (!failpoints::CompiledIn()) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   // Positions 3 (c_semi, claimed last) and 4 (d_old, claimed early).
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(threads);
@@ -920,9 +870,6 @@ TEST(FleetSchedulerTest, FailpointQuarantinesByIdPositionInFanOut) {
 }
 
 TEST(FleetSchedulerTest, StrictFailpointReturnsLowestPositionFailure) {
-  if (!failpoints::CompiledIn()) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   // d_old (position 4) is claimed before c_semi (position 3), yet strict
   // mode must report c_semi, the lowest position, at any thread count.
   for (const int threads : {1, 4}) {
@@ -1167,12 +1114,8 @@ TEST(FleetSchedulerTest, FitMemoRetrainsMatchFreshBatchEveryNight) {
   const telemetry::MetricsSnapshot counters = telemetry::Snapshot();
   telemetry::MetricsRegistry::Global().Reset();
   telemetry::SetEnabled(counted);
-#ifndef NEXTMAINT_TELEMETRY_DISABLED
   EXPECT_GT(counters.counters.at("scheduler.selection.memo_hits"), 60u);
   EXPECT_GT(counters.counters.at("scheduler.refit.memo_hits"), 0u);
-#else
-  EXPECT_TRUE(counters.counters.empty());
-#endif
 
   for (const auto& [id, series] : histories) {
     VehicleSelection reference(series, kTv, scheduler.options().selection);

@@ -478,12 +478,10 @@ TEST(NodeHistogramTest, ScanTalliesReportTheSparsity) {
   telemetry::SetEnabled(false);
 
   EXPECT_EQ(bytes_on, bytes_off);
-#ifndef NEXTMAINT_TELEMETRY_DISABLED
   const uint64_t scanned = snapshot.counters.at("ml.hist.bins_scanned");
   const uint64_t total = snapshot.counters.at("ml.hist.bins_total");
   EXPECT_GT(scanned, 0u);
   EXPECT_LT(4 * scanned, total);
-#endif
 }
 
 }  // namespace

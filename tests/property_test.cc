@@ -397,9 +397,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IngestionOrderTest,
 class DegradationIsolationTest : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(DegradationIsolationTest, FailingSubsetNeverPerturbsTheRest) {
-  if (!failpoints::CompiledIn()) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   const uint64_t seed = GetParam();
   constexpr double kTv = 500'000.0;
   constexpr int kFleetSize = 5;

@@ -477,9 +477,6 @@ TEST(FleetDaemonTest, RefreshBeforeStartIsAnError) {
 }
 
 TEST(FleetDaemonTest, EnqueueFailpointSurfacesAsErrorResponse) {
-  if (!failpoints::CompiledIn()) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   failpoints::DisarmAll();
   ASSERT_TRUE(failpoints::Arm("serve.daemon.enqueue").ok());
   FleetDaemon daemon(Options(1));
@@ -497,9 +494,6 @@ TEST(FleetDaemonTest, EnqueueFailpointSurfacesAsErrorResponse) {
 }
 
 TEST(FleetDaemonTest, RefreshFailpointFailsTheBarrierDeterministically) {
-  if (!failpoints::CompiledIn()) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   failpoints::DisarmAll();
   FleetDaemon daemon(Options(2));
   ASSERT_TRUE(daemon.Start().ok());

@@ -523,13 +523,11 @@ TEST(ServingEngineTest, CorpusEventsRebuildExactlyWhenTheCorpusChanges) {
     const auto expect_refresh = [&](const std::string& event, bool rebuilt,
                                     const std::set<std::string>& refreshed) {
       SCOPED_TRACE(event);
-      [[maybe_unused]] const uint64_t rebuilds_before = rebuilds();
+      const uint64_t rebuilds_before = rebuilds();
       const Result<RefreshStats> stats = engine.RefreshForecasts();
       ASSERT_TRUE(stats.ok()) << stats.status();
       EXPECT_EQ(stats.ValueOrDie().corpus_rebuilt, rebuilt);
-#ifndef NEXTMAINT_TELEMETRY_DISABLED
       EXPECT_EQ(rebuilds() - rebuilds_before, rebuilt ? 1u : 0u);
-#endif
       std::set<std::string> got;
       for (const auto& [id, series] : data) {
         if (engine.CachedState(id).ValueOrDie().last_refresh_epoch ==
@@ -675,9 +673,6 @@ TEST(ServingEngineTest, GetForecastsBatchReadsFromOneSnapshot) {
 /// uses up an ordinal. FleetForecast numbers only the modeled vehicles, so
 /// the same spec selects a different vehicle there.
 TEST(ServingEngineTest, ForecastFailpointOrdinalCountsUnmodeledDirtyVehicles) {
-  if (!failpoints::CompiledIn()) {
-    GTEST_SKIP() << "failpoints not compiled in";
-  }
   failpoints::DisarmAll();
   const std::map<std::string, data::DailySeries> histories = {
       {"b_old", SimulatedVehicle(61, 600)},
@@ -732,7 +727,6 @@ TEST(ServingEngineTest, ForecastFailpointOrdinalCountsUnmodeledDirtyVehicles) {
     EXPECT_EQ(report.vehicles[0].vehicle_id, "c_old");
     EXPECT_EQ(report.vehicles[0].stage, "forecast");
 
-#ifndef NEXTMAINT_TELEMETRY_DISABLED
     // Each caller counts under its own names from the fan-out's outcomes.
     const auto counter = [](const telemetry::MetricsSnapshot& metrics,
                             const std::string& name) -> uint64_t {
@@ -748,16 +742,12 @@ TEST(ServingEngineTest, ForecastFailpointOrdinalCountsUnmodeledDirtyVehicles) {
     EXPECT_EQ(counter(batch_metrics, "scheduler.fallback_forecasts"), 1u);
     EXPECT_EQ(counter(batch_metrics, "scheduler.forecast.skipped"), 0u);
     EXPECT_EQ(counter(batch_metrics, "serve.refresh.forecasts"), 0u);
-#endif
   }
 }
 
 /// Strict mode turns the same injection into a failed refresh that names
 /// the lowest failing position, as FleetForecast does.
 TEST(ServingEngineTest, StrictForecastFailpointFailsRefresh) {
-  if (!failpoints::CompiledIn()) {
-    GTEST_SKIP() << "failpoints not compiled in";
-  }
   failpoints::DisarmAll();
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(threads);
@@ -883,7 +873,6 @@ TEST(ServingEngineMemoTest, NightlyRefreshesMatchBatchAndReuseFits) {
       }
     }
   });
-#ifndef NEXTMAINT_TELEMETRY_DISABLED
   // Every vehicle is old: one remembered candidate (LR) per vehicle-night,
   // one refit per night it wins.
   const double vehicle_nights = static_cast<double>(nights * histories.size());
@@ -894,9 +883,6 @@ TEST(ServingEngineMemoTest, NightlyRefreshesMatchBatchAndReuseFits) {
             0.8 * vehicle_nights);
   EXPECT_GT(static_cast<double>(Counter(counters, "scheduler.refit.memo_hits")),
             0.8 * static_cast<double>(refits));
-#else
-  EXPECT_TRUE(counters.counters.empty());
-#endif
 }
 
 /// LoadHistory replaces a history, so the memo keys (cycle counts of an
@@ -924,11 +910,9 @@ TEST(ServingEngineMemoTest, LoadHistoryDropsTheMemo) {
       CountersOf([&] { ASSERT_TRUE(engine.RefreshForecasts().ok()); });
   EXPECT_EQ(Counter(counters, "scheduler.selection.memo_hits"), 0u);
   EXPECT_EQ(Counter(counters, "scheduler.refit.memo_hits"), 0u);
-#ifndef NEXTMAINT_TELEMETRY_DISABLED
   EXPECT_EQ(Counter(counters, "scheduler.selection.winner.LR") +
                 Counter(counters, "scheduler.selection.winner.BL"),
             histories.size());
-#endif
   ExpectEngineMatchesBatch(engine, histories, options, "after LoadHistory");
   AppendNight(engine, histories, rng);
   ASSERT_TRUE(engine.RefreshForecasts().ok());
@@ -953,9 +937,7 @@ TEST(ServingEngineMemoTest, ResamplingShiftsBypassTheMemo) {
   });
   EXPECT_EQ(Counter(counters, "scheduler.selection.memo_hits"), 0u);
   EXPECT_EQ(Counter(counters, "scheduler.refit.memo_hits"), 0u);
-#ifndef NEXTMAINT_TELEMETRY_DISABLED
   EXPECT_GT(Counter(counters, "scheduler.selection.winner.LR"), 0u);
-#endif
   ExpectEngineMatchesBatch(engine, histories, options, "shifts=2");
 }
 
@@ -963,9 +945,6 @@ TEST(ServingEngineMemoTest, ResamplingShiftsBypassTheMemo) {
 /// selection nothing to remember, a quarantine and a failed refit leave no
 /// refit key, and the next clean refresh retrains to the batch result.
 TEST(ServingEngineMemoTest, MemoDegradationStoresNothingAndRecovers) {
-  if (!failpoints::CompiledIn()) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   const core::SchedulerOptions options = FastOptions(1);
   // A vehicle LR serves (for most seeds BL wins on uniform use).
   Histories histories = UniformFleet(1, 230, 42);
@@ -1018,16 +997,12 @@ TEST(ServingEngineMemoTest, MemoDegradationStoresNothingAndRecovers) {
   counters = night("ml.fit:1");
   EXPECT_EQ(served(), "BL_fallback");
   EXPECT_EQ(engine.Snapshot()->degradations.vehicles.size(), 1u);
-#ifndef NEXTMAINT_TELEMETRY_DISABLED
   EXPECT_EQ(Counter(counters, "scheduler.selection.memo_hits"), 1u);
-#endif
   EXPECT_EQ(Counter(counters, "scheduler.refit.memo_hits"), 0u);
   // The failed refit stored no key either: a clean night refits LR.
   counters = night("");
   EXPECT_EQ(served(), "LR");
-#ifndef NEXTMAINT_TELEMETRY_DISABLED
   EXPECT_EQ(Counter(counters, "scheduler.selection.memo_hits"), 1u);
-#endif
   EXPECT_EQ(Counter(counters, "scheduler.refit.memo_hits"), 0u);
   ExpectEngineMatchesBatch(engine, histories, options, "after a quarantine");
 }

@@ -249,7 +249,6 @@ class TornRewriteTest : public CheckpointStoreTest,
                         public ::testing::WithParamInterface<const char*> {};
 
 TEST_P(TornRewriteTest, FailedSingleVehicleRewriteLeavesOldGenerationIntact) {
-  if (!failpoints::CompiledIn()) GTEST_SKIP() << "failpoints compiled out";
   {
     auto seeder = CheckpointStore::Open(path_).ValueOrDie();
     ASSERT_TRUE(seeder->SaveAll(ThreeRecords()).ok());
