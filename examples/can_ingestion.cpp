@@ -85,8 +85,7 @@ int Run() {
   nextmaint::data::DailySeries series =
       std::move(series_result).ValueOrDie();
   const nextmaint::data::CleaningReport cleaning =
-      nextmaint::data::Clean(&series,
-                             nextmaint::data::MissingValuePolicy::kZero);
+      nextmaint::data::Clean(&series);
 
   std::printf("\ndaily utilization after aggregation + cleaning "
               "(%zu missing days filled):\n",

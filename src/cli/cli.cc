@@ -95,7 +95,7 @@ constexpr Synopsis kSynopses[] = {
     {"simulate",
      "--out DIR [--vehicles N] [--days N] [--seed S] [--tv S]\n"
      "           [--weather]"},
-    {"compact", "--data DIR --out FILE [--tv S]"},
+    {"compact", "--data DIR --out FILE"},
     {"forecast",
      "--data DIR [--tv S] [--window W] [--tune] [--threads N]\n"
      "           [--save-models FILE] [--load-models FILE]"},
@@ -324,7 +324,7 @@ Result<FleetLoad> LoadFleetDir(const std::string& dir, bool strict) {
 
 /// Loads a fleet from either a CSV directory or a compacted binary corpus
 /// (built by `nextmaint compact`). A regular file routes by magic: corpus
-/// files decode their summary index eagerly and materialize each vehicle's
+/// files decode their index eagerly and materialize each vehicle's
 /// series from its column block — no CSV parsing on the serving path.
 Result<FleetLoad> LoadFleetSource(const std::string& source, bool strict) {
   std::error_code ec;
@@ -607,7 +607,6 @@ Status RunCompact(const ParsedArgs& args, std::ostream& out) {
         "compact requires --data DIR and --out FILE\n" + UsageText());
   }
   NM_ASSIGN_OR_RETURN(const CommonOptions common, ParseCommonOptions(args));
-  NM_ASSIGN_OR_RETURN(double tv, args.DoubleFlagOr("tv", 2'000'000.0));
   const std::string out_path = args.flags.at("out");
 
   // Pass 1: the sorted worklist (stems ascending — the id order the
@@ -618,7 +617,7 @@ Status RunCompact(const ParsedArgs& args, std::ostream& out) {
   NM_ASSIGN_OR_RETURN(std::vector<fs::path> paths,
                       ListVehicleCsvs(args.flags.at("data")));
   NM_ASSIGN_OR_RETURN(std::unique_ptr<storage::CorpusWriter> writer,
-                      storage::CorpusWriter::Create(out_path, tv));
+                      storage::CorpusWriter::Create(out_path));
   size_t written = 0;
   size_t skipped = 0;
   for (const fs::path& path : paths) {

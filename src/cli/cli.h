@@ -16,12 +16,11 @@
 ///   simulate --out DIR [--vehicles N] [--days N] [--seed S] [--weather]
 ///       Simulate a fleet and write one CSV per vehicle (date,utilization_s)
 ///       plus fleet.csv with the vehicle inventory.
-///   compact --data DIR --out FILE [--tv SECONDS]
+///   compact --data DIR --out FILE
 ///       Stream the fleet's per-vehicle CSVs into one compacted binary
-///       corpus (docs/storage.md): column blocks behind summary headers,
-///       so later runs skip CSV parsing and cold-start screening reads
-///       headers only. Every fleet command accepts the corpus file in
-///       place of the CSV directory (--data FILE).
+///       corpus (docs/storage.md): column blocks behind a small index, so
+///       later runs skip CSV parsing. Every fleet command accepts the
+///       corpus file in place of the CSV directory (--data FILE).
 ///   forecast --data DIR [--tv SECONDS] [--window W] [--save-models FILE]
 ///       Load per-vehicle CSVs, train the scheduler, print the fleet
 ///       forecast; optionally persist the trained models as a segmented

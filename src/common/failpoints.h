@@ -136,9 +136,7 @@ void ResetForTesting();
 
 /// Evaluates the named failpoint and returns its injected Status (or a
 /// Result, via the implicit conversion) from the enclosing function when it
-/// fires. The expansion checks the Status it creates, so call statements
-/// are clean under nextmaint_lint's unchecked-status rule
-/// (docs/static-analysis.md).
+/// fires. The expansion checks the Status it creates itself.
 #define NEXTMAINT_FAILPOINT(site)                                  \
   do {                                                             \
     if (::nextmaint::failpoints::Enabled()) {                      \

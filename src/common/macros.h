@@ -33,8 +33,9 @@
 
 /// Explicitly discards a Status (or Result) that is intentionally ignored.
 ///
-/// `Status` is [[nodiscard]] and `nextmaint_lint` rejects bare discarding
-/// call statements, so every dropped error must be voided through this macro.
+/// `Status` is [[nodiscard]] and every build compiles with
+/// -Werror=unused-result, so every dropped error must be voided through this
+/// macro.
 /// Acceptable only when failure is handled out of band or genuinely benign
 /// (e.g. best-effort cleanup on an already-failing path); say why in a
 /// comment at the call site.

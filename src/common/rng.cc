@@ -106,66 +106,6 @@ double Rng::Exponential(double rate) {
   return -std::log(u) / rate;
 }
 
-int64_t Rng::Poisson(double lambda) {
-  NM_CHECK(lambda >= 0.0);
-  if (lambda == 0.0) return 0;
-  if (lambda > 64.0) {
-    // Normal approximation with continuity correction; adequate for the
-    // simulator's message-count draws.
-    const double v = Normal(lambda, std::sqrt(lambda));
-    return v < 0.0 ? 0 : static_cast<int64_t>(v + 0.5);
-  }
-  const double limit = std::exp(-lambda);
-  double product = NextDouble();
-  int64_t count = 0;
-  while (product > limit) {
-    ++count;
-    product *= NextDouble();
-  }
-  return count;
-}
-
-double Rng::Gamma(double shape, double scale) {
-  NM_CHECK(shape > 0.0 && scale > 0.0);
-  if (shape < 1.0) {
-    // Boost to shape >= 1 and correct with a power of a uniform draw.
-    const double u = std::max(NextDouble(), 1e-300);
-    return Gamma(shape + 1.0, scale) * std::pow(u, 1.0 / shape);
-  }
-  // Marsaglia & Tsang squeeze method.
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x, v;
-    do {
-      x = Normal();
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    const double u = NextDouble();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return d * v * scale;
-    if (u > 1e-300 &&
-        std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) {
-      return d * v * scale;
-    }
-  }
-}
-
-size_t Rng::Categorical(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    NM_CHECK(w >= 0.0);
-    total += w;
-  }
-  NM_CHECK(total > 0.0);
-  double target = NextDouble() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target < 0.0) return i;
-  }
-  return weights.size() - 1;  // numerical edge: land on the final bucket
-}
-
 Rng Rng::Fork() { return Rng(NextUint64()); }
 
 }  // namespace nextmaint

@@ -56,18 +56,6 @@ class Rng {
   /// Returns a sample from Exponential(rate). Requires rate > 0.
   double Exponential(double rate);
 
-  /// Returns a Poisson(lambda) sample. Uses Knuth's method for small lambda
-  /// and normal approximation for lambda > 64.
-  int64_t Poisson(double lambda);
-
-  /// Returns a Gamma(shape, scale) sample (Marsaglia-Tsang).
-  /// Requires shape > 0 and scale > 0.
-  double Gamma(double shape, double scale);
-
-  /// Returns an index in [0, weights.size()) drawn with probability
-  /// proportional to weights[i]. Requires at least one positive weight.
-  size_t Categorical(const std::vector<double>& weights);
-
   /// Fisher-Yates shuffles `values` in place.
   template <typename T>
   void Shuffle(std::vector<T>* values) {

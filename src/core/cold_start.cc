@@ -131,29 +131,6 @@ Result<SimilarityModel> TrainSimilarityModel(
   return out;
 }
 
-Result<SimilarityMatch> MostSimilarFromCorpus(
-    const std::vector<double>& target_first_half_usage,
-    const std::vector<storage::CorpusVehicleSummary>& summaries,
-    const ColdStartOptions& options) {
-  std::vector<SimilarityCandidate> candidates;
-  candidates.reserve(summaries.size());
-  for (const storage::CorpusVehicleSummary& summary : summaries) {
-    // Vehicles without a similarity key (category "new" at compaction
-    // time) cannot be matched against; skip, don't fail — the corpus may
-    // legitimately mix them in.
-    if (summary.first_half_usage.empty()) continue;
-    candidates.push_back(
-        SimilarityCandidate{summary.vehicle_id, summary.first_half_usage});
-  }
-  if (candidates.empty()) {
-    return Status::InvalidArgument(
-        "no corpus vehicle carries a first-half-cycle similarity key");
-  }
-  const SimilarityMeasure measure =
-      options.similarity ? options.similarity : AverageDistanceMeasure();
-  return MostSimilar(target_first_half_usage, candidates, measure);
-}
-
 Result<std::unique_ptr<ml::Regressor>> MakeSemiNewBaseline(
     const data::DailySeries& u, double maintenance_interval_s,
     const ColdStartOptions& options) {

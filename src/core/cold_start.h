@@ -12,7 +12,6 @@
 #include "core/similarity.h"
 #include "ml/binned_dataset.h"
 #include "ml/regressor.h"
-#include "storage/corpus.h"
 
 /// \file cold_start.h
 /// Methodology for new and semi-new vehicles (Section 4.4).
@@ -88,18 +87,6 @@ struct SimilarityModel {
     const std::vector<FirstCycleData>& corpus,
     const ColdStartOptions& options);
 
-/// Most-similar search over a compacted corpus's summary headers
-/// (docs/storage.md): the candidates are the header-resident
-/// first-half-cycle keys, so no column block — and no full series — is
-/// ever touched. Vehicles whose key is empty (category "new" at
-/// compaction time) are skipped; InvalidArgument when none carries a key.
-/// The winner's full first cycle can then be materialized selectively via
-/// storage::CorpusReader::Series for TrainSimilarityModel.
-[[nodiscard]] Result<SimilarityMatch> MostSimilarFromCorpus(
-    const std::vector<double>& target_first_half_usage,
-    const std::vector<storage::CorpusVehicleSummary>& summaries,
-    const ColdStartOptions& options);
-
 /// The semi-new BL baseline: AVG over the first half of the target's first
 /// cycle (Section 4.4.1). Fails when less than half a cycle of usage exists
 /// (the vehicle would be "new") or the average is zero.
@@ -107,8 +94,7 @@ struct SimilarityModel {
     const data::DailySeries& u, double maintenance_interval_s,
     const ColdStartOptions& options);
 
-/// The similarity key (data/time_series.h): defined below core so that
-/// corpus headers carry the very key the similarity match reads.
+/// The similarity key (data/time_series.h).
 using data::FirstHalfCycleUsage;
 
 /// Evaluation of one cold-start model on one test vehicle.

@@ -78,7 +78,7 @@ Status FleetScheduler::IngestUsage(const std::string& id, Date day,
     telemetry::Count("scheduler.ingest.rejected");
     return Status::InvalidArgument("utilization must be in [0, 86400]");
   }
-  state.usage.Append(seconds);  // nextmaint-lint: allow(unchecked-status): DailySeries::Append is void; the harvested name collides with ServingEngine::Append
+  state.usage.Append(seconds);
   // Closing the first cycle makes the vehicle old: its corpus contribution
   // appears. Later closes leave that fixed prefix of the history alone.
   if (state.cycles.Advance(seconds) && state.cycles.completed_cycles == 1) {

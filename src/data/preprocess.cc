@@ -1,6 +1,5 @@
 #include "data/preprocess.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -11,130 +10,26 @@
 namespace nextmaint {
 namespace data {
 
-namespace {
-
-/// Mean over the non-NaN entries, or 0 when none exist.
-double ObservedMean(const std::vector<double>& values) {
-  double sum = 0.0;
-  size_t n = 0;
-  for (double v : values) {
-    if (!std::isnan(v)) {
-      sum += v;
-      ++n;
-    }
-  }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
-}
-
-void FillInterpolate(std::vector<double>* values) {
-  const size_t n = values->size();
-  size_t i = 0;
-  while (i < n) {
-    if (!std::isnan((*values)[i])) {
-      ++i;
-      continue;
-    }
-    // Gap [i, j).
-    size_t j = i;
-    while (j < n && std::isnan((*values)[j])) ++j;
-    const bool has_left = i > 0;
-    const bool has_right = j < n;
-    const double left = has_left ? (*values)[i - 1] : 0.0;
-    const double right = has_right ? (*values)[j] : 0.0;
-    for (size_t k = i; k < j; ++k) {
-      if (has_left && has_right) {
-        const double frac = static_cast<double>(k - i + 1) /
-                            static_cast<double>(j - i + 1);
-        (*values)[k] = left + (right - left) * frac;
-      } else if (has_left) {
-        (*values)[k] = left;
-      } else if (has_right) {
-        (*values)[k] = right;
-      } else {
-        (*values)[k] = 0.0;  // all-NaN series
-      }
-    }
-    i = j;
-  }
-}
-
-}  // namespace
-
-CleaningReport Clean(DailySeries* series, MissingValuePolicy policy,
-                     const ConsistencyLimits& limits) {
+CleaningReport Clean(DailySeries* series) {
+  constexpr double kMaxDailySeconds = 86400.0;
   CleaningReport report;
   std::vector<double>& values = series->mutable_values();
-
-  // Step 1: clamp inconsistent values so fill statistics are unbiased.
   for (double& v : values) {
     if (std::isnan(v)) continue;
-    if (v > limits.max_daily_seconds) {
-      v = limits.max_daily_seconds;
+    if (v > kMaxDailySeconds) {
+      v = kMaxDailySeconds;
       ++report.clamped_high;
-    } else if (v < limits.min_daily_seconds) {
-      v = limits.min_daily_seconds;
+    } else if (v < 0.0) {
+      v = 0.0;
       ++report.clamped_low;
     }
   }
-
-  // Step 2: repair missing values.
   report.missing_filled = series->MissingCount();
   if (report.missing_filled == 0) return report;
-
-  switch (policy) {
-    case MissingValuePolicy::kZero:
-      for (double& v : values) {
-        if (std::isnan(v)) v = 0.0;
-      }
-      break;
-    case MissingValuePolicy::kMean: {
-      const double mean = ObservedMean(values);
-      for (double& v : values) {
-        if (std::isnan(v)) v = mean;
-      }
-      break;
-    }
-    case MissingValuePolicy::kForwardFill: {
-      double last = 0.0;
-      for (double& v : values) {
-        if (std::isnan(v)) {
-          v = last;
-        } else {
-          last = v;
-        }
-      }
-      break;
-    }
-    case MissingValuePolicy::kInterpolate:
-      FillInterpolate(&values);
-      break;
+  for (double& v : values) {
+    if (std::isnan(v)) v = 0.0;
   }
   return report;
-}
-
-MinMaxParams NormalizeMinMax(DailySeries* series) {
-  MinMaxParams params;
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (double v : series->values()) {
-    if (std::isnan(v)) continue;
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  if (!std::isfinite(lo) || !std::isfinite(hi)) {
-    // Empty or all-NaN series: identity params.
-    return params;
-  }
-  params.min = lo;
-  params.max = hi;
-  ApplyMinMax(params, series);
-  return params;
-}
-
-void ApplyMinMax(const MinMaxParams& params, DailySeries* series) {
-  for (double& v : series->mutable_values()) {
-    if (!std::isnan(v)) v = params.Transform(v);
-  }
 }
 
 Result<DailySeries> AggregateDaily(const Table& table,

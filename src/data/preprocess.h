@@ -10,69 +10,29 @@
 #include "data/time_series.h"
 
 /// \file preprocess.h
-/// Steps (i)-(iii) of the paper's data-preparation pipeline (Section 3):
-/// cleaning, normalization and aggregation. Steps (iv) enrichment (derived
-/// series C, L, D) and (v) transformation (windowed features) operate on the
-/// problem-specific types and live in core/series.h and core/dataset.h.
+/// Steps (i) and (iii) of the paper's data-preparation pipeline (Section 3):
+/// cleaning and aggregation. Step (ii) normalization scales the features,
+/// not the series (DatasetOptions::normalize_features in
+/// core/dataset_builder.h). Steps (iv) enrichment (derived series C, L, D)
+/// and (v) transformation (windowed features) operate on the
+/// problem-specific types and live in core/series.h and
+/// core/dataset_builder.h.
 
 namespace nextmaint {
 namespace data {
 
-/// How to repair missing (NaN) observations in a daily series.
-enum class MissingValuePolicy {
-  /// Replace with 0 (no CAN reports on a day generally means no usage).
-  kZero,
-  /// Replace with the series mean of observed values.
-  kMean,
-  /// Carry the previous observed value forward (first gap filled with 0).
-  kForwardFill,
-  /// Linear interpolation between the neighbouring observed values
-  /// (boundary gaps use the nearest observed value).
-  kInterpolate,
-};
-
-/// Limits defining "consistent" daily utilization values.
-struct ConsistencyLimits {
-  /// A day has at most 86,400 seconds; larger values are sensor glitches.
-  double max_daily_seconds = 86400.0;
-  /// Negative utilization is impossible.
-  double min_daily_seconds = 0.0;
-};
-
 /// Summary of the repairs applied by Clean().
 struct CleaningReport {
   size_t missing_filled = 0;     ///< NaN cells repaired.
-  size_t clamped_high = 0;       ///< values above max_daily_seconds.
-  size_t clamped_low = 0;        ///< values below min_daily_seconds.
+  size_t clamped_high = 0;       ///< values above 86,400 s.
+  size_t clamped_low = 0;        ///< negative values.
 };
 
-/// Repairs missing and inconsistent values of a utilization series in place.
-/// Values outside the consistency limits are clamped before gap filling so
-/// that fill statistics are not polluted by glitches.
-CleaningReport Clean(DailySeries* series,
-                     MissingValuePolicy policy = MissingValuePolicy::kZero,
-                     const ConsistencyLimits& limits = {});
-
-/// Parameters of a fitted min-max normalization, kept so that values can be
-/// mapped back to the original scale.
-struct MinMaxParams {
-  double min = 0.0;
-  double max = 1.0;
-
-  double Transform(double value) const {
-    return max > min ? (value - min) / (max - min) : 0.0;
-  }
-  double Inverse(double scaled) const { return min + scaled * (max - min); }
-};
-
-/// Scales a series to [0, 1] in place and returns the fitted parameters.
-/// Constant series map to all-zeros. NaN values are left untouched (clean
-/// first).
-MinMaxParams NormalizeMinMax(DailySeries* series);
-
-/// Applies previously fitted parameters to another series in place (e.g.
-/// applying training-set scaling to test data).
-void ApplyMinMax(const MinMaxParams& params, DailySeries* series);
+/// Repairs missing and inconsistent values of a utilization series in
+/// place: values are first clamped to [0, 86400] (a day has at most 86,400
+/// seconds, and negative utilization is impossible), then NaN days are set
+/// to 0 (no CAN reports on a day generally means no usage).
+CleaningReport Clean(DailySeries* series);
 
 /// Aggregates a report-level table into one daily utilization series.
 ///

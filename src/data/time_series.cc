@@ -68,16 +68,6 @@ double DailySeries::MeanValue() const {
   return n == 0 ? 0.0 : sum / static_cast<double>(n);
 }
 
-std::vector<double> DailySeries::CumulativeSum() const {
-  std::vector<double> out(values_.size());
-  double acc = 0.0;
-  for (size_t i = 0; i < values_.size(); ++i) {
-    if (!std::isnan(values_[i])) acc += values_[i];
-    out[i] = acc;
-  }
-  return out;
-}
-
 Result<std::vector<double>> FirstHalfCycleUsage(
     const DailySeries& u, double maintenance_interval_s) {
   if (maintenance_interval_s <= 0.0) {

@@ -79,9 +79,6 @@ class DailySeries {
   /// Mean of all non-NaN values; 0 when empty or all-NaN.
   double MeanValue() const;
 
-  /// Cumulative sums: result[i] = sum of values[0..i] (NaN treated as 0).
-  std::vector<double> CumulativeSum() const;
-
  private:
   Date start_;
   std::vector<double> values_;
@@ -90,7 +87,7 @@ class DailySeries {
 /// Utilization values of the first half of a vehicle's first maintenance
 /// cycle: the days until cumulative usage reaches T_v/2, inclusive. This is
 /// the similarity key of semi-new vehicles (Section 4.4.1), used by the
-/// cold-start models (core) and carried in corpus headers (storage).
+/// cold-start models and the scheduler (core).
 /// InvalidArgument when T_v is not positive or total usage stays below
 /// T_v/2 (the vehicle is "new"); DataError on missing values.
 [[nodiscard]] Result<std::vector<double>> FirstHalfCycleUsage(

@@ -101,17 +101,15 @@ LintConfig LintConfig::ProjectDefault() {
   return config;
 }
 
-std::vector<Finding> LintSource(
-    const std::string& path, const std::string& content,
-    const LintConfig& config,
-    const std::set<std::string>& status_functions) {
+std::vector<Finding> LintSource(const std::string& path,
+                                const std::string& content,
+                                const LintConfig& config) {
   const ScrubbedSource src = Scrub(content);
   std::vector<Finding> findings;
   auto append = [&findings](std::vector<Finding> batch) {
     for (Finding& finding : batch) findings.push_back(std::move(finding));
   };
   append(CheckBannedPrimitives(path, src, config.policy));
-  append(CheckUncheckedStatus(path, src, status_functions));
   append(CheckLayering(path, content, src, config.policy));
   append(CheckNakedNew(path, src, config.policy));
   append(CheckRowIteration(path, content, src, config.policy));
@@ -124,7 +122,7 @@ Result<std::vector<Finding>> LintTree(const std::string& root,
                                       const std::vector<std::string>& paths,
                                       const LintConfig& config) {
   const fs::path root_path(root);
-  // Pass 0: collect the files to scan, in deterministic order.
+  // Collect the files to scan, in deterministic order.
   std::vector<fs::path> files;
   for (const std::string& requested : paths) {
     const fs::path full = root_path / requested;
@@ -157,22 +155,12 @@ Result<std::vector<Finding>> LintTree(const std::string& root,
   }
   std::sort(files.begin(), files.end());
 
-  // Pass 1: read everything and harvest Status-returning function names.
-  std::vector<std::pair<std::string, std::string>> sources;  // label, content
-  sources.reserve(files.size());
-  std::set<std::string> status_functions = config.extra_status_functions;
-  for (const fs::path& file : files) {
-    NM_ASSIGN_OR_RETURN(std::string content, ReadFileToString(file));
-    const std::string label = RelativeLabel(file, root_path);
-    CollectStatusFunctions(Scrub(content), &status_functions);
-    sources.emplace_back(label, std::move(content));
-  }
-
-  // Pass 2: apply the rules.
+  // Read each file and apply the rules.
   std::vector<Finding> findings;
-  for (const auto& [label, content] : sources) {
+  for (const fs::path& file : files) {
+    NM_ASSIGN_OR_RETURN(const std::string content, ReadFileToString(file));
     std::vector<Finding> batch =
-        LintSource(label, content, config, status_functions);
+        LintSource(RelativeLabel(file, root_path), content, config);
     for (Finding& finding : batch) findings.push_back(std::move(finding));
   }
   std::sort(findings.begin(), findings.end(),

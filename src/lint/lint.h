@@ -1,7 +1,6 @@
 #ifndef NEXTMAINT_LINT_LINT_H_
 #define NEXTMAINT_LINT_LINT_H_
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -10,8 +9,10 @@
 
 /// \file lint.h
 /// The `nextmaint_lint` invariant checker: scans the source tree and
-/// enforces the project's correctness invariants (deterministic runs, no
-/// dropped errors, layered includes, no naked ownership). See
+/// enforces the project's correctness invariants (deterministic runs,
+/// layered includes, no naked ownership, annotated locking). Dropped
+/// errors are the compiler's check: Status and Result are [[nodiscard]]
+/// and every build passes -Werror=unused-result. See
 /// docs/static-analysis.md for the rule catalogue and escape hatches.
 
 namespace nextmaint {
@@ -24,9 +25,6 @@ struct LintConfig {
   std::vector<std::string> extensions = {".h", ".cc", ".hpp", ".cpp"};
   /// Directory names skipped during the walk (build trees, VCS metadata).
   std::vector<std::string> skip_directories = {".git", "third_party"};
-  /// Extra names treated as Status-returning on top of the harvested set
-  /// (e.g. functions declared in generated code the scan does not see).
-  std::set<std::string> extra_status_functions;
 
   /// The nextmaint project policy: layer order
   /// common < {data, ml, lint} < telematics < core < cli, banned
@@ -36,17 +34,14 @@ struct LintConfig {
 };
 
 /// Lints one in-memory file. `path` is the repo-relative label used in
-/// findings and for allowlist/layer matching; `status_functions` is the
-/// tree-wide set harvested with CollectStatusFunctions (plus any extras).
+/// findings and for allowlist/layer matching.
 std::vector<Finding> LintSource(const std::string& path,
                                 const std::string& content,
-                                const LintConfig& config,
-                                const std::set<std::string>& status_functions);
+                                const LintConfig& config);
 
 /// Lints files and directory trees rooted at `root`. `paths` are relative
 /// to `root` (e.g. {"src", "tools", "bench"}); directories are walked
-/// recursively. Two passes: harvest Status-returning function names from
-/// every file, then apply the rules. Findings are sorted by path and line.
+/// recursively. Findings are sorted by path and line.
 /// Fails with IOError/NotFound when a requested path cannot be read.
 Result<std::vector<Finding>> LintTree(const std::string& root,
                                       const std::vector<std::string>& paths,

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <regex>
-#include <utility>
 
 #include "common/strings.h"
 
@@ -28,21 +27,12 @@ std::string IdentifierEndingAt(const std::string& text, size_t end) {
   return text.substr(start, stop - start);
 }
 
-/// First identifier of `text` starting at `pos`.
-std::string LeadingIdentifier(const std::string& text, size_t pos) {
-  size_t end = pos;
-  while (end < text.size() && IsWordChar(text[end])) ++end;
-  return text.substr(pos, end - pos);
-}
-
 }  // namespace
 
 const char* RuleName(Rule rule) {
   switch (rule) {
     case Rule::kBannedPrimitive:
       return "banned-primitive";
-    case Rule::kUncheckedStatus:
-      return "unchecked-status";
     case Rule::kLayering:
       return "layering";
     case Rule::kNakedNew:
@@ -352,187 +342,6 @@ std::vector<Finding> CheckRowIteration(const std::string& path,
          StrFormat("raw %s() access in a histogram kernel; go through the "
                    "BinSource (BinnedDataset or OnTheFlyBins) instead",
                    it->str(1).c_str())});
-  }
-  return findings;
-}
-
-void CollectStatusFunctions(const ScrubbedSource& src,
-                            std::set<std::string>* out) {
-  // Matches `Status Name(`, `Result<...> Name(` and qualified definitions
-  // like `Status Class::Name(`, with an optional nextmaint:: prefix on the
-  // return type.
-  static const std::regex* const kDeclaration =
-      new std::regex(  // nextmaint-lint: allow(naked-new)
-          R"((?:^|[^\w:<,&])(?:nextmaint\s*::\s*)?(?:Status|Result\s*<[^;{}()]*>)\s+(?:[A-Za-z_]\w*\s*::\s*)*([A-Za-z_]\w*)\s*\()");
-  for (std::sregex_iterator it(src.code.begin(), src.code.end(), *kDeclaration),
-       end;
-       it != end; ++it) {
-    out->insert((*it)[1]);
-  }
-}
-
-std::vector<Finding> CheckUncheckedStatus(
-    const std::string& path, const ScrubbedSource& src,
-    const std::set<std::string>& status_functions) {
-  std::vector<Finding> findings;
-
-  // Blank preprocessor lines (with backslash continuations) so directives
-  // do not leak into the statement stream.
-  std::string code = src.code;
-  {
-    size_t pos = 0;
-    while (pos < code.size()) {
-      size_t eol = code.find('\n', pos);
-      if (eol == std::string::npos) eol = code.size();
-      size_t first = code.find_first_not_of(" \t", pos);
-      if (first != std::string::npos && first < eol && code[first] == '#') {
-        bool continued = true;
-        while (continued && pos < code.size()) {
-          if (eol == std::string::npos) eol = code.size();
-          continued = eol > pos && code[eol - 1] == '\\';
-          for (size_t i = pos; i < eol; ++i) code[i] = ' ';
-          pos = eol + 1;
-          eol = code.find('\n', pos);
-        }
-        continue;
-      }
-      pos = eol + 1;
-    }
-  }
-
-  // Keywords that start statements whose expressions use their values (or
-  // that are not expressions at all).
-  static const std::set<std::string>* const kSkip =
-      new std::set<std::string>{  // nextmaint-lint: allow(naked-new)
-          "return",   "if",       "for",     "while",    "do",
-          "switch",   "case",     "default", "break",    "continue",
-          "goto",     "using",    "typedef", "namespace", "class",
-          "struct",   "enum",     "union",   "template", "public",
-          "private",  "protected", "friend", "static_assert", "co_return",
-          "co_await", "co_yield", "throw",   "delete",   "new",
-          "extern",   "sizeof",   "else",    "try",      "catch",
-      };
-
-  int paren_depth = 0;
-  size_t stmt_start = 0;
-  for (size_t i = 0; i <= code.size(); ++i) {
-    const char c = i < code.size() ? code[i] : ';';
-    if (c == '(' || c == '[') {
-      ++paren_depth;
-      continue;
-    }
-    if (c == ')' || c == ']') {
-      if (paren_depth > 0) --paren_depth;
-      continue;
-    }
-    if (!(c == ';' || c == '{' || c == '}') || paren_depth != 0) continue;
-
-    const std::string stmt = code.substr(stmt_start, i - stmt_start);
-    const size_t stmt_offset = stmt_start;
-    stmt_start = i + 1;
-    paren_depth = 0;  // recover from any unbalanced parens in macros
-
-    // Only `...;` statements discard values; `{`/`}` delimited chunks are
-    // headers of compound statements or block ends.
-    if (c != ';') continue;
-    size_t first = stmt.find_first_not_of(" \t\r\n");
-    if (first == std::string::npos) continue;
-    if (stmt[first] == '(') continue;  // (void)cast or parenthesized expr
-    const std::string keyword = LeadingIdentifier(stmt, first);
-    if (kSkip->count(keyword) > 0) continue;
-
-    // Assignments and compound expressions use the value: skip statements
-    // with any top-level operator outside calls.
-    bool has_operator = false;
-    int depth = 0;
-    for (size_t j = first; j < stmt.size() && !has_operator; ++j) {
-      const char s = stmt[j];
-      if (s == '(' || s == '[') {
-        ++depth;
-      } else if (s == ')' || s == ']') {
-        --depth;
-      } else if (depth == 0) {
-        switch (s) {
-          case '=':
-          case '+':
-          case '|':
-          case '^':
-          case '%':
-          case '?':
-          case ',':
-          case '!':
-            has_operator = true;
-            break;
-          case '<':
-          case '>':
-            // `->` is a member access, `<...>` template args are skipped
-            // conservatively: treat as operator only for `<<` / `>>`.
-            if (j + 1 < stmt.size() && stmt[j + 1] == s) has_operator = true;
-            break;
-          case '-':
-            if (j + 1 < stmt.size() && stmt[j + 1] != '>') has_operator = true;
-            break;
-          default:
-            break;
-        }
-      }
-    }
-    if (has_operator) continue;
-
-    // The statement must be a call: `obj.Func(args)` / `Func(args)`.
-    size_t last = stmt.find_last_not_of(" \t\r\n");
-    if (last == std::string::npos || stmt[last] != ')') continue;
-    int call_depth = 0;
-    size_t open = std::string::npos;
-    for (size_t j = last + 1; j-- > first;) {
-      if (stmt[j] == ')') ++call_depth;
-      if (stmt[j] == '(') {
-        --call_depth;
-        if (call_depth == 0) {
-          open = j;
-          break;
-        }
-      }
-    }
-    if (open == std::string::npos) continue;
-    const std::string name = IdentifierEndingAt(stmt, open);
-    if (name.empty() || status_functions.count(name) == 0) continue;
-
-    // Distinguish a discarded call from a declaration or definition: in
-    // `obj.Foo(...)` / `ns::Foo(...)` the text before the callee ends with
-    // '.', "->" or "::" (or is empty); in `Status Foo(...)` it ends with
-    // another identifier, and in `auto&& x{Foo(...)}` with a brace.
-    size_t name_start = open;
-    while (name_start > first &&
-           std::isspace(static_cast<unsigned char>(stmt[name_start - 1])) !=
-               0) {
-      --name_start;
-    }
-    name_start -= name.size();
-    size_t prefix_end = name_start;
-    while (prefix_end > first &&
-           std::isspace(static_cast<unsigned char>(stmt[prefix_end - 1])) !=
-               0) {
-      --prefix_end;
-    }
-    if (prefix_end > first) {
-      const char tail = stmt[prefix_end - 1];
-      const bool member_access =
-          tail == '.' ||
-          (prefix_end >= first + 2 &&
-           ((tail == '>' && stmt[prefix_end - 2] == '-') ||
-            (tail == ':' && stmt[prefix_end - 2] == ':')));
-      if (!member_access) continue;
-    }
-
-    const int line = src.LineOf(stmt_offset + first);
-    if (src.IsAllowed(line, RuleName(Rule::kUncheckedStatus))) continue;
-    findings.push_back(
-        {path, line, Rule::kUncheckedStatus,
-         StrFormat("result of Status-returning call '%s' is discarded; "
-                   "check it, propagate it, or void it with "
-                   "NEXTMAINT_IGNORE_STATUS",
-                   name.c_str())});
   }
   return findings;
 }

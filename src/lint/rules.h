@@ -25,8 +25,6 @@ enum class Rule {
   /// Nondeterminism primitives (rand(), std::random_device, time(), ...)
   /// outside the seeded-RNG module.
   kBannedPrimitive,
-  /// A Status/Result-returning call used as a bare discarding statement.
-  kUncheckedStatus,
   /// An #include that violates the layer dependency order.
   kLayering,
   /// A naked new/delete expression outside allow-listed files.
@@ -99,26 +97,19 @@ std::vector<Finding> CheckBannedPrimitives(const std::string& path,
                                            const ScrubbedSource& src,
                                            const RulePolicy& policy);
 
-/// Rule 2: discarded Status/Result calls. `status_functions` is the set of
-/// function names known to return Status or Result<...>, harvested with
-/// CollectStatusFunctions across the whole tree first.
-std::vector<Finding> CheckUncheckedStatus(
-    const std::string& path, const ScrubbedSource& src,
-    const std::set<std::string>& status_functions);
-
-/// Rule 3: include layering. Reads raw `content` for the include lines and
+/// Rule 2: include layering. Reads raw `content` for the include lines and
 /// `src` for suppressions.
 std::vector<Finding> CheckLayering(const std::string& path,
                                    const std::string& content,
                                    const ScrubbedSource& src,
                                    const RulePolicy& policy);
 
-/// Rule 4: naked new/delete expressions.
+/// Rule 3: naked new/delete expressions.
 std::vector<Finding> CheckNakedNew(const std::string& path,
                                    const ScrubbedSource& src,
                                    const RulePolicy& policy);
 
-/// Rule 5: row-oriented storage access inside the columnar histogram
+/// Rule 4: row-oriented storage access inside the columnar histogram
 /// kernels. Flags `ml/matrix.h` / `ml/dataset.h` includes and `.Row(` /
 /// `.Col(` member calls in files matching `policy.row_iteration_paths`.
 /// Reads raw `content` for the include lines and `src` for code tokens.
@@ -127,7 +118,7 @@ std::vector<Finding> CheckRowIteration(const std::string& path,
                                        const ScrubbedSource& src,
                                        const RulePolicy& policy);
 
-/// Rule 6: every declared mutex must guard something. Flags a
+/// Rule 5: every declared mutex must guard something. Flags a
 /// `std::mutex` / `Mutex` member or global with no `GUARDED_BY(<name>)` /
 /// `PT_GUARDED_BY(<name>)` field in the same file, and any raw
 /// `std::mutex` declaration outside `policy.raw_mutex_prefixes` (raw
@@ -138,7 +129,7 @@ std::vector<Finding> CheckGuardedMutex(const std::string& path,
                                        const ScrubbedSource& src,
                                        const RulePolicy& policy);
 
-/// Rule 7: lock-annotation drift. Flags raw std:: locking vocabulary
+/// Rule 6: lock-annotation drift. Flags raw std:: locking vocabulary
 /// (lock_guard, unique_lock, scoped_lock, shared_lock, condition_variable,
 /// recursive/shared/timed mutexes) anywhere outside the wrapper layer —
 /// locking through them bypasses the REQUIRES/EXCLUDES annotations the
@@ -147,11 +138,6 @@ std::vector<Finding> CheckGuardedMutex(const std::string& path,
 std::vector<Finding> CheckLockAnnotationDrift(const std::string& path,
                                               const ScrubbedSource& src,
                                               const RulePolicy& policy);
-
-/// Harvests names of functions declared or defined to return Status or
-/// Result<...> from one scrubbed file into `out`.
-void CollectStatusFunctions(const ScrubbedSource& src,
-                            std::set<std::string>* out);
 
 }  // namespace lint
 }  // namespace nextmaint

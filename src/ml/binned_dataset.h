@@ -39,9 +39,7 @@ enum class TreeCore {
 class BinMapper {
  public:
   /// Computes per-feature quantile boundaries from `x` (at most
-  /// max_bins bins per feature). Named Compute rather than Fit: the Fit
-  /// name is reserved for Status-returning training entry points
-  /// (nextmaint_lint tracks those by name).
+  /// max_bins bins per feature).
   ///
   /// Degenerate columns collapse to a single bin: an all-identical column
   /// maps every value (below, equal or above the stored boundary) to bin 0,
@@ -180,7 +178,7 @@ class BinningCache {
 
 /// How the tree learners (Tree/RF/XGB) execute training: which core runs
 /// the histogram kernels and, optionally, a shared BinningCache for
-/// cross-fit reuse. Carried through ml::MakeRegressor/MakeFactory overloads
+/// cross-fit reuse. Carried through ml::MakeRegressor/MakeFactory
 /// and the core-layer option structs; a null cache simply disables reuse.
 struct TrainingBackend {
   TreeCore core = TreeCore::kBinned;

@@ -21,6 +21,14 @@ bool IsTreeLearner(const std::string& name) {
 Result<std::unique_ptr<Regressor>> MakeRegressor(
     const std::string& name, const ParamMap& params,
     const TrainingBackend& backend) {
+  if (name == "LR") {
+    return std::unique_ptr<Regressor>(std::make_unique<LinearRegression>(
+        LinearRegression::OptionsFromParams(params)));
+  }
+  if (name == "LSVR") {
+    return std::unique_ptr<Regressor>(
+        std::make_unique<LinearSvr>(LinearSvr::OptionsFromParams(params)));
+  }
   if (name == "Tree") {
     DecisionTreeRegressor::Options options =
         DecisionTreeRegressor::OptionsFromParams(params);
@@ -45,48 +53,15 @@ Result<std::unique_ptr<Regressor>> MakeRegressor(
     return std::unique_ptr<Regressor>(
         std::make_unique<HistGradientBoostingRegressor>(options));
   }
-  return MakeRegressor(name, params);
-}
-
-Result<std::unique_ptr<Regressor>> MakeRegressor(const std::string& name,
-                                                 const ParamMap& params) {
-  if (name == "LR") {
-    return std::unique_ptr<Regressor>(std::make_unique<LinearRegression>(
-        LinearRegression::OptionsFromParams(params)));
-  }
-  if (name == "LSVR") {
-    return std::unique_ptr<Regressor>(
-        std::make_unique<LinearSvr>(LinearSvr::OptionsFromParams(params)));
-  }
-  if (name == "Tree") {
-    return std::unique_ptr<Regressor>(std::make_unique<DecisionTreeRegressor>(
-        DecisionTreeRegressor::OptionsFromParams(params)));
-  }
-  if (name == "RF") {
-    return std::unique_ptr<Regressor>(std::make_unique<RandomForestRegressor>(
-        RandomForestRegressor::OptionsFromParams(params)));
-  }
-  if (name == "XGB") {
-    return std::unique_ptr<Regressor>(
-        std::make_unique<HistGradientBoostingRegressor>(
-            HistGradientBoostingRegressor::OptionsFromParams(params)));
-  }
   return Status::NotFound("unknown model name: '" + name + "'");
-}
-
-Result<RegressorFactory> MakeFactory(const std::string& name) {
-  // Validate eagerly so a typo fails at configuration time, not mid-search.
-  NM_RETURN_NOT_OK(MakeRegressor(name).status());
-  return RegressorFactory([name](const ParamMap& params) {
-    // Construction cannot fail for a validated name.
-    return MakeRegressor(name, params).MoveValueOrDie();
-  });
 }
 
 Result<RegressorFactory> MakeFactory(const std::string& name,
                                      const TrainingBackend& backend) {
+  // Validate eagerly so a typo fails at configuration time, not mid-search.
   NM_RETURN_NOT_OK(MakeRegressor(name).status());
   return RegressorFactory([name, backend](const ParamMap& params) {
+    // Construction cannot fail for a validated name.
     return MakeRegressor(name, params, backend).MoveValueOrDie();
   });
 }

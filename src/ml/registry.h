@@ -28,27 +28,20 @@ std::vector<std::string> RegisteredModelNames();
 bool IsTreeLearner(const std::string& name);
 
 /// Builds a model by name with the given hyper-parameters (each model
-/// documents its recognised keys on its OptionsFromParams). Unknown names
-/// fail with NotFound.
-[[nodiscard]] Result<std::unique_ptr<Regressor>> MakeRegressor(const std::string& name,
-                                                 const ParamMap& params = {});
-
-/// Like the two-argument overload, but the tree learners (Tree/RF/XGB) are
-/// configured with `backend` — the training core to run and an optional
-/// shared BinningCache so repeated fits on the same matrix (grid-search
-/// candidates, serving refreshes) bin once. Non-tree models ignore it.
+/// documents its recognised keys on its OptionsFromParams). The tree
+/// learners (Tree/RF/XGB) are configured with `backend`: the training core
+/// to run and an optional shared BinningCache, so repeated fits on the same
+/// matrix (grid-search candidates, serving refreshes) bin once. Non-tree
+/// models ignore it. Unknown names fail with NotFound.
 [[nodiscard]] Result<std::unique_ptr<Regressor>> MakeRegressor(
-    const std::string& name, const ParamMap& params,
-    const TrainingBackend& backend);
+    const std::string& name, const ParamMap& params = {},
+    const TrainingBackend& backend = {});
 
-/// Returns a factory that builds `name` models (for GridSearchCV).
-/// The name is validated immediately.
-[[nodiscard]] Result<RegressorFactory> MakeFactory(const std::string& name);
-
-/// Factory whose models carry `backend` (see the MakeRegressor overload);
-/// every grid-search candidate then shares the same binning cache.
-[[nodiscard]] Result<RegressorFactory> MakeFactory(const std::string& name,
-                                                   const TrainingBackend& backend);
+/// Returns a factory that builds `name` models carrying `backend` (for
+/// GridSearchCV: every candidate then shares the same binning cache). The
+/// name is validated immediately.
+[[nodiscard]] Result<RegressorFactory> MakeFactory(
+    const std::string& name, const TrainingBackend& backend = {});
 
 /// The default hyper-parameter grid the paper sweeps for each model:
 ///   RF / XGB: max depth 3..50, estimators 10..1000;

@@ -32,12 +32,15 @@ namespace {
   return Status::OK();
 }
 
+/// Encoded size floor of one index entry: id length, a one-byte id, first
+/// day, block offset and size, block CRC, day count.
+constexpr size_t kMinIndexEntryBytes = 2 + 1 + 8 + 8 + 8 + 4 + 4;
+
 /// Superblock layout (64 bytes): magic, version, vehicle count, index
-/// span + CRC, T_v, file_used, zero padding, slot CRC over bytes [0, 60).
+/// span + CRC, file_used, zero padding, slot CRC over bytes [0, 60).
 std::string EncodeCorpusSuperblock(uint32_t vehicle_count,
                                    uint64_t index_offset, uint64_t index_size,
-                                   uint32_t index_crc32, double tv,
-                                   uint64_t file_used) {
+                                   uint32_t index_crc32, uint64_t file_used) {
   std::string out;
   out.reserve(kCorpusSuperblockBytes);
   out.append(kCorpusMagic, sizeof(kCorpusMagic));
@@ -46,7 +49,6 @@ std::string EncodeCorpusSuperblock(uint32_t vehicle_count,
   AppendU64(&out, index_offset);
   AppendU64(&out, index_size);
   AppendU32(&out, index_crc32);
-  AppendF64(&out, tv);
   AppendU64(&out, file_used);
   out.append(kCorpusSuperblockBytes - 4 - out.size(), '\0');
   AppendU32(&out, Crc32(out));
@@ -59,7 +61,6 @@ struct CorpusSuperblock {
   uint64_t index_offset = 0;
   uint64_t index_size = 0;
   uint32_t index_crc32 = 0;
-  double tv = 0.0;
   uint64_t file_used = 0;
 };
 
@@ -82,20 +83,27 @@ Result<CorpusSuperblock> DecodeCorpusSuperblock(std::span<const uint8_t> buf) {
   uint32_t version = 0;
   CorpusSuperblock sb;
   NM_RETURN_NOT_OK(parser.ReadU32(&version));
+  if (version != kCorpusVersion) {
+    return Status::DataLoss("unsupported corpus version " +
+                            std::to_string(version) + " (this build reads " +
+                            std::to_string(kCorpusVersion) +
+                            "); regenerate it with `nextmaint compact`");
+  }
   NM_RETURN_NOT_OK(parser.ReadU32(&sb.vehicle_count));
   NM_RETURN_NOT_OK(parser.ReadU64(&sb.index_offset));
   NM_RETURN_NOT_OK(parser.ReadU64(&sb.index_size));
   NM_RETURN_NOT_OK(parser.ReadU32(&sb.index_crc32));
-  NM_RETURN_NOT_OK(parser.ReadF64(&sb.tv));
   NM_RETURN_NOT_OK(parser.ReadU64(&sb.file_used));
-  if (version != kCorpusVersion) {
-    return Status::DataLoss("unsupported corpus version " +
-                            std::to_string(version));
-  }
   if (sb.index_offset < kCorpusSuperblockBytes ||
       sb.index_size > sb.file_used ||
       sb.index_offset > sb.file_used - sb.index_size) {
     return Status::DataLoss("corpus index span escapes the data region");
+  }
+  if (static_cast<uint64_t>(sb.vehicle_count) * kMinIndexEntryBytes >
+      sb.index_size) {
+    return Status::DataLoss("corpus vehicle count " +
+                            std::to_string(sb.vehicle_count) +
+                            " cannot fit the index");
   }
   return sb;
 }
@@ -129,10 +137,8 @@ struct CorpusWriter::BlockEntry {
   uint32_t crc32 = 0;
 };
 
-CorpusWriter::CorpusWriter(std::string path, std::string tmp_path, int fd,
-                           double tv)
-    : path_(std::move(path)), tmp_path_(std::move(tmp_path)), fd_(fd),
-      tv_(tv) {}
+CorpusWriter::CorpusWriter(std::string path, std::string tmp_path, int fd)
+    : path_(std::move(path)), tmp_path_(std::move(tmp_path)), fd_(fd) {}
 
 CorpusWriter::~CorpusWriter() {
   // An abandoned writer (error path, no Finish) leaves no trace.
@@ -142,13 +148,9 @@ CorpusWriter::~CorpusWriter() {
   }
 }
 
-Result<std::unique_ptr<CorpusWriter>> CorpusWriter::Create(
-    std::string path, double maintenance_interval_s) {
+Result<std::unique_ptr<CorpusWriter>> CorpusWriter::Create(std::string path) {
   if (path.empty()) {
     return Status::InvalidArgument("corpus path must not be empty");
-  }
-  if (maintenance_interval_s <= 0.0) {
-    return Status::InvalidArgument("maintenance_interval_s must be positive");
   }
   std::string tmp_path = path + ".tmp";
   const int fd = ::open(tmp_path.c_str(),
@@ -169,7 +171,7 @@ Result<std::unique_ptr<CorpusWriter>> CorpusWriter::Create(
   }
   return std::unique_ptr<CorpusWriter>(
       new CorpusWriter(  // nextmaint-lint: allow(naked-new)
-          std::move(path), std::move(tmp_path), fd, maintenance_interval_s));
+          std::move(path), std::move(tmp_path), fd));
 }
 
 Status CorpusWriter::AddVehicle(const std::string& vehicle_id,
@@ -189,26 +191,13 @@ Status CorpusWriter::AddVehicle(const std::string& vehicle_id,
   }
   std::string block;
   block.reserve(series.size() * sizeof(double));
-  double total = 0.0;
-  double max_usage = 0.0;
-  for (size_t i = 0; i < series.size(); ++i) {
-    AppendF64(&block, series[i]);
-    total += series[i];
-    max_usage = std::max(max_usage, series[i]);
-  }
+  for (size_t i = 0; i < series.size(); ++i) AppendF64(&block, series[i]);
   NM_RETURN_NOT_OK(WriteAllFd(fd_, block.data(), block.size(), tmp_path_));
 
   BlockEntry entry;
   entry.summary.vehicle_id = vehicle_id;
   entry.summary.first_day = series.start_date();
   entry.summary.num_days = static_cast<uint32_t>(series.size());
-  entry.summary.total_usage = total;
-  entry.summary.mean_usage =
-      series.empty() ? 0.0 : total / static_cast<double>(series.size());
-  entry.summary.max_usage = max_usage;
-  // Empty when the vehicle is still "new" or the series is unusable.
-  entry.summary.first_half_usage =
-      data::FirstHalfCycleUsage(series, tv_).ValueOr({});
   entry.offset = tail_;
   entry.size = block.size();
   entry.crc32 = Crc32(block);
@@ -231,16 +220,11 @@ Result<uint64_t> CorpusWriter::Finish() {
     AppendU64(&index, entry.size);
     AppendU32(&index, entry.crc32);
     AppendU32(&index, s.num_days);
-    AppendF64(&index, s.total_usage);
-    AppendF64(&index, s.mean_usage);
-    AppendF64(&index, s.max_usage);
-    AppendU32(&index, static_cast<uint32_t>(s.first_half_usage.size()));
-    for (double v : s.first_half_usage) AppendF64(&index, v);
   }
   const uint64_t file_used = tail_ + index.size();
   const std::string superblock = EncodeCorpusSuperblock(
       static_cast<uint32_t>(entries_.size()), tail_, index.size(),
-      Crc32(index), tv_, file_used);
+      Crc32(index), file_used);
 
   Status status = [&]() -> Status {
     NM_RETURN_NOT_OK(WriteAllFd(fd_, index.data(), index.size(), tmp_path_));
@@ -296,7 +280,6 @@ Result<std::unique_ptr<CorpusReader>> CorpusReader::Open(
   auto reader = std::unique_ptr<CorpusReader>(
       new CorpusReader());  // nextmaint-lint: allow(naked-new)
   reader->file_ = file;
-  reader->tv_ = sb.tv;
   reader->summaries_.reserve(sb.vehicle_count);
   reader->blocks_.reserve(sb.vehicle_count);
   ByteParser parser(index);
@@ -318,21 +301,6 @@ Result<std::unique_ptr<CorpusReader>> CorpusReader::Open(
     NM_RETURN_NOT_OK(parser.ReadU64(&block.size));
     NM_RETURN_NOT_OK(parser.ReadU32(&block.crc32));
     NM_RETURN_NOT_OK(parser.ReadU32(&summary.num_days));
-    NM_RETURN_NOT_OK(parser.ReadF64(&summary.total_usage));
-    NM_RETURN_NOT_OK(parser.ReadF64(&summary.mean_usage));
-    NM_RETURN_NOT_OK(parser.ReadF64(&summary.max_usage));
-    uint32_t key_len = 0;
-    NM_RETURN_NOT_OK(parser.ReadU32(&key_len));
-    if (key_len > summary.num_days) {
-      return Status::DataLoss("similarity key of '" + summary.vehicle_id +
-                              "' is longer than its series");
-    }
-    summary.first_half_usage.reserve(key_len);
-    for (uint32_t k = 0; k < key_len; ++k) {
-      double v = 0.0;
-      NM_RETURN_NOT_OK(parser.ReadF64(&v));
-      summary.first_half_usage.push_back(v);
-    }
     if (block.size != static_cast<uint64_t>(summary.num_days) *
                           sizeof(double) ||
         block.offset < kCorpusSuperblockBytes ||

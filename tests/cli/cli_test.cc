@@ -278,10 +278,10 @@ TEST_F(CliPipelineTest, CompactedCorpusForecastsIdenticallyToCsvs) {
 
   const std::string corpus_path = (dir_ / "fleet.nmc").string();
   std::ostringstream compact_out;
-  ASSERT_TRUE(RunCommand({"compact", "--data", Dir(), "--out", corpus_path,
-                          "--tv", "500000"},
-                         compact_out)
-                  .ok());
+  ASSERT_TRUE(
+      RunCommand({"compact", "--data", Dir(), "--out", corpus_path},
+                 compact_out)
+          .ok());
   EXPECT_NE(compact_out.str().find("compacted 3 vehicle(s)"),
             std::string::npos);
 

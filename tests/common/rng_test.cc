@@ -125,66 +125,6 @@ TEST(RngTest, ExponentialMeanMatchesRate) {
   EXPECT_NEAR(sum / n, 4.0, 0.1);
 }
 
-TEST(RngTest, PoissonSmallLambdaMean) {
-  Rng rng(37);
-  const int n = 100'000;
-  int64_t sum = 0;
-  for (int i = 0; i < n; ++i) sum += rng.Poisson(3.5);
-  EXPECT_NEAR(static_cast<double>(sum) / n, 3.5, 0.05);
-}
-
-TEST(RngTest, PoissonLargeLambdaUsesNormalApprox) {
-  Rng rng(41);
-  const int n = 50'000;
-  int64_t sum = 0;
-  for (int i = 0; i < n; ++i) {
-    const int64_t v = rng.Poisson(200.0);
-    EXPECT_GE(v, 0);
-    sum += v;
-  }
-  EXPECT_NEAR(static_cast<double>(sum) / n, 200.0, 1.0);
-}
-
-TEST(RngTest, PoissonZeroLambdaIsZero) {
-  Rng rng(43);
-  EXPECT_EQ(rng.Poisson(0.0), 0);
-}
-
-TEST(RngTest, GammaMeanAndVariance) {
-  Rng rng(47);
-  const int n = 200'000;
-  const double shape = 3.0, scale = 2.0;
-  double sum = 0.0, sum_sq = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double v = rng.Gamma(shape, scale);
-    EXPECT_GT(v, 0.0);
-    sum += v;
-    sum_sq += v * v;
-  }
-  const double mean = sum / n;
-  EXPECT_NEAR(mean, shape * scale, 0.05);                      // 6.0
-  EXPECT_NEAR(sum_sq / n - mean * mean, shape * scale * scale, 0.3);  // 12.0
-}
-
-TEST(RngTest, GammaShapeBelowOne) {
-  Rng rng(53);
-  const int n = 100'000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += rng.Gamma(0.5, 1.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.02);
-}
-
-TEST(RngTest, CategoricalFollowsWeights) {
-  Rng rng(59);
-  const std::vector<double> weights = {1.0, 0.0, 3.0};
-  std::vector<int> counts(3, 0);
-  const int n = 100'000;
-  for (int i = 0; i < n; ++i) ++counts[rng.Categorical(weights)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.25, 0.01);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.75, 0.01);
-}
-
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(61);
   std::vector<int> values(50);

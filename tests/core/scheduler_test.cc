@@ -901,7 +901,7 @@ struct VirtualDayRow {
 VirtualDayRow VirtualDayReference(const data::DailySeries& usage,
                                   const SchedulerOptions& options) {
   data::DailySeries extended = usage;
-  extended.Append(0.0);  // nextmaint-lint: allow(unchecked-status): DailySeries::Append is void
+  extended.Append(0.0);
   const VehicleSeries series =
       DeriveSeries(extended, options.maintenance_interval_s).ValueOrDie();
   const size_t today = series.size() - 1;

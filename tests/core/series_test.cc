@@ -200,7 +200,7 @@ std::vector<double> EdgeCaseUsage(uint64_t seed, size_t days, double t_v) {
     } else if (kind <= 4 && !usage.empty()) {
       // L of the next day, read from the reference derivation.
       data::DailySeries u(Day(0), usage);
-      u.Append(0.0);  // nextmaint-lint: allow(unchecked-status): DailySeries::Append is void
+      u.Append(0.0);
       const double left = DeriveSeries(u, t_v).ValueOrDie().l.back();
       usage.push_back(std::max(0.0, left));
     } else {
@@ -241,7 +241,7 @@ TEST(CycleAccumulatorTest, MatchesDeriveSeriesAtEveryPrefix) {
       if (n > 0) cycles.Advance(usage[n - 1]);
       // Reference: the first n days plus a zero-usage day n.
       data::DailySeries prefix = u.Slice(0, n);
-      prefix.Append(0.0);  // nextmaint-lint: allow(unchecked-status): DailySeries::Append is void
+      prefix.Append(0.0);
       const VehicleSeries ref = DeriveSeries(prefix, kT).ValueOrDie();
       size_t closed_before_n = 0;
       for (const Cycle& cycle : ref.cycles) {

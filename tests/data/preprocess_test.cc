@@ -17,45 +17,9 @@ Date Day(int offset) {
 
 TEST(CleanTest, ZeroPolicyFillsGaps) {
   DailySeries series(Day(0), {1.0, kNaN, 3.0});
-  const CleaningReport report = Clean(&series, MissingValuePolicy::kZero);
+  const CleaningReport report = Clean(&series);
   EXPECT_EQ(report.missing_filled, 1u);
   EXPECT_TRUE(series.IsComplete());
-  EXPECT_DOUBLE_EQ(series[1], 0.0);
-}
-
-TEST(CleanTest, MeanPolicyUsesObservedMean) {
-  DailySeries series(Day(0), {2.0, kNaN, 4.0});
-  Clean(&series, MissingValuePolicy::kMean);
-  EXPECT_DOUBLE_EQ(series[1], 3.0);
-}
-
-TEST(CleanTest, ForwardFillCarriesLastValue) {
-  DailySeries series(Day(0), {kNaN, 5.0, kNaN, kNaN, 7.0});
-  Clean(&series, MissingValuePolicy::kForwardFill);
-  EXPECT_DOUBLE_EQ(series[0], 0.0);  // leading gap has nothing to carry
-  EXPECT_DOUBLE_EQ(series[2], 5.0);
-  EXPECT_DOUBLE_EQ(series[3], 5.0);
-  EXPECT_DOUBLE_EQ(series[4], 7.0);
-}
-
-TEST(CleanTest, InterpolatePolicyIsLinear) {
-  DailySeries series(Day(0), {0.0, kNaN, kNaN, 9.0});
-  Clean(&series, MissingValuePolicy::kInterpolate);
-  EXPECT_DOUBLE_EQ(series[1], 3.0);
-  EXPECT_DOUBLE_EQ(series[2], 6.0);
-}
-
-TEST(CleanTest, InterpolateBoundaryGapsUseNearestValue) {
-  DailySeries series(Day(0), {kNaN, 4.0, kNaN});
-  Clean(&series, MissingValuePolicy::kInterpolate);
-  EXPECT_DOUBLE_EQ(series[0], 4.0);
-  EXPECT_DOUBLE_EQ(series[2], 4.0);
-}
-
-TEST(CleanTest, InterpolateAllNaNBecomesZero) {
-  DailySeries series(Day(0), {kNaN, kNaN});
-  Clean(&series, MissingValuePolicy::kInterpolate);
-  EXPECT_DOUBLE_EQ(series[0], 0.0);
   EXPECT_DOUBLE_EQ(series[1], 0.0);
 }
 
@@ -68,59 +32,6 @@ TEST(CleanTest, ClampsInconsistentValues) {
   EXPECT_DOUBLE_EQ(series[0], 86'400.0);
   EXPECT_DOUBLE_EQ(series[1], 0.0);
   EXPECT_DOUBLE_EQ(series[2], 40'000.0);
-}
-
-TEST(CleanTest, ClampBeforeFillKeepsMeanUnbiased) {
-  // The glitch (1e9) must not leak into the mean used to fill the gap.
-  DailySeries series(Day(0), {1e9, kNaN, 10.0});
-  Clean(&series, MissingValuePolicy::kMean);
-  EXPECT_DOUBLE_EQ(series[1], (86'400.0 + 10.0) / 2.0);
-}
-
-TEST(CleanTest, CustomLimits) {
-  ConsistencyLimits limits;
-  limits.max_daily_seconds = 50'000.0;
-  DailySeries series(Day(0), {60'000.0});
-  Clean(&series, MissingValuePolicy::kZero, limits);
-  EXPECT_DOUBLE_EQ(series[0], 50'000.0);
-}
-
-TEST(NormalizeMinMaxTest, ScalesToUnitInterval) {
-  DailySeries series(Day(0), {10.0, 20.0, 30.0});
-  const MinMaxParams params = NormalizeMinMax(&series);
-  EXPECT_DOUBLE_EQ(params.min, 10.0);
-  EXPECT_DOUBLE_EQ(params.max, 30.0);
-  EXPECT_DOUBLE_EQ(series[0], 0.0);
-  EXPECT_DOUBLE_EQ(series[1], 0.5);
-  EXPECT_DOUBLE_EQ(series[2], 1.0);
-}
-
-TEST(NormalizeMinMaxTest, InverseRecoversOriginal) {
-  DailySeries series(Day(0), {3.0, 7.0, 11.0});
-  const MinMaxParams params = NormalizeMinMax(&series);
-  EXPECT_DOUBLE_EQ(params.Inverse(series[1]), 7.0);
-}
-
-TEST(NormalizeMinMaxTest, ConstantSeriesMapsToZero) {
-  DailySeries series(Day(0), {5.0, 5.0});
-  NormalizeMinMax(&series);
-  EXPECT_DOUBLE_EQ(series[0], 0.0);
-  EXPECT_DOUBLE_EQ(series[1], 0.0);
-}
-
-TEST(NormalizeMinMaxTest, SkipsNaN) {
-  DailySeries series(Day(0), {0.0, kNaN, 10.0});
-  NormalizeMinMax(&series);
-  EXPECT_TRUE(std::isnan(series[1]));
-  EXPECT_DOUBLE_EQ(series[2], 1.0);
-}
-
-TEST(ApplyMinMaxTest, UsesTrainedParams) {
-  MinMaxParams params{0.0, 10.0};
-  DailySeries test(Day(0), {5.0, 20.0});
-  ApplyMinMax(params, &test);
-  EXPECT_DOUBLE_EQ(test[0], 0.5);
-  EXPECT_DOUBLE_EQ(test[1], 2.0);  // out-of-range values extrapolate
 }
 
 TEST(AggregateDailyTest, SumsReportsPerDay) {

@@ -99,24 +99,6 @@ TEST(DailySeriesTest, MeanOfAllNaNIsZero) {
   EXPECT_DOUBLE_EQ(series.MeanValue(), 0.0);
 }
 
-TEST(DailySeriesTest, CumulativeSumTreatsNaNAsZero) {
-  DailySeries series(Day(0), {1.0, kNaN, 2.0});
-  const std::vector<double> cumulative = series.CumulativeSum();
-  ASSERT_EQ(cumulative.size(), 3u);
-  EXPECT_DOUBLE_EQ(cumulative[0], 1.0);
-  EXPECT_DOUBLE_EQ(cumulative[1], 1.0);
-  EXPECT_DOUBLE_EQ(cumulative[2], 3.0);
-}
-
-TEST(DailySeriesTest, CumulativeSumMonotoneForNonNegative) {
-  DailySeries series(Day(0), {5.0, 0.0, 2.5, 0.0});
-  const std::vector<double> cumulative = series.CumulativeSum();
-  for (size_t i = 1; i < cumulative.size(); ++i) {
-    EXPECT_GE(cumulative[i], cumulative[i - 1]);
-  }
-  EXPECT_DOUBLE_EQ(cumulative.back(), series.Sum());
-}
-
 }  // namespace
 }  // namespace data
 }  // namespace nextmaint

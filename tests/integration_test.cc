@@ -76,7 +76,7 @@ TEST(IntegrationTest, ReportsToTrainedModel) {
   // Preparation: clean the telemetry outages.
   data::DailySeries series = history.utilization;
   ASSERT_GT(series.MissingCount(), 0u);
-  data::Clean(&series, data::MissingValuePolicy::kZero);
+  data::Clean(&series);
   ASSERT_TRUE(series.IsComplete());
 
   core::OldVehicleOptions options;

@@ -1,24 +1,19 @@
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 #include <vector>
 
 #include "lint/lint.h"
 #include "lint/rules.h"
-#include "lint/source_scan.h"
 
 namespace nextmaint {
 namespace lint {
 namespace {
 
 /// Applies the full rule set to an inline fixture under the project policy.
-std::vector<Finding> Lint(const std::string& path, const std::string& content,
-                          std::set<std::string> status_functions = {}) {
-  const LintConfig config = LintConfig::ProjectDefault();
-  const ScrubbedSource src = Scrub(content);
-  CollectStatusFunctions(src, &status_functions);
-  return LintSource(path, content, config, status_functions);
+std::vector<Finding> Lint(const std::string& path,
+                          const std::string& content) {
+  return LintSource(path, content, LintConfig::ProjectDefault());
 }
 
 bool HasRule(const std::vector<Finding>& findings, Rule rule) {
@@ -85,92 +80,6 @@ TEST(BannedPrimitiveRuleTest, InlineSuppressionSilencesOneLine) {
 
 // ---------------------------------------------------------------- rule 2
 
-TEST(UncheckedStatusRuleTest, FlagsDiscardedStatusCall) {
-  const auto findings = Lint("src/core/foo.cc",
-                             "Status DoThing();\n"
-                             "void F() {\n"
-                             "  DoThing();\n"
-                             "}\n");
-  ASSERT_TRUE(HasRule(findings, Rule::kUncheckedStatus));
-  EXPECT_EQ(findings[0].line, 3);
-}
-
-TEST(UncheckedStatusRuleTest, FlagsDiscardedMemberCall) {
-  const auto findings =
-      Lint("src/core/foo.cc",
-           "void F(core::FleetScheduler& s) {\n"
-           "  s.TrainAll();\n"
-           "}\n",
-           {"TrainAll"});
-  ASSERT_TRUE(HasRule(findings, Rule::kUncheckedStatus));
-  EXPECT_EQ(findings[0].line, 2);
-}
-
-TEST(UncheckedStatusRuleTest, PassesCheckedAssignedAndPropagated) {
-  EXPECT_TRUE(Lint("src/core/foo.cc",
-                   "Status DoThing();\n"
-                   "Status F() {\n"
-                   "  Status s = DoThing();\n"
-                   "  if (!s.ok()) return s;\n"
-                   "  NM_RETURN_NOT_OK(DoThing());\n"
-                   "  NM_CHECK(DoThing().ok());\n"
-                   "  return DoThing();\n"
-                   "}\n")
-                  .empty());
-}
-
-TEST(UncheckedStatusRuleTest, PassesExplicitIgnoreMacro) {
-  EXPECT_TRUE(Lint("src/core/foo.cc",
-                   "Status DoThing();\n"
-                   "void F() {\n"
-                   "  NEXTMAINT_IGNORE_STATUS(DoThing());\n"
-                   "}\n")
-                  .empty());
-}
-
-TEST(UncheckedStatusRuleTest, DeclarationsAreNotCalls) {
-  EXPECT_TRUE(Lint("src/core/foo.h",
-                   "class X {\n"
-                   " public:\n"
-                   "  Status TrainAll();\n"
-                   "  [[nodiscard]] Status Save(std::ostream& out) const;\n"
-                   "};\n"
-                   "Status FreeFunction(int arg);\n")
-                  .empty());
-}
-
-TEST(UncheckedStatusRuleTest, FlagsDiscardedResultCall) {
-  const auto findings = Lint("src/data/foo.cc",
-                             "Result<int> Parse(std::string_view t);\n"
-                             "void F() {\n"
-                             "  Parse(\"7\");\n"
-                             "}\n");
-  ASSERT_TRUE(HasRule(findings, Rule::kUncheckedStatus));
-}
-
-TEST(UncheckedStatusRuleTest, FailpointMacroStatementsPass) {
-  // NEXTMAINT_FAILPOINT("site"); expands to a self-checking block (the
-  // injected Status is tested and returned inside the macro), so a bare
-  // macro statement must not read as a discarded Status-returning call.
-  EXPECT_TRUE(Lint("src/data/foo.cc",
-                   "Status Read() {\n"
-                   "  NEXTMAINT_FAILPOINT(\"csv.read_row\");\n"
-                   "  return Status::OK();\n"
-                   "}\n")
-                  .empty());
-}
-
-TEST(UncheckedStatusRuleTest, VoidFunctionsOfOtherNamesPass) {
-  EXPECT_TRUE(Lint("src/core/foo.cc",
-                   "void Log(const char* m);\n"
-                   "void F() {\n"
-                   "  Log(\"hello\");\n"
-                   "}\n")
-                  .empty());
-}
-
-// ---------------------------------------------------------------- rule 3
-
 TEST(LayeringRuleTest, FlagsCommonIncludingCore) {
   const auto findings = Lint("src/common/util.cc",
                              "#include \"core/scheduler.h\"\n");
@@ -214,7 +123,7 @@ TEST(LayeringRuleTest, UmbrellaHeaderBannedInLayeredCode) {
   EXPECT_TRUE(Lint("bench/foo.cc", "#include \"nextmaint.h\"\n").empty());
 }
 
-// ---------------------------------------------------------------- rule 4
+// ---------------------------------------------------------------- rule 3
 
 TEST(NakedNewRuleTest, FlagsNewAndDeleteExpressions) {
   const auto new_findings =
@@ -247,7 +156,7 @@ TEST(NakedNewRuleTest, InlineSuppressionWorks) {
           .empty());
 }
 
-// ---------------------------------------------------------------- rule 5
+// ---------------------------------------------------------------- rule 4
 
 TEST(RowIterationRuleTest, FlagsMatrixIncludeInHistogramFiles) {
   const auto findings = Lint("src/ml/histogram.cc",
@@ -293,7 +202,7 @@ TEST(RowIterationRuleTest, CommentsAndSuppressionsWork) {
           .empty());
 }
 
-// ---------------------------------------------------------------- rule 6
+// ---------------------------------------------------------------- rule 5
 
 TEST(GuardedMutexRuleTest, FlagsRawStdMutexOutsideCommon) {
   const auto findings = Lint("src/serve/foo.h",
@@ -362,7 +271,7 @@ TEST(GuardedMutexRuleTest, InlineSuppressionSilencesOneLine) {
   EXPECT_EQ(findings[0].rule, Rule::kGuardedMutex);
 }
 
-// ---------------------------------------------------------------- rule 7
+// ---------------------------------------------------------------- rule 6
 
 TEST(LockAnnotationDriftRuleTest, FlagsRawLockingVocabulary) {
   EXPECT_TRUE(HasRule(
@@ -424,7 +333,6 @@ TEST(FindingTest, ToStringFormat) {
 
 TEST(RuleNameTest, KebabCaseNames) {
   EXPECT_STREQ(RuleName(Rule::kBannedPrimitive), "banned-primitive");
-  EXPECT_STREQ(RuleName(Rule::kUncheckedStatus), "unchecked-status");
   EXPECT_STREQ(RuleName(Rule::kLayering), "layering");
   EXPECT_STREQ(RuleName(Rule::kNakedNew), "naked-new");
   EXPECT_STREQ(RuleName(Rule::kRowIteration), "row-iteration");

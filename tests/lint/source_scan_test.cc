@@ -64,9 +64,9 @@ TEST(ScrubTest, RecordsSuppressionsWithRuleNames) {
 
 TEST(ScrubTest, SuppressionListSupportsMultipleRules) {
   const ScrubbedSource out =
-      Scrub("x;  // nextmaint-lint: allow(naked-new, unchecked-status)\n");
+      Scrub("x;  // nextmaint-lint: allow(naked-new, banned-primitive)\n");
   EXPECT_TRUE(out.IsAllowed(1, "naked-new"));
-  EXPECT_TRUE(out.IsAllowed(1, "unchecked-status"));
+  EXPECT_TRUE(out.IsAllowed(1, "banned-primitive"));
   EXPECT_FALSE(out.IsAllowed(1, "layering"));
 }
 

@@ -230,14 +230,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ErrorMetricPropertyTest,
                                          uint64_t{33}, uint64_t{44}));
 
 // ---------------------------------------------------------------------------
-// Cleaning is idempotent and preserves observed values, for every policy.
+// Cleaning is idempotent and preserves observed values.
 // ---------------------------------------------------------------------------
 
-class CleaningPolicyTest
-    : public testing::TestWithParam<data::MissingValuePolicy> {};
-
-TEST_P(CleaningPolicyTest, IdempotentAndValuePreserving) {
-  const data::MissingValuePolicy policy = GetParam();
+TEST(CleaningPolicyTest, IdempotentAndValuePreserving) {
   Rng rng(55);
   std::vector<double> values;
   for (int i = 0; i < 200; ++i) {
@@ -248,7 +244,7 @@ TEST_P(CleaningPolicyTest, IdempotentAndValuePreserving) {
     }
   }
   data::DailySeries series(Day(0), values);
-  data::Clean(&series, policy);
+  data::Clean(&series);
   EXPECT_TRUE(series.IsComplete());
 
   // Observed values survive cleaning untouched.
@@ -263,19 +259,12 @@ TEST_P(CleaningPolicyTest, IdempotentAndValuePreserving) {
 
   // A second pass changes nothing.
   data::DailySeries again = series;
-  const data::CleaningReport report = data::Clean(&again, policy);
+  const data::CleaningReport report = data::Clean(&again);
   EXPECT_EQ(report.missing_filled, 0u);
   for (size_t i = 0; i < series.size(); ++i) {
     EXPECT_DOUBLE_EQ(again[i], series[i]);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Policies, CleaningPolicyTest,
-    testing::Values(data::MissingValuePolicy::kZero,
-                    data::MissingValuePolicy::kMean,
-                    data::MissingValuePolicy::kForwardFill,
-                    data::MissingValuePolicy::kInterpolate));
 
 // ---------------------------------------------------------------------------
 // Window sweep: every algorithm stays evaluable for any W, and the dataset

@@ -509,7 +509,7 @@ TEST(ServingEngineTest, CorpusEventsRebuildExactlyWhenTheCorpusChanges) {
     const auto append = [&](const std::string& id, double seconds) {
       data::DailySeries& series = data.at(id);
       ASSERT_TRUE(engine.Append(id, series.next_date(), seconds).ok()) << id;
-      series.Append(seconds);  // nextmaint-lint: allow(unchecked-status): DailySeries::Append is void
+      series.Append(seconds);
     };
     const auto load = [&](const std::string& id, data::DailySeries series) {
       ASSERT_TRUE(engine.LoadHistory(id, series).ok()) << id;

@@ -1,6 +1,6 @@
-// Compacted corpus tests: writer/reader round-trips, the header-resident
-// similarity key's pinning to core::FirstHalfCycleUsage, and corruption
-// handling (kDataLoss, never a crash).
+// Compacted corpus tests: writer/reader round-trips, version and
+// corruption handling (kDataLoss, never a crash), and a fuzz sweep over
+// CRC-valid mutated superblocks and indexes.
 
 #include "storage/corpus.h"
 
@@ -13,13 +13,10 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/cold_start.h"
 
 namespace nextmaint {
 namespace storage {
 namespace {
-
-constexpr double kTv = 300'000.0;
 
 Date Day(int offset) {
   return Date::FromYmd(2016, 1, 1).ValueOrDie().AddDays(offset);
@@ -33,6 +30,53 @@ data::DailySeries MakeSeries(uint64_t seed, int days) {
     values.push_back(rng.Uniform(5'000.0, 20'000.0));
   }
   return data::DailySeries(Day(0), std::move(values));
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+uint64_t LoadLe(const std::string& bytes, size_t at, size_t width) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < width; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[at + i])) << (8 * i);
+  }
+  return v;
+}
+
+void StoreLe(std::string* bytes, size_t at, size_t width, uint64_t v) {
+  for (size_t i = 0; i < width; ++i) {
+    (*bytes)[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+// Superblock field offsets: magic [0, 8), version, vehicle count, index
+// offset, index size, index CRC, file_used, padding, CRC over [0, 60).
+constexpr size_t kVersionAt = 8;
+constexpr size_t kCountAt = 12;
+constexpr size_t kIndexOffsetAt = 16;
+constexpr size_t kIndexSizeAt = 24;
+constexpr size_t kIndexCrcAt = 32;
+constexpr size_t kSuperblockCrcAt = 60;
+
+/// Recomputes the index CRC (when the declared span lies inside the file)
+/// and then the superblock CRC, so mutations reach the decoder's checks
+/// past both CRCs.
+void Reseal(std::string* bytes) {
+  const uint64_t offset = LoadLe(*bytes, kIndexOffsetAt, 8);
+  const uint64_t size = LoadLe(*bytes, kIndexSizeAt, 8);
+  if (offset <= bytes->size() && size <= bytes->size() - offset) {
+    StoreLe(bytes, kIndexCrcAt, 4, Crc32(bytes->substr(offset, size)));
+  }
+  StoreLe(bytes, kSuperblockCrcAt, 4,
+          Crc32(bytes->substr(0, kSuperblockCrcAt)));
 }
 
 class CorpusTest : public ::testing::Test {
@@ -52,7 +96,7 @@ class CorpusTest : public ::testing::Test {
   /// `days` days each and returns the input series by id.
   std::map<std::string, data::DailySeries> WriteCorpus(int count, int days) {
     std::map<std::string, data::DailySeries> fleet;
-    auto writer = CorpusWriter::Create(path_, kTv).ValueOrDie();
+    auto writer = CorpusWriter::Create(path_).ValueOrDie();
     for (int v = 0; v < count; ++v) {
       char id[16];
       std::snprintf(id, sizeof(id), "fleet-%03d", v);
@@ -71,7 +115,6 @@ class CorpusTest : public ::testing::Test {
 TEST_F(CorpusTest, RoundTripsEverySeriesExactly) {
   const auto fleet = WriteCorpus(5, 60);
   auto reader = CorpusReader::Open(path_).ValueOrDie();
-  EXPECT_EQ(reader->maintenance_interval_s(), kTv);
   ASSERT_EQ(reader->summaries().size(), 5u);
   for (const auto& [id, series] : fleet) {
     const data::DailySeries loaded = reader->Series(id).ValueOrDie();
@@ -85,62 +128,22 @@ TEST_F(CorpusTest, RoundTripsEverySeriesExactly) {
   EXPECT_EQ(reader->Summary("ghost").status().code(), StatusCode::kNotFound);
 }
 
-TEST_F(CorpusTest, SummariesCarryTheExactFirstHalfCycleKey) {
+TEST_F(CorpusTest, SummariesCarryIdFirstDayAndLength) {
   const auto fleet = WriteCorpus(4, 60);
   auto reader = CorpusReader::Open(path_).ValueOrDie();
+  ASSERT_EQ(reader->summaries().size(), fleet.size());
+  auto summary = reader->summaries().begin();
   for (const auto& [id, series] : fleet) {
-    const CorpusVehicleSummary* summary =
-        reader->Summary(id).ValueOrDie();
-    // The header key is pinned to core::FirstHalfCycleUsage: cold-start
-    // screening from headers must agree bit-for-bit with the CSV path.
-    const auto expected = core::FirstHalfCycleUsage(series, kTv);
-    ASSERT_TRUE(expected.ok());
-    EXPECT_EQ(summary->first_half_usage, expected.ValueOrDie()) << id;
+    EXPECT_EQ(summary->vehicle_id, id);
+    EXPECT_EQ(summary->first_day.day_number(),
+              series.start_date().day_number());
     EXPECT_EQ(summary->num_days, series.size());
-    EXPECT_DOUBLE_EQ(summary->mean_usage,
-                     summary->total_usage / summary->num_days);
+    ++summary;
   }
 }
 
-TEST_F(CorpusTest, NewVehicleGetsAnEmptyKeyAndSimilaritySkipsIt) {
-  auto writer = CorpusWriter::Create(path_, kTv).ValueOrDie();
-  // 3 days of light usage: far below T_v/2, category "new".
-  ASSERT_TRUE(
-      writer
-          ->AddVehicle("baby", data::DailySeries(Day(0), {10.0, 10.0, 10.0}))
-          .ok());
-  data::DailySeries old_series = MakeSeries(7, 60);
-  ASSERT_TRUE(writer->AddVehicle("old", old_series).ok());
-  ASSERT_TRUE(writer->Finish().ok());
-
-  auto reader = CorpusReader::Open(path_).ValueOrDie();
-  EXPECT_TRUE(reader->Summary("baby").ValueOrDie()->first_half_usage.empty());
-  EXPECT_FALSE(reader->Summary("old").ValueOrDie()->first_half_usage.empty());
-
-  // Header-driven similarity skips the keyless vehicle and finds the old
-  // one — without materializing any block.
-  const auto match = core::MostSimilarFromCorpus(
-      core::FirstHalfCycleUsage(old_series, kTv).ValueOrDie(),
-      reader->summaries(), core::ColdStartOptions{});
-  ASSERT_TRUE(match.ok());
-  EXPECT_EQ(match.ValueOrDie().id, "old");
-}
-
-TEST_F(CorpusTest, SimilarityFailsCleanlyWhenNoVehicleHasAKey) {
-  auto writer = CorpusWriter::Create(path_, kTv).ValueOrDie();
-  ASSERT_TRUE(
-      writer->AddVehicle("baby", data::DailySeries(Day(0), {10.0})).ok());
-  ASSERT_TRUE(writer->Finish().ok());
-  auto reader = CorpusReader::Open(path_).ValueOrDie();
-  EXPECT_EQ(core::MostSimilarFromCorpus({10.0}, reader->summaries(),
-                                        core::ColdStartOptions{})
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST_F(CorpusTest, VehiclesMustArriveInAscendingIdOrder) {
-  auto writer = CorpusWriter::Create(path_, kTv).ValueOrDie();
+  auto writer = CorpusWriter::Create(path_).ValueOrDie();
   ASSERT_TRUE(writer->AddVehicle("b", MakeSeries(1, 40)).ok());
   EXPECT_FALSE(writer->AddVehicle("a", MakeSeries(2, 40)).ok());
   EXPECT_FALSE(writer->AddVehicle("b", MakeSeries(3, 40)).ok());
@@ -193,6 +196,81 @@ TEST_F(CorpusTest, TruncationAndBitFlipsAreDataLoss) {
     out << std::string(4096, 'q');
   }
   EXPECT_FALSE(IsCorpusFile(path_).ValueOrDie());
+  EXPECT_EQ(CorpusReader::Open(path_).status().code(), StatusCode::kDataLoss);
+}
+
+TEST_F(CorpusTest, OtherVersionsAreDataLossNamingCompact) {
+  WriteCorpus(2, 30);
+  std::string bytes = ReadBytes(path_);
+  ASSERT_EQ(LoadLe(bytes, kVersionAt, 4), kCorpusVersion);
+  for (const uint32_t version : {kCorpusVersion - 1, kCorpusVersion + 1}) {
+    std::string other = bytes;
+    StoreLe(&other, kVersionAt, 4, version);
+    Reseal(&other);
+    WriteBytes(path_, other);
+    // The magic is unchanged, so the CLI still routes the file here.
+    EXPECT_TRUE(IsCorpusFile(path_).ValueOrDie());
+    const Status status = CorpusReader::Open(path_).status();
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << version;
+    EXPECT_NE(status.message().find("nextmaint compact"), std::string::npos)
+        << status.ToString();
+  }
+}
+
+class CorpusFuzzTest : public CorpusTest {};
+
+TEST_F(CorpusFuzzTest, MutatedCorporaNeverCrashAndNeverOverAllocate) {
+  WriteCorpus(3, 20);
+  const std::string valid = ReadBytes(path_);
+  const size_t index_offset =
+      static_cast<size_t>(LoadLe(valid, kIndexOffsetAt, 8));
+  ASSERT_LT(index_offset, valid.size());
+
+  Rng rng(20261021);
+  size_t opened = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string mutated = valid;
+    const int flips = 1 + static_cast<int>(rng.UniformInt(uint64_t{4}));
+    for (int f = 0; f < flips; ++f) {
+      // Half the flips land in the superblock (magic and CRC included),
+      // half in the index.
+      const size_t pos =
+          rng.Bernoulli(0.5)
+              ? static_cast<size_t>(rng.UniformInt(uint64_t{kSuperblockCrcAt}))
+              : index_offset + static_cast<size_t>(rng.UniformInt(
+                                   uint64_t{valid.size() - index_offset}));
+      mutated[pos] = static_cast<char>(rng.UniformInt(uint64_t{256}));
+    }
+    // Also fuzz the declared vehicle count across its whole range.
+    if (i % 5 == 0) StoreLe(&mutated, kCountAt, 4, rng.NextUint64());
+    Reseal(&mutated);
+    WriteBytes(path_, mutated);
+
+    auto reader = CorpusReader::Open(path_);
+    if (!reader.ok()) {
+      EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss)
+          << reader.status().ToString();
+      continue;
+    }
+    ++opened;
+    for (const CorpusVehicleSummary& summary :
+         reader.ValueOrDie()->summaries()) {
+      const auto series = reader.ValueOrDie()->Series(summary.vehicle_id);
+      if (!series.ok()) {
+        EXPECT_EQ(series.status().code(), StatusCode::kDataLoss)
+            << series.status().ToString();
+      }
+    }
+  }
+  // Some mutations (an id byte, a first day) leave a readable corpus.
+  EXPECT_GT(opened, 0u);
+
+  // A CRC-valid count that the index cannot hold is DataLoss before any
+  // allocation sized by it.
+  std::string huge = valid;
+  StoreLe(&huge, kCountAt, 4, uint64_t{1} << 30);
+  Reseal(&huge);
+  WriteBytes(path_, huge);
   EXPECT_EQ(CorpusReader::Open(path_).status().code(), StatusCode::kDataLoss);
 }
 
